@@ -10,7 +10,6 @@ closed-form and Monte Carlo oracles for verification.
 from .core import (
     Band,
     InputError,
-    MarkedPoint,
     MppstatError,
     NumericError,
     PointPattern,
@@ -22,9 +21,9 @@ from .core import (
     buffered_window,
     pair_count,
     pair_distance,
+    pair_sums,
     read_pattern_csv,
     translate,
-    weighted_pair_sum,
     write_pattern_csv,
 )
 from .markfn import (
@@ -54,6 +53,7 @@ from .sim import (
 )
 from .est import (
     EstimateResult,
+    PairTable,
     concat_patterns,
     mean_mark,
     mean_mark_avg,
@@ -61,6 +61,7 @@ from .est import (
     mean_mark_kernel,
     mean_mark_pooled,
     mean_mark_weighted,
+    pair_table,
 )
 from .weights import (
     WeightStrategy,

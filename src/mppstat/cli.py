@@ -176,7 +176,10 @@ def _strategy(name: str, args) -> WeightStrategy:
         params = getattr(args, "cov_params", None)
         if not model or not params:
             raise InputError("--weights rfvar requires --cov-model and --cov-params VAR,RANGE")
-        var_f, cov_range = (float(v) for v in params.split(","))
+        try:
+            var_f, cov_range = (float(v) for v in params.split(","))
+        except ValueError as exc:
+            raise InputError(f"--cov-params must be VAR,RANGE, got {params!r}") from exc
         return WeightStrategy(
             "rfvar", cov=sim.covariance_model(model, var_f, cov_range), var_f=var_f
         )
@@ -209,10 +212,10 @@ def _load_pattern_dir(pattern_dir: Path):
             manifest = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {manifest_path}: {exc}") from exc
-    patterns = []
-    for name in manifest["files"]:
-        patterns.append(read_pattern_csv(pattern_dir / name))
-    return patterns, manifest
+    files = manifest.get("files") if isinstance(manifest, dict) else None
+    if not isinstance(files, list) or not all(isinstance(name, str) for name in files):
+        raise InputError(f"{manifest_path}: needs a 'files' list of pattern file names")
+    return [read_pattern_csv(pattern_dir / name) for name in files]
 
 
 def cmd_estimate(config: dict, out_path: Path, args=None, pattern_dir: Path | None = None) -> int:
@@ -226,9 +229,15 @@ def cmd_estimate(config: dict, out_path: Path, args=None, pattern_dir: Path | No
     oracle_cols = _oracle_columns(spec, f, bands)
     sim_win = buffered_window(win, bands)
 
+    strategies = [
+        _strategy(e.get("weights", "equal"), args) if e["name"] == "weighted" else None
+        for e in estimators
+    ]
+    loaded = _load_pattern_dir(pattern_dir) if pattern_dir is not None else None
+
     def run_replicate(r: int):
-        if pattern_dir is not None:
-            patterns, _ = _load_pattern_dir(pattern_dir)
+        if loaded is not None:
+            patterns = loaded
         else:
             patterns = [
                 p for p, _ in sim.sample_mixture(spec, sim_win, config["n_realizations"], (seed, r))
@@ -236,19 +245,19 @@ def cmd_estimate(config: dict, out_path: Path, args=None, pattern_dir: Path | No
         rows = []
         any_undefined = False
         for band in bands:
-            for est_cfg in estimators:
+            table = est.pair_table(patterns, win, band, f)
+            for est_cfg, strategy in zip(estimators, strategies):
                 name = est_cfg["name"]
                 t0 = time.perf_counter()
                 if name == "avg":
-                    res = est.mean_mark_avg(patterns, win, band, f)
+                    res = est.mean_mark_avg(table)
                     digest = ""
                 elif name == "pooled":
-                    res = est.mean_mark_pooled(patterns, win, band, f)
+                    res = est.mean_mark_pooled(table)
                     digest = ""
                 else:
-                    strategy = _strategy(est_cfg.get("weights", "equal"), args)
-                    w = compute_weights(strategy, patterns, win, band)
-                    res = est.mean_mark_weighted(patterns, win, band, f, w)
+                    w = compute_weights(strategy, table)
+                    res = est.mean_mark_weighted(table, w)
                     digest = _weights_digest(w)
                 ms = (time.perf_counter() - t0) * 1e3
                 any_undefined |= not res.defined
@@ -472,9 +481,14 @@ def main(argv=None) -> int:
             return cmd_simulate(config, Path(args.out))
         if args.command == "estimate":
             if args.weights:
-                for e in config["estimators"]:
-                    if e["name"] == "weighted":
-                        e["weights"] = args.weights
+                weighted = [e for e in config["estimators"] if e["name"] == "weighted"]
+                if not weighted:
+                    raise InputError(
+                        f"--weights {args.weights} has no effect: the config has no "
+                        "'weighted' estimator"
+                    )
+                for e in weighted:
+                    e["weights"] = args.weights
             pattern_dir = Path(args.patterns) if args.patterns else None
             return cmd_estimate(config, Path(args.out) / "results.csv", args, pattern_dir)
         if args.command == "infer":

@@ -23,7 +23,6 @@ __all__ = [
     "InputError",
     "NumericError",
     "UnsupportedSpecError",
-    "MarkedPoint",
     "SimWindow",
     "PointPattern",
     "Window",
@@ -32,7 +31,7 @@ __all__ = [
     "band_pair_indices",
     "band_pair_indices_naive",
     "pair_count",
-    "weighted_pair_sum",
+    "pair_sums",
     "translate",
     "buffered_window",
     "write_pattern_csv",
@@ -65,25 +64,6 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Data model
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MarkedPoint:
-    """A single point: location in R^d, primary mark y, weight mark z >= 0."""
-
-    location: tuple[float, ...]
-    y: float
-    z: float
-
-    def __post_init__(self):
-        loc = tuple(float(c) for c in self.location)
-        object.__setattr__(self, "location", loc)
-        if not all(np.isfinite(loc)):
-            raise InputError(f"non-finite location {loc}")
-        if not np.isfinite(self.y):
-            raise InputError(f"non-finite mark y={self.y}")
-        if not np.isfinite(self.z) or self.z < 0:
-            raise InputError(f"weight mark must be finite and >= 0, got z={self.z}")
 
 
 @dataclass(frozen=True)
@@ -248,15 +228,6 @@ class PointPattern:
         object.__setattr__(self, "y", _freeze(y))
         object.__setattr__(self, "z", _freeze(z))
 
-    @classmethod
-    def from_points(cls, points: Sequence[MarkedPoint], sim_window: SimWindow) -> "PointPattern":
-        loc = np.array([p.location for p in points], dtype=np.float64).reshape(
-            len(points), sim_window.dim
-        )
-        y = np.array([p.y for p in points], dtype=np.float64)
-        z = np.array([p.z for p in points], dtype=np.float64)
-        return cls(loc, y, z, sim_window)
-
     @property
     def dim(self) -> int:
         return self.sim_window.dim
@@ -264,12 +235,6 @@ class PointPattern:
     @property
     def n_points(self) -> int:
         return self.locations.shape[0]
-
-    def points(self) -> list[MarkedPoint]:
-        return [
-            MarkedPoint(tuple(self.locations[i]), float(self.y[i]), float(self.z[i]))
-            for i in range(self.n_points)
-        ]
 
     def with_weights(self, z: np.ndarray) -> "PointPattern":
         return PointPattern(self.locations, self.y, z, self.sim_window)
@@ -420,25 +385,23 @@ def pair_count(pattern: PointPattern, win: Window, band: Band) -> int:
     return int(ii.size)
 
 
-def weighted_pair_sum(
+def pair_sums(
     pattern: PointPattern,
     win: Window,
     band: Band,
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    weight_on: str = "first",
-) -> float:
-    """Sum of z1 * f(y1, y2) over qualifying ordered pairs.
+) -> tuple[float, float, int]:
+    """One enumeration pass: (sum of z1 * f(y1, y2), sum of z1, ordered pair count).
 
+    Sums run over the qualifying ordered pairs of :func:`band_pair_indices`.
     `f` must accept numpy arrays of first and second marks and return an
-    array of values.  `weight_on="second"` replaces the z1 factor by z2;
-    this variant exists to express the pair-reversal symmetry of fully
-    observed one-dimensional patterns.
+    array of values; a non-finite value is a :class:`NumericError` naming
+    the offending pair.  A pattern without qualifying pairs gives
+    (0.0, 0.0, 0).
     """
-    if weight_on not in ("first", "second"):
-        raise InputError(f"weight_on must be 'first' or 'second', got {weight_on!r}")
     ii, jj = band_pair_indices(pattern, win, band)
     if ii.size == 0:
-        return 0.0
+        return 0.0, 0.0, 0
     vals = np.asarray(f(pattern.y[ii], pattern.y[jj]), dtype=np.float64)
     bad = ~np.isfinite(vals)
     if np.any(bad):
@@ -449,8 +412,8 @@ def weighted_pair_sum(
             f"(t1={tuple(pattern.locations[i])}, y1={pattern.y[i]}, z1={pattern.z[i]}) x "
             f"(t2={tuple(pattern.locations[j])}, y2={pattern.y[j]})"
         )
-    w = pattern.z[ii] if weight_on == "first" else pattern.z[jj]
-    return float(np.sum(w * vals))
+    z1 = pattern.z[ii]
+    return float(np.sum(z1 * vals)), float(np.sum(z1)), int(ii.size)
 
 
 def translate(pattern: PointPattern, x: Sequence[float]) -> PointPattern:
@@ -519,14 +482,21 @@ def read_pattern_csv(path) -> PointPattern:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or not lines[0].startswith("# dim="):
         raise InputError(f"{path}: missing '# dim=' header")
-    dim = int(lines[0].split("=", 1)[1])
+    try:
+        dim = int(lines[0].split("=", 1)[1])
+    except ValueError as exc:
+        raise InputError(f"{path}: bad '# dim=' header: {exc}") from exc
     if len(lines) < 2 or not lines[1].startswith("# window="):
         raise InputError(f"{path}: missing '# window=' header")
-    bounds = lines[1].split("=", 1)[1].split(";")
+    bounds = [b.split(":") for b in lines[1].split("=", 1)[1].split(";")]
     if len(bounds) != dim:
         raise InputError(f"{path}: window bounds do not match dim={dim}")
-    lo = np.array([float(b.split(":")[0]) for b in bounds])
-    hi = np.array([float(b.split(":")[1]) for b in bounds])
+    if any(len(b) != 2 for b in bounds):
+        raise InputError(f"{path}: window bounds must be lo:hi per dimension")
+    try:
+        lo, hi = np.array([[float(v) for v in b] for b in bounds]).T
+    except ValueError as exc:
+        raise InputError(f"{path}: bad window bounds: {exc}") from exc
     rows = []
     for k, ln in enumerate(lines[2:], start=3):
         cells = ln.split(",")

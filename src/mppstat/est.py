@@ -25,12 +25,13 @@ import numpy as np
 from .core import (
     Band,
     InputError,
-    NumericError,
     PointPattern,
     SimWindow,
     Window,
     band_pair_indices,
+    pair_sums,
     _row_displacements,
+    _t1_mask,
 )
 from .markfn import MarkFunction, builtin as _builtin
 
@@ -41,16 +42,14 @@ __all__ = [
     "mean_mark",
     "mean_mark_cond",
     "mean_mark_kernel",
+    "PairTable",
+    "pair_table",
     "mean_mark_avg",
     "mean_mark_weighted",
     "mean_mark_pooled",
     "concat_patterns",
     "KERNELS",
-    "RESULT_CSV_HEADER",
-    "result_csv_row",
 ]
-
-RESULT_CSV_HEADER = "estimator,band_lo,band_hi,value,pair_count,exclusions,seed,runtime_ms"
 
 
 @dataclass(frozen=True)
@@ -75,24 +74,6 @@ def _undefined(band: Band, pair_count, **meta) -> EstimateResult:
     return EstimateResult(float("nan"), False, pair_count, band, meta)
 
 
-def _pair_terms(
-    pattern: PointPattern, win: Window, band: Band, f: MarkFunction
-) -> tuple[float, float, int]:
-    """One enumeration pass: (sum z1 f, sum z1, ordered pair count)."""
-    ii, jj = band_pair_indices(pattern, win, band)
-    if ii.size == 0:
-        return 0.0, 0.0, 0
-    vals = f(pattern.y[ii], pattern.y[jj])
-    if not np.all(np.isfinite(vals)):
-        k = int(np.nonzero(~np.isfinite(np.asarray(vals)))[0][0])
-        raise NumericError(
-            f"mark function {f.name!r} non-finite at pair marks "
-            f"({pattern.y[ii[k]]}, {pattern.y[jj[k]]})"
-        )
-    z1 = pattern.z[ii]
-    return float(np.sum(z1 * vals)), float(np.sum(z1)), int(ii.size)
-
-
 def mean_mark(pattern: PointPattern, win: Window, band: Band, f: MarkFunction) -> EstimateResult:
     """Weighted mean of f over ordered point pairs with displacement in the band.
 
@@ -101,7 +82,7 @@ def mean_mark(pattern: PointPattern, win: Window, band: Band, f: MarkFunction) -
     caller is responsible for simulating on a window buffered by the band
     reach so that neighborhoods of [0, T] are complete.
     """
-    num, den, count = _pair_terms(pattern, win, band, f)
+    num, den, count = pair_sums(pattern, win, band, f)
     if den == 0.0:
         return _undefined(band, count)
     return EstimateResult(num / den, True, count, band, {"numerator": num, "denominator": den})
@@ -191,17 +172,52 @@ def mean_mark_kernel(
     return EstimateResult(num / den, True, count, query, meta)
 
 
-def _per_realization(
+@dataclass(frozen=True)
+class PairTable:
+    """Per-realization pair sums in one band, the input of every multi-realization estimator.
+
+    Entry k of `num`, `den` and `count` holds :func:`~mppstat.core.pair_sums`
+    of realization k (sum z1 f, sum z1, ordered pair count); `n_window` is
+    its number of points in [0, T].  Realization k has a defined estimate
+    iff ``den[k] != 0``.  Build one with :func:`pair_table`.
+    """
+
+    patterns: tuple[PointPattern, ...]
+    win: Window
+    band: Band
+    num: np.ndarray
+    den: np.ndarray
+    count: np.ndarray
+    n_window: np.ndarray
+
+    @property
+    def defined(self) -> np.ndarray:
+        return self.den != 0.0
+
+    @property
+    def values(self) -> np.ndarray:
+        """Per-realization mean marks num / den, NaN where undefined."""
+        return np.divide(self.num, self.den, out=np.full(self.num.shape, np.nan),
+                         where=self.defined)
+
+    @property
+    def pair_counts(self) -> tuple[int, ...]:
+        return tuple(self.count.tolist())
+
+
+def pair_table(
     patterns: Sequence[PointPattern], win: Window, band: Band, f: MarkFunction
-) -> list[EstimateResult]:
+) -> PairTable:
+    """Enumerate each realization's pairs in the band once and tabulate their sums."""
     if not patterns:
         raise InputError("at least one realization is required")
-    return [mean_mark(p, win, band, f) for p in patterns]
+    sums = [pair_sums(p, win, band, f) for p in patterns]
+    num, den, count = (np.array(col) for col in zip(*sums))
+    n_window = np.array([np.count_nonzero(_t1_mask(p, win)) for p in patterns])
+    return PairTable(tuple(patterns), win, band, num, den, count, n_window)
 
 
-def mean_mark_avg(
-    patterns: Sequence[PointPattern], win: Window, band: Band, f: MarkFunction
-) -> EstimateResult:
+def mean_mark_avg(table: PairTable) -> EstimateResult:
     """Plain average of per-realization mean marks.
 
     Realizations with an undefined estimate are excluded and counted in
@@ -209,60 +225,49 @@ def mean_mark_avg(
     same regardless of how many pairs it contains, so on a mixture it
     targets the class-averaged mean mark.
     """
-    results = _per_realization(patterns, win, band, f)
-    defined = [res for res in results if res.defined]
-    counts = tuple(res.pair_count for res in results)
+    values, defined = table.values, table.defined
     meta = {
-        "per_realization": [res.value for res in results],
-        "exclusions": len(results) - len(defined),
+        "per_realization": values.tolist(),
+        "exclusions": int(np.sum(~defined)),
     }
-    if not defined:
-        return _undefined(band, counts, **meta)
-    value = float(np.mean([res.value for res in defined]))
-    return EstimateResult(value, True, counts, band, meta)
+    if not defined.any():
+        return _undefined(table.band, table.pair_counts, **meta)
+    value = float(np.mean(values[defined]))
+    return EstimateResult(value, True, table.pair_counts, table.band, meta)
 
 
-def mean_mark_weighted(
-    patterns: Sequence[PointPattern],
-    win: Window,
-    band: Band,
-    f: MarkFunction,
-    weights: Sequence[float],
-) -> EstimateResult:
+def mean_mark_weighted(table: PairTable, weights: Sequence[float]) -> EstimateResult:
     """Weight-normalized average of per-realization mean marks.
 
     Weights must be non-negative with a positive sum, and any realization
     whose estimate is undefined must carry weight zero (otherwise the call
     is an error: silently dropping weighted mass would bias the average).
     """
-    results = _per_realization(patterns, win, band, f)
+    values = table.values
+    n = values.shape[0]
     w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (len(results),):
-        raise InputError(f"expected {len(results)} weights, got shape {w.shape}")
+    if w.shape != (n,):
+        raise InputError(f"expected {n} weights, got shape {w.shape}")
     if np.any(~np.isfinite(w)) or np.any(w < 0):
         raise InputError("weights must be finite and >= 0")
     total = float(np.sum(w))
     if total == 0.0:
         raise InputError("weights sum to zero")
-    values = np.array([res.value for res in results])
-    undefined = np.array([not res.defined for res in results])
+    undefined = ~table.defined
     if np.any(undefined & (w > 0)):
         k = int(np.nonzero(undefined & (w > 0))[0][0])
         raise InputError(f"realization {k} has an undefined estimate but weight {w[k]} > 0")
     use = w > 0
     value = float(np.sum(w[use] * values[use]) / total)
-    counts = tuple(res.pair_count for res in results)
     meta = {
-        "per_realization": [res.value for res in results],
+        "per_realization": values.tolist(),
         "weights": w.tolist(),
         "exclusions": int(np.sum(undefined)),
     }
-    return EstimateResult(value, True, counts, band, meta)
+    return EstimateResult(value, True, table.pair_counts, table.band, meta)
 
 
-def mean_mark_pooled(
-    patterns: Sequence[PointPattern], win: Window, band: Band, f: MarkFunction
-) -> EstimateResult:
+def mean_mark_pooled(table: PairTable) -> EstimateResult:
     """Pair-count weighted average: the estimate represented by all pairs pooled.
 
     Each realization is weighted by its unweighted ordered-pair count in
@@ -270,16 +275,15 @@ def mean_mark_pooled(
     cancels).  With unit weight marks this equals the ratio of pooled pair
     sums across realizations.  Undefined when no realization has a pair.
     """
-    results = _per_realization(patterns, win, band, f)
-    counts = np.array([res.pair_count for res in results], dtype=np.float64)
+    counts = table.count.astype(np.float64)
     if counts.sum() == 0:
         return _undefined(
-            band,
-            tuple(int(c) for c in counts),
-            per_realization=[res.value for res in results],
-            exclusions=len(results),
+            table.band,
+            table.pair_counts,
+            per_realization=table.values.tolist(),
+            exclusions=len(table.patterns),
         )
-    return mean_mark_weighted(patterns, win, band, f, counts)
+    return mean_mark_weighted(table, counts)
 
 
 def concat_patterns(
@@ -319,8 +323,7 @@ def concat_patterns(
     offset = 0.0
     for k, pattern in enumerate(patterns):
         if w_rel[k] > 0:
-            base = mean_mark(pattern, win, band, _CONST_ONE)
-            den = base.meta.get("denominator", 0.0) if base.defined else 0.0
+            _, den, _ = pair_sums(pattern, win, band, _CONST_ONE)
             if den == 0.0:
                 raise InputError(
                     f"realization {k} has positive weight but no weighted pairs in the band"
@@ -343,17 +346,3 @@ def concat_patterns(
     window = SimWindow(np.zeros(1), np.array([total_extent]))
     return PointPattern(cat, np.concatenate(ys), np.concatenate(zs), window)
 
-
-def result_csv_row(
-    estimator: str, result: EstimateResult, seed: int, runtime_ms: float
-) -> str:
-    """Serialize an estimate as a CSV row matching RESULT_CSV_HEADER."""
-    count = result.pair_count
-    if not isinstance(count, int):
-        count = int(np.sum(count))
-    exclusions = result.meta.get("exclusions", 0)
-    value = repr(result.value) if result.defined else "nan"
-    return (
-        f"{estimator},{result.band.lo!r},{result.band.hi!r},{value},"
-        f"{count},{exclusions},{seed},{runtime_ms:.3f}"
-    )

@@ -29,9 +29,9 @@ from .core import (
     UnsupportedSpecError,
     Window,
     buffered_window,
-    weighted_pair_sum,
+    pair_sums,
 )
-from .markfn import MarkFunction, builtin
+from .markfn import MarkFunction
 from .sim import (
     GaussianFieldMarks,
     GridGround,
@@ -53,8 +53,6 @@ __all__ = [
     "monte_carlo_mean_mark",
     "threshold_excess_mean",
 ]
-
-_CONST_ONE = builtin("const_one")
 
 
 @dataclass(frozen=True)
@@ -266,8 +264,7 @@ def monte_carlo_mean_mark(
     dens = np.empty(n_mc)
     for i, (pattern, _) in enumerate(realizations):
         if order == 2:
-            nums[i] = weighted_pair_sum(pattern, win, band, f)
-            dens[i] = weighted_pair_sum(pattern, win, band, _CONST_ONE)
+            nums[i], dens[i], _ = pair_sums(pattern, win, band, f)
         else:
             inside = np.all(
                 (pattern.locations >= 0.0) & (pattern.locations <= win.t), axis=1

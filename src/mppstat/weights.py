@@ -16,6 +16,9 @@ Shipped strategies:
   independent of locations.
 * ``custom`` - caller-supplied function of (patterns, win, band).
 
+Strategies are evaluated on a :class:`~mppstat.est.PairTable`, whose pair
+and point counts the ``pairs`` and ``counts`` strategies read directly.
+
 Also provides the best-linear-unbiased (inverse covariance) weights for
 averaging correlated observations with a common mean.
 """
@@ -29,7 +32,8 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 
-from .core import Band, InputError, PointPattern, Window, band_pair_indices, pair_count
+from .core import Band, InputError, PointPattern, Window, band_pair_indices
+from .est import PairTable
 
 __all__ = [
     "WeightStrategy",
@@ -117,35 +121,21 @@ def mean_mark_conditional_variance(
     return quad / (total * total)
 
 
-def compute_weights(
-    strategy: WeightStrategy,
-    patterns: Sequence[PointPattern],
-    win: Window,
-    band: Band,
-) -> np.ndarray:
-    """Evaluate a weight strategy on a set of realizations.
+def compute_weights(strategy: WeightStrategy, table: PairTable) -> np.ndarray:
+    """Evaluate a weight strategy on the realizations of a pair table.
 
     All strategies return finite non-negative weights.  The rfvar strategy
     assigns weight zero (with a warning) to realizations whose conditional
     variance is undefined because they have no qualifying pairs.
     """
-    if not patterns:
-        raise InputError("at least one realization is required")
+    patterns, win, band = table.patterns, table.win, table.band
     n = len(patterns)
     if strategy.kind == "equal":
         return np.ones(n)
     if strategy.kind == "pairs":
-        return np.array(
-            [pair_count(p, win, band) / win.volume for p in patterns], dtype=np.float64
-        )
+        return table.count / win.volume
     if strategy.kind == "counts":
-        return np.array(
-            [
-                float(np.sum(np.all((p.locations >= 0.0) & (p.locations <= win.t), axis=1)))
-                / win.volume
-                for p in patterns
-            ]
-        )
+        return table.n_window / win.volume
     if strategy.kind == "rfvar":
         out = np.empty(n)
         for k, p in enumerate(patterns):

@@ -35,9 +35,10 @@ from mppstat import (
     mean_mark_pooled,
     mean_mark_weighted,
     neighbor_counts,
+    pair_sums,
+    pair_table,
     sample_mixture,
     threshold_excess_mean,
-    weighted_pair_sum,
 )
 from mppstat.infer import _threshold_sums
 from mppstat.markfn import threshold_family
@@ -67,8 +68,9 @@ def _replicate_means(spec, n_realizations, n_replicates, seed):
     pooled, avg = [], []
     for r in range(n_replicates):
         pats = [p for p, _ in sample_mixture(spec, sw, n_realizations, (seed, r))]
-        pooled.append(mean_mark_pooled(pats, win, BAND, FIRST).value)
-        avg.append(mean_mark_avg(pats, win, BAND, FIRST).value)
+        table = pair_table(pats, win, BAND, FIRST)
+        pooled.append(mean_mark_pooled(table).value)
+        avg.append(mean_mark_avg(table).value)
     return np.array(pooled), np.array(avg)
 
 
@@ -129,7 +131,7 @@ def test_c3_concatenation_identity():
                 continue
             pats.append(pat)
             weights.append(float(rng.uniform(0.1, 3.0)))
-        ref = mean_mark_weighted(pats, win, band, FIRST, weights).value
+        ref = mean_mark_weighted(pair_table(pats, win, band, FIRST), weights).value
         cat = concat_patterns(pats, win, band, weights)
         got = mean_mark(cat, Window(float(cat.sim_window.hi[0])), band, FIRST).value
         worst = max(worst, abs(got - ref) / abs(ref))
@@ -226,8 +228,9 @@ def test_c6_variance_minimizing_weights():
             x = np.arange(0.0, extent + 1e-9)
             pats.append(pattern_1d(x, y=rng.normal(0.0, 1.0, x.size), lo=0.0, hi=extent))
         for kind in vals:
-            w = compute_weights(WeightStrategy(kind), pats, win, BAND)
-            vals[kind].append(mean_mark_weighted(pats, win, BAND, FIRST, w).value)
+            table = pair_table(pats, win, BAND, FIRST)
+            w = compute_weights(WeightStrategy(kind), table)
+            vals[kind].append(mean_mark_weighted(table, w).value)
     weighted = np.array(vals["counts"])
     equal = np.array(vals["equal"])
     ratio = np.var(weighted, ddof=1) / np.var(equal, ddof=1)
@@ -296,8 +299,8 @@ class TestC8ExactProperties:
             win, band = Window(10.0), Band(-1.5, 1.5)
             shift = np.array([int(rng.integers(-4000, 4000)) * DYADIC])
             back = m.translate(m.translate(pat, shift), -shift)
-            a = weighted_pair_sum(pat, win, band, FIRST)
-            b = weighted_pair_sum(back, win, band, FIRST)
+            a = pair_sums(pat, win, band, FIRST)[0]
+            b = pair_sums(back, win, band, FIRST)[0]
             if a != 0:
                 worst = max(worst, abs(a - b) / abs(a))
         _report("criterion 8a (translation invariance)", worst <= 1e-12,
@@ -348,10 +351,10 @@ class TestC8ExactProperties:
             pat = random_pattern(rng, int(rng.integers(5, 80)), positive_marks=True)
             win = Window(10.0)
             a, b, c = np.sort(rng.uniform(-2.0, 2.0, 3))
-            total = weighted_pair_sum(pat, win, Band(a, c), FIRST)
-            parts = weighted_pair_sum(pat, win, Band(a, b), FIRST) + weighted_pair_sum(
+            total = pair_sums(pat, win, Band(a, c), FIRST)[0]
+            parts = pair_sums(pat, win, Band(a, b), FIRST)[0] + pair_sums(
                 pat, win, Band(np.nextafter(b, np.inf), c), FIRST
-            )
+            )[0]
             if total != 0:
                 worst = max(worst, abs(total - parts) / abs(total))
         _report("criterion 8d (band additivity)", worst <= 1e-12,

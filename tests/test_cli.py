@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mppstat
 from mppstat.cli import cmd_estimate, cmd_report, cmd_simulate, load_config, main
-from mppstat import InputError
+from mppstat import InputError, core
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -143,6 +144,43 @@ class TestEstimate:
         assert cmd_estimate(cfg, out, pattern_dir=sim_dir) == 0
         assert len(out.read_text().strip().splitlines()) == 4
 
+    def test_pattern_dir_read_once(self, tmp_path, monkeypatch):
+        cfg = load_config(small_config(tmp_path, n_realizations=4, n_replicates=3))
+        sim_dir = tmp_path / "sim"
+        cmd_simulate(cfg, sim_dir)
+        reads = []
+        original = core.read_pattern_csv
+
+        def counting_read(path):
+            reads.append(Path(path).name)
+            return original(path)
+
+        monkeypatch.setattr(core, "read_pattern_csv", counting_read)
+        out = tmp_path / "results.csv"
+        assert cmd_estimate(cfg, out, pattern_dir=sim_dir) == 0
+        assert sorted(reads) == [f"pattern_{i:04d}.csv" for i in range(4)]
+        assert len(out.read_text().strip().splitlines()) == 1 + 3 * 3
+
+    def test_one_enumeration_per_realization_and_band(self, tmp_path, monkeypatch):
+        # avg, pooled and both count-based weightings share one pair table per band
+        estimators = [{"name": "avg"}, {"name": "pooled"},
+                      {"name": "weighted", "weights": "alpha"},
+                      {"name": "weighted", "weights": "count"}]
+        cfg_path = small_config(tmp_path, n_realizations=6, n_replicates=1,
+                                bands=[[0.5, 1.5], [-1.5, -0.5]], estimators=estimators)
+        calls = []
+        original = core.band_pair_indices
+
+        def counting_pairs(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in vars(mppstat).values():
+            if getattr(module, "band_pair_indices", None) is original:
+                monkeypatch.setattr(module, "band_pair_indices", counting_pairs)
+        assert main(["estimate", "--config", str(cfg_path), "--out", str(tmp_path / "e")]) == 0
+        assert len(calls) == 6 * 2
+
     def test_malformed_pattern_file_names_file_and_line(self, tmp_path):
         cfg = load_config(small_config(tmp_path, n_realizations=2, n_replicates=1))
         sim_dir = tmp_path / "sim"
@@ -221,6 +259,42 @@ class TestMain:
         code = main(["estimate", "--config", str(cfg_path), "--weights", "rfvar",
                      "--out", str(tmp_path / "x")])
         assert code == 2
+
+    def test_weights_flag_without_weighted_estimator_exit_2(self, tmp_path, capsys):
+        cfg_path = small_config(tmp_path, estimators=[{"name": "avg"}])
+        code = main(["estimate", "--config", str(cfg_path), "--weights", "rfvar",
+                     "--cov-model", "spherical", "--cov-params", "1.0,0.5",
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "no 'weighted' estimator" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("case", ["dim_header", "window_no_colon", "window_not_number",
+                                      "cov_params", "manifest_no_files"])
+    def test_malformed_input_exit_2_without_traceback(self, tmp_path, capsys, case):
+        cfg_path = small_config(tmp_path, n_realizations=2, n_replicates=1)
+        sim_dir = tmp_path / "sim"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(sim_dir)]) == 0
+        capsys.readouterr()
+        pattern = sim_dir / "pattern_0000.csv"
+        lines = pattern.read_text().splitlines()
+        argv = ["estimate", "--config", str(cfg_path), "--out", str(tmp_path / "e"),
+                "--patterns", str(sim_dir)]
+        if case == "dim_header":
+            lines[0] = "# dim=x"
+        elif case == "window_no_colon":
+            lines[1] = "# window=0.0"
+        elif case == "window_not_number":
+            lines[1] = "# window=a:b"
+        elif case == "cov_params":
+            argv += ["--weights", "rfvar", "--cov-model", "spherical", "--cov-params", "1"]
+        else:
+            (sim_dir / "manifest.json").write_text(json.dumps({"seed": 1}))
+        pattern.write_text("\n".join(lines) + "\n")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_rfvar_with_cov_model(self, tmp_path):
         cfg_path = small_config(tmp_path, n_replicates=1, n_realizations=8)

@@ -6,7 +6,6 @@ import pytest
 from mppstat import (
     Band,
     InputError,
-    MarkedPoint,
     NumericError,
     PointPattern,
     SimWindow,
@@ -17,9 +16,9 @@ from mppstat import (
     builtin,
     pair_count,
     pair_distance,
+    pair_sums,
     read_pattern_csv,
     translate,
-    weighted_pair_sum,
     write_pattern_csv,
 )
 
@@ -49,10 +48,6 @@ class TestValidation:
         with pytest.raises(InputError):
             pattern_1d([0.0, 1.0], z=[1.0, -0.5])
 
-    def test_marked_point_negative_z(self):
-        with pytest.raises(InputError):
-            MarkedPoint((0.0,), 1.0, -1.0)
-
     def test_duplicate_locations_rejected(self):
         with pytest.raises(InputError, match="simple"):
             pattern_1d([0.0, 1.0, 1.0])
@@ -77,11 +72,6 @@ class TestValidation:
     def test_window_positive(self):
         with pytest.raises(InputError):
             Window(0.0)
-
-    def test_from_points_round_trip(self):
-        pts = [MarkedPoint((0.5,), 2.0, 1.5), MarkedPoint((1.5,), -1.0, 0.0)]
-        pat = PointPattern.from_points(pts, SimWindow.cube(0, 2, 1))
-        assert pat.points() == pts
 
 
 class TestPairCount:
@@ -117,15 +107,15 @@ class TestWeightedPairSum:
         return pattern_1d([0.0, 0.5, 2.0], y=[2.0, 4.0, 6.0], lo=0.0, hi=3.0)
 
     def test_single_pair_first(self, pattern):
-        assert weighted_pair_sum(pattern, Window(3.0), Band(0.4, 0.6), FIRST) == 2.0
+        assert pair_sums(pattern, Window(3.0), Band(0.4, 0.6), FIRST)[0] == 2.0
 
     def test_const_one_equals_pair_count(self, pattern):
-        assert weighted_pair_sum(pattern, Window(3.0), Band(0.4, 0.6), ONE) == 1.0
+        assert pair_sums(pattern, Window(3.0), Band(0.4, 0.6), ONE)[0] == 1.0
 
     def test_z_weighting(self):
         pat = pattern_1d([0.0, 0.5, 2.0], y=[2.0, 4.0, 6.0], z=[3.0, 1.0, 1.0],
                          lo=0.0, hi=3.0)
-        assert weighted_pair_sum(pat, Window(3.0), Band(0.4, 0.6), FIRST) == 6.0
+        assert pair_sums(pat, Window(3.0), Band(0.4, 0.6), FIRST)[0] == 6.0
 
     def test_non_finite_value_raises(self, pattern):
         from mppstat import make_mark_function
@@ -136,7 +126,7 @@ class TestWeightedPairSum:
 
         bad = make_mark_function(bad_fn, "bad")
         with pytest.raises(NumericError, match="y2=4.0"):
-            weighted_pair_sum(pattern, Window(3.0), Band(0.4, 0.6), bad)
+            pair_sums(pattern, Window(3.0), Band(0.4, 0.6), bad)
 
 
 class TestTranslate:
@@ -202,7 +192,7 @@ class TestCoreInvariants:
             pat = random_pattern(rng, int(rng.integers(0, 60)), extent=5.0)
             pat = PointPattern(pat.locations, pat.y, np.ones(pat.n_points), pat.sim_window)
             win, band = Window(5.0), random_band(rng)
-            assert weighted_pair_sum(pat, win, band, ONE) == pair_count(pat, win, band)
+            assert pair_sums(pat, win, band, ONE)[0] == pair_count(pat, win, band)
 
     def test_additivity_over_disjoint_bands(self):
         rng = np.random.default_rng(23)
@@ -212,18 +202,18 @@ class TestCoreInvariants:
             a, b, c = np.sort(rng.uniform(-2, 2, 3))
             left, right = Band(a, b), Band(np.nextafter(b, np.inf), c)
             whole = Band(a, c)
-            s = weighted_pair_sum(pat, win, left, FIRST) + weighted_pair_sum(pat, win, right, FIRST)
-            total = weighted_pair_sum(pat, win, whole, FIRST)
+            s = pair_sums(pat, win, left, FIRST)[0] + pair_sums(pat, win, right, FIRST)[0]
+            total = pair_sums(pat, win, whole, FIRST)[0]
             assert total == pytest.approx(s, rel=1e-12, abs=1e-300)
 
     def test_z_scaling_exact_for_powers_of_two(self):
         rng = np.random.default_rng(29)
         pat = random_pattern(rng, 60, extent=5.0)
         win, band = Window(5.0), Band(-1.0, 1.0)
-        base = weighted_pair_sum(pat, win, band, FIRST)
+        base = pair_sums(pat, win, band, FIRST)[0]
         for c in (0.25, 2.0, 8.0):
             scaled = PointPattern(pat.locations, pat.y, pat.z * c, pat.sim_window)
-            assert weighted_pair_sum(scaled, win, band, FIRST) == c * base
+            assert pair_sums(scaled, win, band, FIRST)[0] == c * base
 
     def test_swapped_weight_reversal_on_contained_pattern(self):
         # with every point inside [0, T], reversing the band and swapping
@@ -240,21 +230,22 @@ class TestCoreInvariants:
                              lo=0.0, hi=8.0)
             win = Window(8.0)
             a, b = np.sort(rng.uniform(-2, 2, 2))
-            lhs = weighted_pair_sum(pat, win, Band(a, b), f)
-            rhs = weighted_pair_sum(pat, win, Band(-b, -a), f_swapped, weight_on="second")
+            lhs = pair_sums(pat, win, Band(a, b), f)[0]
+            ii, jj = band_pair_indices(pat, win, Band(-b, -a))
+            rhs = float(np.sum(pat.z[jj] * f_swapped(pat.y[ii], pat.y[jj])))
             assert rhs == pytest.approx(lhs, rel=1e-12, abs=1e-300)
 
     def test_translation_invariance_dyadic(self):
         rng = np.random.default_rng(37)
         pat = random_pattern(rng, 40, dyadic=True)
         win, band = Window(10.0), Band(-1.5, 1.5)
-        base = weighted_pair_sum(pat, win, band, FIRST)
+        base = pair_sums(pat, win, band, FIRST)[0]
         shift = np.array([513 * DYADIC])
         moved = translate(pat, shift)
         # the estimation box moves with the pattern: query t1 in [0,T]-shift
         # by translating back before enumerating
         back = translate(moved, -shift)
-        assert weighted_pair_sum(back, win, band, FIRST) == base
+        assert pair_sums(back, win, band, FIRST)[0] == base
 
 
 class TestBufferedWindow:

@@ -19,6 +19,7 @@ from mppstat import (
     mean_mark_kernel,
     mean_mark_pooled,
     mean_mark_weighted,
+    pair_table,
     sample_mixture,
     translate,
 )
@@ -143,25 +144,25 @@ class TestMeanMarkKernel:
 class TestMeanMarkAvg:
     def test_mean_of_two(self):
         pats = [constant_mark_pattern(2.0), constant_mark_pattern(4.0)]
-        res = mean_mark_avg(pats, WIN3, Band(0.5, 1.5), FIRST)
+        res = mean_mark_avg(pair_table(pats, WIN3, Band(0.5, 1.5), FIRST))
         assert res.value == 3.0
         assert res.meta["exclusions"] == 0
 
     def test_single_realization_reduces_to_mean_mark(self, core_pattern):
-        multi = mean_mark_avg([core_pattern], WIN3, BAND, FIRST)
+        multi = mean_mark_avg(pair_table([core_pattern], WIN3, BAND, FIRST))
         single = mean_mark(core_pattern, WIN3, BAND, FIRST)
         assert multi.value == single.value
 
     def test_undefined_realizations_excluded_and_reported(self):
         lonely = pattern_1d([0.0], lo=0.0, hi=3.0)
         pats = [constant_mark_pattern(2.0), constant_mark_pattern(4.0), lonely]
-        res = mean_mark_avg(pats, WIN3, Band(0.5, 1.5), FIRST)
+        res = mean_mark_avg(pair_table(pats, WIN3, Band(0.5, 1.5), FIRST))
         assert res.value == 3.0
         assert res.meta["exclusions"] == 1
 
     def test_all_undefined(self):
         lonely = pattern_1d([0.0], lo=0.0, hi=3.0)
-        res = mean_mark_avg([lonely], WIN3, BAND, FIRST)
+        res = mean_mark_avg(pair_table([lonely], WIN3, BAND, FIRST))
         assert not res.defined
 
 
@@ -169,35 +170,35 @@ class TestMeanMarkWeighted:
     def test_equal_weights_match_avg(self):
         pats = [constant_mark_pattern(v) for v in (2.0, 4.0, 7.0)]
         band = Band(0.5, 1.5)
-        w = mean_mark_weighted(pats, WIN3, band, FIRST, [1.0, 1.0, 1.0])
-        a = mean_mark_avg(pats, WIN3, band, FIRST)
+        w = mean_mark_weighted(pair_table(pats, WIN3, band, FIRST), [1.0, 1.0, 1.0])
+        a = mean_mark_avg(pair_table(pats, WIN3, band, FIRST))
         assert w.value == pytest.approx(a.value, rel=1e-15)
 
     def test_degenerate_weight(self):
         pats = [constant_mark_pattern(2.0), constant_mark_pattern(4.0)]
-        res = mean_mark_weighted(pats, WIN3, Band(0.5, 1.5), FIRST, [1.0, 0.0])
+        res = mean_mark_weighted(pair_table(pats, WIN3, Band(0.5, 1.5), FIRST), [1.0, 0.0])
         assert res.value == 2.0
 
     def test_weighted_mean(self):
         pats = [constant_mark_pattern(2.0), constant_mark_pattern(4.0)]
-        res = mean_mark_weighted(pats, WIN3, Band(0.5, 1.5), FIRST, [1.0, 3.0])
+        res = mean_mark_weighted(pair_table(pats, WIN3, Band(0.5, 1.5), FIRST), [1.0, 3.0])
         assert res.value == 3.5
 
     def test_zero_weight_sum_rejected(self):
         pats = [constant_mark_pattern(2.0)]
         with pytest.raises(InputError, match="sum to zero"):
-            mean_mark_weighted(pats, WIN3, Band(0.5, 1.5), FIRST, [0.0])
+            mean_mark_weighted(pair_table(pats, WIN3, Band(0.5, 1.5), FIRST), [0.0])
 
     def test_undefined_with_positive_weight_rejected(self):
         lonely = pattern_1d([0.0], lo=0.0, hi=3.0)
         pats = [constant_mark_pattern(2.0), lonely]
         with pytest.raises(InputError, match="undefined"):
-            mean_mark_weighted(pats, WIN3, Band(0.5, 1.5), FIRST, [1.0, 1.0])
+            mean_mark_weighted(pair_table(pats, WIN3, Band(0.5, 1.5), FIRST), [1.0, 1.0])
 
     def test_undefined_with_zero_weight_ok(self):
         lonely = pattern_1d([0.0], lo=0.0, hi=3.0)
         pats = [constant_mark_pattern(2.0), lonely]
-        res = mean_mark_weighted(pats, WIN3, Band(0.5, 1.5), FIRST, [1.0, 0.0])
+        res = mean_mark_weighted(pair_table(pats, WIN3, Band(0.5, 1.5), FIRST), [1.0, 0.0])
         assert res.value == 2.0
         assert res.meta["exclusions"] == 1
 
@@ -212,15 +213,15 @@ class TestMeanMarkPooled:
 
         assert pair_count(r1, WIN3, band) == 1
         assert pair_count(r2, WIN3, band) == 3
-        res = mean_mark_pooled([r1, r2], WIN3, band, FIRST)
+        res = mean_mark_pooled(pair_table([r1, r2], WIN3, band, FIRST))
         assert res.value == 3.5
 
     def test_single_realization(self, core_pattern):
-        pooled = mean_mark_pooled([core_pattern], WIN3, BAND, FIRST)
+        pooled = mean_mark_pooled(pair_table([core_pattern], WIN3, BAND, FIRST))
         assert pooled.value == mean_mark(core_pattern, WIN3, BAND, FIRST).value
 
     def test_identical_realizations(self, core_pattern):
-        pooled = mean_mark_pooled([core_pattern] * 4, WIN3, BAND, FIRST)
+        pooled = mean_mark_pooled(pair_table([core_pattern] * 4, WIN3, BAND, FIRST))
         assert pooled.value == mean_mark(core_pattern, WIN3, BAND, FIRST).value
 
     def test_pooled_equals_ratio_of_pooled_sums_when_z_is_one(self):
@@ -232,16 +233,16 @@ class TestMeanMarkPooled:
             pats.append(PointPattern(pat.locations, pat.y, np.ones(pat.n_points),
                                      pat.sim_window))
         win, band = Window(6.0), Band(-1.0, 1.0)
-        from mppstat import weighted_pair_sum
+        from mppstat import pair_sums
 
-        nums = sum(weighted_pair_sum(p, win, band, FIRST) for p in pats)
-        dens = sum(weighted_pair_sum(p, win, band, ONE) for p in pats)
-        res = mean_mark_pooled(pats, win, band, FIRST)
+        nums = sum(pair_sums(p, win, band, FIRST)[0] for p in pats)
+        dens = sum(pair_sums(p, win, band, ONE)[0] for p in pats)
+        res = mean_mark_pooled(pair_table(pats, win, band, FIRST))
         assert res.value == pytest.approx(nums / dens, rel=1e-12)
 
     def test_no_pairs_anywhere_undefined(self):
         lonely = pattern_1d([0.0], lo=0.0, hi=3.0)
-        assert not mean_mark_pooled([lonely, lonely], WIN3, BAND, FIRST).defined
+        assert not mean_mark_pooled(pair_table([lonely, lonely], WIN3, BAND, FIRST)).defined
 
 
 class TestConcat:
@@ -268,7 +269,7 @@ class TestConcat:
         rng = np.random.default_rng(21 + buffered)
         for _ in range(15):
             pats, win, band, weights = self._random_fixture(rng, 5, buffered)
-            ref = mean_mark_weighted(pats, win, band, FIRST, weights)
+            ref = mean_mark_weighted(pair_table(pats, win, band, FIRST), weights)
             cat = concat_patterns(pats, win, band, weights)
             cat_win = Window(float(cat.sim_window.hi[0]))
             res = mean_mark(cat, cat_win, band, FIRST)
@@ -298,31 +299,6 @@ class TestConcat:
         lonely = pattern_1d([0.0], lo=0.0, hi=3.0)
         with pytest.raises(InputError, match="no weighted pairs"):
             concat_patterns([lonely], WIN3, BAND, [1.0])
-
-
-class TestResultSerialization:
-    def test_csv_row_matches_header(self, core_pattern):
-        from mppstat.est import RESULT_CSV_HEADER, result_csv_row
-
-        res = mean_mark(core_pattern, WIN3, BAND, FIRST)
-        row = result_csv_row("single", res, seed=7, runtime_ms=1.25)
-        assert len(row.split(",")) == len(RESULT_CSV_HEADER.split(","))
-        assert row.startswith("single,0.4,0.6,2.0,1,0,7,")
-
-    def test_csv_row_multi_realization_counts_summed(self):
-        pats = [constant_mark_pattern(2.0), constant_mark_pattern(4.0)]
-        res = mean_mark_avg(pats, WIN3, Band(0.5, 1.5), FIRST)
-        from mppstat.est import result_csv_row
-
-        cells = result_csv_row("avg", res, seed=1, runtime_ms=0.0).split(",")
-        assert int(cells[4]) == sum(res.pair_count)
-
-    def test_csv_row_undefined_is_nan(self):
-        lonely = pattern_1d([0.0], lo=0.0, hi=3.0)
-        res = mean_mark(lonely, WIN3, BAND, FIRST)
-        from mppstat.est import result_csv_row
-
-        assert ",nan," in result_csv_row("single", res, seed=0, runtime_ms=0.0)
 
 
 class TestKernelD2:
@@ -399,8 +375,9 @@ class TestEstInvariants:
             pooled, avg = [], []
             for rep in range(25):
                 pats = [p for p, _ in sample_mixture(spec, sw, 60, (seed, rep))]
-                pooled.append(mean_mark_pooled(pats, win, band, f).value)
-                avg.append(mean_mark_avg(pats, win, band, f).value)
+                table = pair_table(pats, win, band, f)
+                pooled.append(mean_mark_pooled(table).value)
+                avg.append(mean_mark_avg(table).value)
             return spec, np.mean(pooled), np.mean(avg)
 
         spec, pooled, avg = run(1.0, 4.0, seed=101)

@@ -13,9 +13,9 @@ from mppstat import (
     builtin,
     mean_mark,
     pair_count,
+    pair_sums,
     threshold_family,
     translate,
-    weighted_pair_sum,
 )
 
 from helpers import DYADIC, random_band, random_pattern, sorted_pairs
@@ -33,7 +33,7 @@ def test_pair_count_is_unit_weighted_sum(seed, n):
     pat = random_pattern(rng, n, extent=6.0)
     pat = PointPattern(pat.locations, pat.y, np.ones(n), pat.sim_window)
     win, band = Window(6.0), random_band(rng)
-    assert weighted_pair_sum(pat, win, band, ONE) == pair_count(pat, win, band)
+    assert pair_sums(pat, win, band, ONE)[0] == pair_count(pat, win, band)
 
 
 @given(seed=seeds, dim=st.integers(1, 3), n=st.integers(2, 60))
@@ -57,8 +57,8 @@ def test_band_additivity(seed, split):
     lo, hi = -2.0, 2.0
     left = Band(lo, split)
     right = Band(np.nextafter(split, np.inf), hi)
-    total = weighted_pair_sum(pat, win, Band(lo, hi), FIRST)
-    parts = weighted_pair_sum(pat, win, left, FIRST) + weighted_pair_sum(pat, win, right, FIRST)
+    total = pair_sums(pat, win, Band(lo, hi), FIRST)[0]
+    parts = pair_sums(pat, win, left, FIRST)[0] + pair_sums(pat, win, right, FIRST)[0]
     assert np.isclose(total, parts, rtol=1e-12, atol=1e-300)
 
 
@@ -70,9 +70,9 @@ def test_weight_scaling_is_exact_for_powers_of_two(seed, log2c):
     win, band = Window(6.0), Band(-1.2, 1.2)
     c = 2.0**log2c
     scaled = PointPattern(pat.locations, pat.y, pat.z * c, pat.sim_window)
-    assert weighted_pair_sum(scaled, win, band, FIRST) == c * weighted_pair_sum(
+    assert pair_sums(scaled, win, band, FIRST)[0] == c * pair_sums(
         pat, win, band, FIRST
-    )
+    )[0]
 
 
 @given(seed=seeds, steps=st.integers(-4000, 4000))

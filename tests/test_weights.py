@@ -15,6 +15,7 @@ from mppstat import (
     covariance_model,
     mean_mark_conditional_variance,
     neighbor_counts,
+    pair_table,
     sample_marks,
 )
 
@@ -23,28 +24,32 @@ from helpers import pattern_1d, random_pattern
 FIRST = builtin("first")
 
 
+def _table(pats):
+    return pair_table(pats, Window(2.0), Band(0.5, 1.5), FIRST)
+
+
 class TestComputeWeights:
     def test_equal(self):
         pats = [pattern_1d([0.0, 1.0], lo=0, hi=2)] * 3
-        w = compute_weights(WeightStrategy("equal"), pats, Window(2.0), Band(0.5, 1.5))
+        w = compute_weights(WeightStrategy("equal"), _table(pats))
         assert w.tolist() == [1.0, 1.0, 1.0]
 
     def test_pairs_per_volume(self):
         # pair counts (1, 3) on a window of volume 2 -> (0.5, 1.5)
         r1 = pattern_1d([0.0, 1.0], lo=0, hi=2)
         r2 = pattern_1d([0.0, 0.7, 1.4], lo=0, hi=2)
-        w = compute_weights(WeightStrategy("pairs"), [r1, r2], Window(2.0), Band(0.5, 1.5))
+        w = compute_weights(WeightStrategy("pairs"), _table([r1, r2]))
         assert w.tolist() == [0.5, 1.5]
 
     def test_counts_per_volume(self):
         r1 = pattern_1d(np.linspace(0, 1.9, 10), lo=0, hi=2)
         r2 = pattern_1d(np.linspace(0, 1.9, 20), lo=0, hi=2)
-        w = compute_weights(WeightStrategy("counts"), [r1, r2], Window(2.0), Band(0.5, 1.5))
+        w = compute_weights(WeightStrategy("counts"), _table([r1, r2]))
         assert w.tolist() == [5.0, 10.0]
 
     def test_counts_ignore_buffer_points(self):
         pat = pattern_1d([-0.5, 0.2, 1.0, 2.4], lo=-1, hi=3)
-        w = compute_weights(WeightStrategy("counts"), [pat], Window(2.0), Band(0.5, 1.5))
+        w = compute_weights(WeightStrategy("counts"), _table([pat]))
         assert w.tolist() == [1.0]  # 2 in-window points / volume 2
 
     def test_rfvar_reciprocal_and_zero_fallback(self):
@@ -53,7 +58,7 @@ class TestComputeWeights:
         good = pattern_1d([0.0, 1.0], lo=0, hi=2)
         lonely = pattern_1d([0.0], lo=0, hi=2)
         with pytest.warns(UserWarning, match="weight set to 0"):
-            w = compute_weights(strat, [good, lonely], Window(2.0), Band(0.5, 1.5))
+            w = compute_weights(strat, _table([good, lonely]))
         v = mean_mark_conditional_variance(good, Window(2.0), Band(0.5, 1.5), cov, 1.0)
         assert w[0] == pytest.approx(1.0 / v)
         assert w[1] == 0.0
@@ -61,7 +66,7 @@ class TestComputeWeights:
     def test_custom(self):
         strat = WeightStrategy("custom", fn=lambda pats, win, band: [2.0] * len(pats))
         pats = [pattern_1d([0.0, 1.0], lo=0, hi=2)] * 2
-        assert compute_weights(strat, pats, Window(2.0), Band(0.5, 1.5)).tolist() == [2.0, 2.0]
+        assert compute_weights(strat, _table(pats)).tolist() == [2.0, 2.0]
 
     def test_strategy_validation(self):
         with pytest.raises(InputError):
@@ -76,7 +81,7 @@ class TestComputeWeights:
         pats = [random_pattern(rng, 20, extent=6.0) for _ in range(4)]
         win, band = Window(6.0), Band(-1.0, 1.0)
         for kind in ("equal", "pairs", "counts"):
-            w = compute_weights(WeightStrategy(kind), pats, win, band)
+            w = compute_weights(WeightStrategy(kind), pair_table(pats, win, band, FIRST))
             assert np.all(w > 0)
 
 

@@ -34,13 +34,16 @@ from mppstat import (
     WeightStrategy,
     Window,
     buffered_window,
+    builtin,
     covariance_model,
     compute_weights,
     mean_mark_weighted,
+    pair_table,
     sample_mixture,
 )
 
 BAND = Band(0.5, 1.5)
+FIRST = builtin("first")
 
 SPECS = {
     "poisson2": MixtureSpec(
@@ -76,7 +79,7 @@ def _simulate(spec, t_extent, n, seed):
 class TestStrategySpecPairs:
     def test_weights_admissible(self, strat_name, spec_name):
         pats, _, win = _simulate(SPECS[spec_name], 40.0, 12, seed=7)
-        w = compute_weights(STRATEGIES[strat_name], pats, win, BAND)
+        w = compute_weights(STRATEGIES[strat_name], pair_table(pats, win, BAND, FIRST))
         assert np.all(np.isfinite(w)) and np.all(w >= 0)
         assert w.sum() > 0
 
@@ -85,7 +88,7 @@ class TestStrategySpecPairs:
         spread = {}
         for t_extent in (30.0, 240.0):
             pats, ks, win = _simulate(spec, t_extent, 40, seed=11)
-            w = compute_weights(STRATEGIES[strat_name], pats, win, BAND)
+            w = compute_weights(STRATEGIES[strat_name], pair_table(pats, win, BAND, FIRST))
             rel = []
             for k in range(spec.n_classes):
                 wk = w[np.array(ks) == k]
@@ -101,8 +104,9 @@ class TestStrategySpecPairs:
         from mppstat import builtin
 
         pats, _, win = _simulate(SPECS[spec_name], 40.0, 12, seed=13)
-        w = compute_weights(STRATEGIES[strat_name], pats, win, BAND)
-        res = mean_mark_weighted(pats, win, BAND, builtin("first"), w)
+        table = pair_table(pats, win, BAND, builtin("first"))
+        w = compute_weights(STRATEGIES[strat_name], table)
+        res = mean_mark_weighted(table, w)
         assert res.defined
 
 
@@ -125,6 +129,7 @@ class TestVarianceReductionLight:
                 pats.append(pattern_1d(x, y=rng.normal(0.0, 1.0, x.size),
                                        lo=0.0, hi=extent))
             for kind in var:
-                w = compute_weights(WeightStrategy(kind), pats, win, band)
-                var[kind].append(mean_mark_weighted(pats, win, band, first, w).value)
+                table = pair_table(pats, win, band, first)
+                w = compute_weights(WeightStrategy(kind), table)
+                var[kind].append(mean_mark_weighted(table, w).value)
         assert np.var(var["counts"], ddof=1) < np.var(var["equal"], ddof=1)
