@@ -35,6 +35,7 @@ from .markfn import (
     threshold_family,
 )
 from .sim import (
+    Covariance,
     GaussianFieldMarks,
     GridGround,
     HardcoreGround,
@@ -42,6 +43,7 @@ from .sim import (
     MixtureClass,
     MixtureSpec,
     PoissonGround,
+    banded_covariance,
     covariance_model,
     matern2_retained_intensity,
     mixture_from_json,

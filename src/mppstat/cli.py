@@ -12,6 +12,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -57,7 +58,7 @@ CONFIG_SCHEMA = {
         },
         "n_realizations": {"type": "integer", "minimum": 1},
         "n_replicates": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
         "clt": {
             "type": "object",
             "properties": {
@@ -82,7 +83,7 @@ def load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read config {path}: {exc}") from exc
     try:
         jsonschema.validate(doc, CONFIG_SCHEMA)
@@ -210,7 +211,7 @@ def _load_pattern_dir(pattern_dir: Path):
     try:
         with open(manifest_path, "r", encoding="ascii") as fh:
             manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {manifest_path}: {exc}") from exc
     files = manifest.get("files") if isinstance(manifest, dict) else None
     if not isinstance(files, list) or not all(isinstance(name, str) for name in files):
@@ -317,7 +318,7 @@ def cmd_report(results_path: Path, out_dir: Path) -> int:
         with open(results_path, "r", encoding="ascii") as fh:
             reader = csv.DictReader(fh)
             rows = list(reader)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {results_path}: {exc}") from exc
     if not rows:
         raise InputError(f"{results_path} has no data rows")
@@ -423,10 +424,14 @@ def cmd_infer_clt(config: dict, out_dir: Path) -> int:
             f"coverage={s['coverage']!r}\n"
         )
     print(f"wrote {stats_path}")
-    print(
+    line = (
         f"s_hat={s['s_hat']:.6g} ks_pvalue={s['ks_pvalue']:.4g} "
         f"skewness={s['skewness']:.4g} coverage={s['coverage']}"
     )
+    if s["coverage"] is not None:
+        c, n_groups = s["coverage"], s["n_groups"]
+        line += f" n_groups={n_groups} coverage_se={math.sqrt(c * (1.0 - c) / n_groups):.3g}"
+    print(line)
     return 0
 
 
@@ -476,6 +481,8 @@ def main(argv=None) -> int:
             return cmd_report(Path(args.results), Path(args.out))
         config = load_config(args.config)
         if args.seed is not None:
+            if args.seed < 0:
+                raise InputError(f"--seed must be >= 0, got {args.seed}")
             config["seed"] = args.seed
         if args.command == "simulate":
             return cmd_simulate(config, Path(args.out))

@@ -478,8 +478,11 @@ def write_pattern_csv(pattern: PointPattern, path) -> None:
 
 def read_pattern_csv(path) -> PointPattern:
     """Inverse of :func:`write_pattern_csv`; bit-faithful for finite doubles."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not an ASCII pattern file: {exc}") from exc
     if not lines or not lines[0].startswith("# dim="):
         raise InputError(f"{path}: missing '# dim=' header")
     try:

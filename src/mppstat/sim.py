@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
+import scipy.linalg
 
 from .core import InputError, NumericError, PointPattern, SimWindow
 
@@ -34,7 +35,9 @@ __all__ = [
     "GaussianFieldMarks",
     "MixtureClass",
     "MixtureSpec",
+    "Covariance",
     "covariance_model",
+    "banded_covariance",
     "unit_ball_volume",
     "matern2_retained_intensity",
     "sample_ground",
@@ -184,7 +187,7 @@ class GaussianFieldMarks:
         if self.shape not in ("spherical", "trunc_exp"):
             raise InputError(f"unknown covariance shape {self.shape!r}")
 
-    def covariance(self) -> Callable[[np.ndarray], np.ndarray]:
+    def covariance(self) -> Covariance:
         return covariance_model(self.shape, self.variance, self.cov_range)
 
 
@@ -193,30 +196,75 @@ MarkSpec = Union[IidMarks, GaussianFieldMarks]
 ZRule = Union[str, IidMarks, Callable]
 
 
-def covariance_model(shape: str, variance: float, cov_range: float):
+@dataclass(frozen=True)
+class Covariance:
     """Vectorized covariance function C(h) of a non-negative distance h.
 
     spherical:  variance * (1 - 1.5 u + 0.5 u^3) for u = h/range <= 1, else 0
     trunc_exp:  variance * exp(-3 h / range) for h <= range, else 0
+
+    C is exactly zero beyond `cov_range`, which the banded samplers and the
+    rfvar variance use as their reach.
     """
-    if variance <= 0 or cov_range <= 0:
-        raise InputError("variance and range must be > 0")
 
-    if shape == "spherical":
+    shape: str
+    variance: float
+    cov_range: float
 
-        def cov(h):
-            u = np.minimum(np.abs(np.asarray(h, dtype=np.float64)) / cov_range, 1.0)
-            return variance * (1.0 - 1.5 * u + 0.5 * u**3)
+    def __post_init__(self):
+        if self.variance <= 0 or self.cov_range <= 0:
+            raise InputError("variance and range must be > 0")
+        if self.shape not in ("spherical", "trunc_exp"):
+            raise InputError(f"unknown covariance shape {self.shape!r}")
 
-    elif shape == "trunc_exp":
+    def __call__(self, h) -> np.ndarray:
+        if self.shape == "spherical":
+            u = np.minimum(np.abs(np.asarray(h, dtype=np.float64)) / self.cov_range, 1.0)
+            return self.variance * (1.0 - 1.5 * u + 0.5 * u**3)
+        h = np.abs(np.asarray(h, dtype=np.float64))
+        return np.where(
+            h <= self.cov_range, self.variance * np.exp(-3.0 * h / self.cov_range), 0.0
+        )
 
-        def cov(h):
-            h = np.abs(np.asarray(h, dtype=np.float64))
-            return np.where(h <= cov_range, variance * np.exp(-3.0 * h / cov_range), 0.0)
 
+def covariance_model(shape: str, variance: float, cov_range: float) -> Covariance:
+    """The finite-range covariance model `shape` (see :class:`Covariance`)."""
+    return Covariance(shape, variance, cov_range)
+
+
+def banded_covariance(
+    locations: np.ndarray, cov: Callable[[np.ndarray], np.ndarray], reach: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Covariance of points sorted by first coordinate, in LAPACK lower banded storage.
+
+    Returns (order, ab) with ``ab[k, i] = cov(||t[order[i+k]] - t[order[i]]||)``
+    for ``i + k < n`` and zero padding elsewhere.  `cov` must vanish at
+    distances beyond `reach`; the band width b (``ab.shape[0] - 1``) is the
+    largest index gap between sorted points whose first coordinates lie
+    within `reach`, so in d > 1 the band is a strip.  An infinite reach
+    gives the full band.
+    """
+    locations = np.asarray(locations, dtype=np.float64)
+    n = locations.shape[0]
+    order = np.argsort(locations[:, 0], kind="stable")
+    pts = locations[order]
+    if n == 0:
+        return order, np.zeros((1, 0))
+    if np.isfinite(reach):
+        xs = pts[:, 0]
+        # Widened by a few ulps so that a pair at exactly `reach` (where
+        # trunc_exp is still non-zero) is never lost to rounding of xs + reach.
+        pad = 8.0 * np.spacing(np.abs(xs) + reach + 1.0)
+        last = np.searchsorted(xs, xs + reach + pad, side="right") - 1
+        b = int(np.max(last - np.arange(n)))
     else:
-        raise InputError(f"unknown covariance shape {shape!r}")
-    return cov
+        b = n - 1
+    idx = np.arange(n)[None, :] + np.arange(b + 1)[:, None]
+    inside = idx < n
+    diff = pts[np.minimum(idx, n - 1)] - pts[None, :, :]
+    dist = np.sqrt(np.einsum("kij,kij->ki", diff, diff))
+    ab = np.where(inside, np.asarray(cov(dist), dtype=np.float64), 0.0)
+    return order, ab
 
 
 def unit_ball_volume(dim: int) -> float:
@@ -306,16 +354,17 @@ def sample_ground(spec: GroundSpec, sim_window: SimWindow, seed) -> np.ndarray:
 _JITTER_LADDER = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 
 
-def _cholesky_with_jitter(cov: np.ndarray, scale: float) -> np.ndarray:
-    """Cholesky factor, adding diagonal jitter up to 1e-6 * scale if needed."""
+def _cholesky_with_jitter(ab: np.ndarray, scale: float) -> np.ndarray:
+    """Banded lower Cholesky factor of `ab`, adding diagonal jitter up to 1e-6 * scale if needed."""
     try:
-        return np.linalg.cholesky(cov)
+        return scipy.linalg.cholesky_banded(ab, lower=True)
     except np.linalg.LinAlgError:
         pass
-    eye = np.eye(cov.shape[0])
     for level in _JITTER_LADDER:
+        jittered = ab.copy()
+        jittered[0] += level * scale
         try:
-            return np.linalg.cholesky(cov + level * scale * eye)
+            return scipy.linalg.cholesky_banded(jittered, lower=True)
         except np.linalg.LinAlgError:
             continue
     raise NumericError(
@@ -327,24 +376,25 @@ def _cholesky_with_jitter(cov: np.ndarray, scale: float) -> np.ndarray:
 def _sample_field(
     spec: GaussianFieldMarks, locations: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
+    """mean + L xi with L the banded Cholesky factor of the sorted covariance.
+
+    xi[i] stays paired with point i, so when no two points are within the
+    range (b = 0) the draw is mean + sqrt(variance) * xi bit for bit.
+    Cost is O(n b^2) time and O(n b) memory.
+    """
     n = locations.shape[0]
     xi = rng.standard_normal(n)
     if n == 0:
         return xi
-    sd = math.sqrt(spec.variance)
-    if locations.shape[1] == 1:
-        # On the line, sorted adjacent gaps bound all pairwise distances;
-        # beyond the covariance range the joint draw is plain iid.
-        x = np.sort(locations[:, 0])
-        if n == 1 or float(np.min(np.diff(x))) > spec.cov_range:
-            return spec.mean + sd * xi
-    diff = locations[:, None, :] - locations[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    cov = spec.covariance()(dist)
-    if np.all(cov[~np.eye(n, dtype=bool)] == 0.0):
-        return spec.mean + sd * xi
-    chol = _cholesky_with_jitter(cov, spec.variance)
-    return spec.mean + chol @ xi
+    order, ab = banded_covariance(locations, spec.covariance(), spec.cov_range)
+    chol = _cholesky_with_jitter(ab, spec.variance)
+    v = xi[order]
+    out = chol[0] * v
+    for k in range(1, chol.shape[0]):
+        out[k:] += chol[k, : n - k] * v[: n - k]
+    y = np.empty(n)
+    y[order] = spec.mean + out
+    return y
 
 
 def sample_marks(
@@ -588,15 +638,21 @@ def mixture_from_json(doc: dict) -> MixtureSpec:
         jsonschema.validate(doc, MIXTURE_SCHEMA)
     except jsonschema.ValidationError as exc:
         raise InputError(f"invalid mixture spec: {exc.message}") from exc
-    classes = tuple(
-        MixtureClass(
-            p=c["p"],
-            ground=_ground_from_json(c["ground"]),
-            marks=_marks_from_json(c["marks"]),
-            z_rule=_z_rule_from_json(c.get("z_rule")),
+    try:
+        classes = tuple(
+            MixtureClass(
+                p=c["p"],
+                ground=_ground_from_json(c["ground"]),
+                marks=_marks_from_json(c["marks"]),
+                z_rule=_z_rule_from_json(c.get("z_rule")),
+            )
+            for c in doc["classes"]
         )
-        for c in doc["classes"]
-    )
+    except InputError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        # a missing or mistyped parameter of a ground, mark or z_rule entry
+        raise InputError(f"invalid mixture spec: {type(exc).__name__}: {exc}") from exc
     window = tuple(doc["window"]) if "window" in doc else None
     return MixtureSpec(classes=classes, dim=doc.get("dim", 1), default_window=window)
 

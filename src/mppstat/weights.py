@@ -34,6 +34,7 @@ import scipy.linalg
 
 from .core import Band, InputError, PointPattern, Window, band_pair_indices
 from .est import PairTable
+from .sim import banded_covariance
 
 __all__ = [
     "WeightStrategy",
@@ -51,8 +52,9 @@ class WeightStrategy:
     """Selection of a realization-weighting rule.
 
     ``rfvar`` requires `cov` (vectorized covariance of the transformed
-    marks as a function of non-negative distance) and `var_f` (its value
-    at zero).  ``custom`` requires `fn`.
+    marks as a function of non-negative distance, preferably a
+    :class:`~mppstat.sim.Covariance`, whose range keeps the variance
+    banded) and `var_f` (its value at zero).  ``custom`` requires `fn`.
     """
 
     kind: str
@@ -100,7 +102,11 @@ def mean_mark_conditional_variance(
 
     where n(t) is the band-neighbor count of t.  Returns NaN when no
     in-window point has a neighbor (the estimate itself is undefined).
-    `cov(0)` must equal `var_f`.
+    `cov(0)` must equal `var_f`.  With a :class:`~mppstat.sim.Covariance`
+    the sum runs over pairs within its `cov_range` only, in O(n b) for b
+    the most neighbours any point has within the range in the first
+    coordinate; a plain callable without a `cov_range` is summed over all
+    pairs, in O(n^2).
     """
     c0 = float(np.asarray(cov(np.zeros(1)))[0])
     if not np.isfinite(var_f) or var_f < 0:
@@ -112,12 +118,13 @@ def mean_mark_conditional_variance(
     total = float(counts.sum())
     if total == 0.0:
         return float("nan")
-    pts = pattern.locations[active]
-    n_active = counts[active].astype(np.float64)
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    cmat = np.asarray(cov(dist), dtype=np.float64)
-    quad = float(n_active @ cmat @ n_active)
+    # n' C n over the diagonals of the banded (symmetric) covariance
+    reach = getattr(cov, "cov_range", np.inf)
+    order, ab = banded_covariance(pattern.locations[active], cov, reach)
+    w = counts[active][order].astype(np.float64)
+    quad = float(ab[0] @ (w * w))
+    for k in range(1, ab.shape[0]):
+        quad += 2.0 * float(ab[k, : w.size - k] @ (w[: w.size - k] * w[k:]))
     return quad / (total * total)
 
 

@@ -1,10 +1,15 @@
 """Command-line workflows: determinism, exit codes, file formats."""
 
+import contextlib
+import io
 import json
+import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mppstat
 from mppstat.cli import cmd_estimate, cmd_report, cmd_simulate, load_config, main
@@ -296,12 +301,57 @@ class TestMain:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("reader", ["pattern", "manifest", "config", "report"])
+    def test_undecodable_bytes_exit_2(self, tmp_path, capsys, reader):
+        cfg_path = small_config(tmp_path, n_realizations=2, n_replicates=1)
+        sim_dir = tmp_path / "sim"
+        est_argv = ["estimate", "--config", str(cfg_path), "--out", str(tmp_path / "e"),
+                    "--patterns", str(sim_dir)]
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(sim_dir)]) == 0
+        assert main(est_argv) == 0
+        results = tmp_path / "e" / "results.csv"
+        path = {"pattern": sim_dir / "pattern_0000.csv", "manifest": sim_dir / "manifest.json",
+                "config": cfg_path, "report": results}[reader]
+        # "\xc3\xa9" is not ASCII; "\xff" is not UTF-8 either
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\xc3\xa9\xff\n", 1) + b"\xff")
+        capsys.readouterr()
+        argv = (["report", "--results", str(results), "--out", str(tmp_path / "r")]
+                if reader == "report" else est_argv)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, where):
+        cfg_path = small_config(tmp_path, n_realizations=2, n_replicates=1,
+                                seed=-1 if where == "config" else 1)
+        argv = ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "s")]
+        if where == "flag":
+            argv += ["--seed", "-1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_rfvar_with_cov_model(self, tmp_path):
         cfg_path = small_config(tmp_path, n_replicates=1, n_realizations=8)
         code = main(["estimate", "--config", str(cfg_path), "--weights", "rfvar",
                      "--cov-model", "spherical", "--cov-params", "1.0,0.5",
                      "--out", str(tmp_path / "x")])
         assert code == 0
+
+    def test_infer_clt_prints_group_count(self, tmp_path, capsys):
+        doc = json.loads((CONFIGS / "clt_grid_field.json").read_text())
+        doc["window"] = 40.0
+        doc["clt"].update(n_seeds=60, group_size=30)
+        cfg_path = tmp_path / "clt.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["infer", "clt", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "clt")]) == 0
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        fields = dict(kv.split("=") for kv in line.split())
+        c = float(fields["coverage"])
+        assert fields["n_groups"] == "2"
+        assert float(fields["coverage_se"]) == pytest.approx(np.sqrt(c * (1 - c) / 2), abs=1e-3)
 
     def test_infer_clt(self, tmp_path):
         doc = json.loads((CONFIGS / "clt_grid_field.json").read_text())
@@ -316,3 +366,79 @@ class TestMain:
         assert lines[0] == "seed_index,alpha_star,conditional_pairs,statistic"
         assert lines[-1].startswith("# summary,s_hat=")
         assert len(lines) == 62  # header + 60 seeds + summary
+
+
+# ---------------------------------------------------------------------------
+# fuzzed input files: every outcome is an exit code, never a traceback
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    cfg_path = small_config(root, n_realizations=2, window=6.0)
+    doc = json.loads(cfg_path.read_text())
+    del doc["n_replicates"]
+    cfg_path.write_text(json.dumps(doc, indent=1))  # one key per line for line edits
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(root / "sim")]) == 0
+    return root
+
+
+_FUZZ_TARGETS = {"pattern": "sim/pattern_0000.csv", "manifest": "sim/manifest.json",
+                 "config": "config.json"}
+
+_line_text = st.one_of(
+    st.text(max_size=16),
+    st.text(alphabet="0123456789.,-+e:;#=\"[]{} dimwnofa", max_size=24),
+).map(lambda t: t.encode("utf-8"))
+
+_edits = st.lists(
+    st.one_of(
+        st.tuples(st.just("bytes"), st.integers(0, 10**6), st.binary(min_size=1, max_size=8)),
+        st.tuples(st.sampled_from(["insert", "replace", "delete"]), st.integers(0, 10**6),
+                  _line_text),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _apply_edit(data: bytes, edit) -> bytes:
+    kind, pos, payload = edit
+    if kind == "bytes":
+        pos %= len(data) + 1
+        return data[:pos] + payload + data[pos:]
+    lines = data.split(b"\n")
+    pos %= len(lines)
+    if kind == "insert":
+        lines.insert(pos, payload)
+    elif kind == "replace":
+        lines[pos] = payload
+    else:
+        del lines[pos]
+    return b"\n".join(lines)
+
+
+@pytest.mark.parametrize("target", sorted(_FUZZ_TARGETS))
+@given(edits=_edits)
+@settings(max_examples=40, deadline=None)
+def test_fuzzed_input_files_exit_without_traceback(fuzz_base, target, edits):
+    with tempfile.TemporaryDirectory(dir=fuzz_base) as tmp:
+        work = Path(tmp)
+        shutil.copytree(fuzz_base / "sim", work / "sim")
+        shutil.copy(fuzz_base / "config.json", work / "config.json")
+        path = work / _FUZZ_TARGETS[target]
+        data = path.read_bytes()
+        for edit in edits:
+            data = _apply_edit(data, edit)
+        path.write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(["estimate", "--config", str(work / "config.json"),
+                             "--patterns", str(work / "sim"), "--out", str(work / "out")])
+            except SystemExit as exc:  # argparse
+                code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -1,9 +1,13 @@
 """Generators: determinism, hard constraints, and distributional sanity."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mppstat import (
+    Band,
     GaussianFieldMarks,
     GridGround,
     HardcoreGround,
@@ -12,10 +16,14 @@ from mppstat import (
     MixtureClass,
     MixtureSpec,
     NumericError,
+    PointPattern,
     PoissonGround,
     SimWindow,
+    Window,
+    banded_covariance,
     covariance_model,
     matern2_retained_intensity,
+    mean_mark_conditional_variance,
     mixture_from_json,
     mixture_to_json,
     sample_ground,
@@ -187,7 +195,8 @@ class TestMarks:
         assert np.all(np.isfinite(y))
 
     def test_jitter_ladder_escalates_to_error(self):
-        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+        # [[1, 2], [2, 1]] in lower banded storage: diagonal, then sub-diagonal
+        indefinite = np.array([[1.0, 1.0], [2.0, 0.0]])
         with pytest.raises(NumericError, match="not positive definite"):
             _cholesky_with_jitter(indefinite, 1.0)
 
@@ -202,6 +211,68 @@ class TestMarks:
         y, z = sample_marks(locs, IidMarks("constant", (2.0,)), seed=0,
                             z_rule=lambda loc, y, rng: y * 3.0)
         assert np.all(z == 6.0)
+
+
+def _dense_field(spec, locations, seed):
+    """mean + cholesky(dense covariance of the sorted points) @ xi[order], scattered back."""
+    xi = np.random.default_rng(seed).standard_normal(locations.shape[0])
+    order = np.argsort(locations[:, 0], kind="stable")
+    pts = locations[order]
+    diff = pts[:, None, :] - pts[None, :, :]
+    cov = spec.covariance()(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)))
+    y = np.empty_like(xi)
+    y[order] = spec.mean + np.linalg.cholesky(cov) @ xi[order]
+    return y
+
+
+class TestBandedField:
+    @pytest.mark.parametrize("shape", ["spherical", "trunc_exp"])
+    @pytest.mark.parametrize("ground, window, cov_range", [
+        (HardcoreGround(4.0, 0.2), SimWindow.cube(0.0, 60.0, 1), 1.0),
+        (PoissonGround(3.0), SimWindow.cube(0.0, 6.0, 2), 0.5),
+    ])
+    def test_banded_factor_matches_dense_cholesky(self, shape, ground, window, cov_range):
+        locs = sample_ground(ground, window, seed=11)
+        spec = GaussianFieldMarks(0.5, 2.0, cov_range, shape)
+        y, _ = sample_marks(locs, spec, seed=5)
+        assert locs.shape[0] > 20
+        np.testing.assert_allclose(y, _dense_field(spec, locs, 5), rtol=0, atol=1e-12)
+
+    def test_pair_at_exactly_the_range_is_in_the_band(self):
+        # trunc_exp is exp(-3) * variance, not zero, at exactly cov_range
+        spec = GaussianFieldMarks(0.0, 1.0, 1.0, "trunc_exp")
+        locs = np.array([[3.0], [0.0], [1.0], [4.5], [2.0]])
+        order, ab = banded_covariance(locs, spec.covariance(), spec.cov_range)
+        assert ab.shape == (2, 5)
+        assert ab[1, :3] == pytest.approx([math.exp(-3.0)] * 3)
+        y, _ = sample_marks(locs, spec, seed=2)
+        np.testing.assert_allclose(y, _dense_field(spec, locs, 2), rtol=0, atol=1e-12)
+
+    def test_band_width_bounded_by_hardcore_distance(self):
+        delta, reach = 0.2, 1.0
+        locs = sample_ground(HardcoreGround(4.0, delta), SimWindow.cube(0.0, 200.0, 1), seed=3)
+        order, ab = banded_covariance(locs, covariance_model("spherical", 1.0, reach), reach)
+        assert ab.shape[1] == locs.shape[0] > 100
+        assert ab.shape[0] - 1 <= math.floor(reach / delta) + 1
+        assert np.array_equal(locs[order, 0], np.sort(locs[:, 0]))
+
+    def test_no_dense_matrix_allocated(self):
+        # an n x n float64 array would be 8 n^2 bytes; the banded paths
+        # stay far below a sixteenth of that
+        locs = sample_ground(HardcoreGround(4.0, 0.2), SimWindow.cube(0.0, 1200.0, 1), seed=4)
+        n = locs.shape[0]
+        spec = GaussianFieldMarks(0.0, 1.0, 1.0)
+        tracemalloc.start()
+        try:
+            y, z = sample_marks(locs, spec, seed=1)
+            pat = PointPattern(locs, y, z, SimWindow.cube(0.0, 1200.0, 1))
+            v = mean_mark_conditional_variance(pat, Window(1200.0), Band(0.5, 1.5),
+                                               spec.covariance(), 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert n > 2000 and np.isfinite(v)
+        assert peak < 8 * n * n / 16
 
 
 class TestMixture:

@@ -125,6 +125,20 @@ class TestConditionalVariance:
         with pytest.raises(InputError, match="var_f"):
             mean_mark_conditional_variance(pat, Window(2.0), Band(0.5, 1.5), cov, 2.0)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("closure", [False, True])
+    def test_banded_quadratic_form_matches_dense(self, dim, closure):
+        rng = np.random.default_rng(17 + dim)
+        pat = random_pattern(rng, 150 if dim == 1 else 250, dim=dim, extent=12.0, buffer=1.5)
+        win, band = Window(np.full(dim, 12.0)), Band(0.3, 1.5, signed=(dim == 1))
+        model = covariance_model("spherical", 2.0, 0.8)
+        cov = (lambda h: model(h)) if closure else model  # a closure carries no range
+        v = mean_mark_conditional_variance(pat, win, band, cov, 2.0)
+        counts = neighbor_counts(pat, win, band).astype(float)
+        diff = pat.locations[:, None, :] - pat.locations[None, :, :]
+        dense = model(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)))
+        assert v == pytest.approx(counts @ dense @ counts / counts.sum() ** 2, rel=1e-12)
+
     def test_matches_mark_resampling_monte_carlo(self):
         # fixed locations, resample the mark field, compare empirical
         # variance of the estimator (light version of the acceptance run)
