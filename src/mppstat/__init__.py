@@ -72,17 +72,7 @@ from .weights import (
     mean_mark_conditional_variance,
     neighbor_counts,
 )
-from .infer import (
-    CltConfig,
-    CltResult,
-    centered_pair_sum,
-    clt_experiment,
-    clt_statistic,
-    confidence_interval,
-    convergence_curve,
-    estimate_clt_variance,
-    estimate_pair_rate,
-)
+from .infer import clt_experiment, confidence_interval, convergence_curve
 from .oracle import (
     ClassMoments,
     class_averaged_mean_mark,

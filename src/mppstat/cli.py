@@ -13,17 +13,15 @@ import csv
 import hashlib
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from .core import Band, InputError, MppstatError, Window, buffered_window, write_pattern_csv
 from . import est, infer, markfn, oracle, sim
-from .weights import WeightStrategy, compute_weights
+from .weights import WEIGHT_KINDS, WeightStrategy, compute_weights
 
 __all__ = ["main", "load_config", "CONFIG_SCHEMA"]
 
@@ -52,7 +50,7 @@ CONFIG_SCHEMA = {
                 "required": ["name"],
                 "properties": {
                     "name": {"enum": ["avg", "pooled", "weighted"]},
-                    "weights": {"enum": ["equal", "alpha", "count", "rfvar"]},
+                    "weights": {"enum": list(WEIGHT_KINDS)},
                 },
             },
         },
@@ -99,21 +97,6 @@ def _window(config) -> Window:
 
 def _bands(config, dim: int) -> list[Band]:
     return [Band(lo, hi, signed=(dim == 1)) for lo, hi in config["bands"]]
-
-
-def _thread_count(args) -> int:
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    env = os.environ.get("MPPSTAT_THREADS")
-    return max(1, int(env)) if env else 1
-
-
-def _ordered_map(fn, items, threads: int):
-    """Apply fn to items, optionally in a thread pool; results in input order."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _fmt(x) -> str:
@@ -166,25 +149,17 @@ def cmd_simulate(config: dict, out_dir: Path, seed: int | None = None) -> int:
 
 
 def _strategy(name: str, args) -> WeightStrategy:
-    if name in ("equal",):
-        return WeightStrategy("equal")
-    if name == "alpha":
-        return WeightStrategy("pairs")
-    if name == "count":
-        return WeightStrategy("counts")
-    if name == "rfvar":
-        model = getattr(args, "cov_model", None)
-        params = getattr(args, "cov_params", None)
-        if not model or not params:
-            raise InputError("--weights rfvar requires --cov-model and --cov-params VAR,RANGE")
-        try:
-            var_f, cov_range = (float(v) for v in params.split(","))
-        except ValueError as exc:
-            raise InputError(f"--cov-params must be VAR,RANGE, got {params!r}") from exc
-        return WeightStrategy(
-            "rfvar", cov=sim.covariance_model(model, var_f, cov_range), var_f=var_f
-        )
-    raise InputError(f"unknown weights choice {name!r}")
+    if name != "rfvar":
+        return WeightStrategy(name)
+    model = getattr(args, "cov_model", None)
+    params = getattr(args, "cov_params", None)
+    if not model or not params:
+        raise InputError("--weights rfvar requires --cov-model and --cov-params VAR,RANGE")
+    try:
+        variance, cov_range = (float(v) for v in params.split(","))
+    except ValueError as exc:
+        raise InputError(f"--cov-params must be VAR,RANGE, got {params!r}") from exc
+    return WeightStrategy("rfvar", cov=sim.covariance_model(model, variance, cov_range))
 
 
 def _weights_digest(w) -> str:
@@ -273,8 +248,7 @@ def cmd_estimate(config: dict, out_path: Path, args=None, pattern_dir: Path | No
                 )
         return rows, any_undefined
 
-    threads = _thread_count(args) if args is not None else 1
-    results = _ordered_map(run_replicate, list(range(n_repl)), threads)
+    results = [run_replicate(r) for r in range(n_repl)]
     out_path.parent.mkdir(parents=True, exist_ok=True)
     undefined = any(u for _, u in results)
     with open(out_path, "w", encoding="ascii") as fh:
@@ -313,15 +287,30 @@ strcol(1), strcol(2), strcol(3))) with yerrorbars title "mean +- sd"
 """
 
 
+_REPORT_COLUMNS = ("estimator", "band_lo", "band_hi", "value")
+
+
+def _cell_float(row: dict, column: str, path: Path) -> float:
+    try:
+        return float(row[column])
+    except ValueError:
+        raise InputError(
+            f"{path}: column {column!r} needs a number, got {row[column]!r}"
+        ) from None
+
+
 def cmd_report(results_path: Path, out_dir: Path) -> int:
     try:
         with open(results_path, "r", encoding="ascii") as fh:
-            reader = csv.DictReader(fh)
+            reader = csv.DictReader(fh, restval="")
             rows = list(reader)
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {results_path}: {exc}") from exc
     if not rows:
         raise InputError(f"{results_path} has no data rows")
+    missing = [c for c in _REPORT_COLUMNS if c not in reader.fieldnames]
+    if missing:
+        raise InputError(f"{results_path} lacks the column(s) {', '.join(missing)}")
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
         groups.setdefault((row["estimator"], row["band_lo"], row["band_hi"]), []).append(row)
@@ -331,37 +320,26 @@ def cmd_report(results_path: Path, out_dir: Path) -> int:
     with open(summary_path, "w", encoding="ascii") as fh:
         fh.write(SUMMARY_HEADER + "\n")
         for (name, lo, hi), grp in sorted(groups.items()):
-            values = np.array([float(r["value"]) for r in grp])
+            values = np.array([_cell_float(r, "value", results_path) for r in grp])
             values = values[np.isfinite(values)]
             n = values.size
             mean = float(np.mean(values)) if n else float("nan")
             var = float(np.var(values, ddof=1)) if n > 1 else float("nan")
-            mu_txt = grp[0].get("oracle_mu", "")
-            mut_txt = grp[0].get("oracle_mu_tilde", "")
             bias_mu = rmse_mu = bias_mut = rmse_mut = ""
-            if mu_txt:
-                mu = float(mu_txt)
+            if grp[0].get("oracle_mu"):
+                mu = _cell_float(grp[0], "oracle_mu", results_path)
                 bias_mu = repr(mean - mu)
                 rmse_mu = repr(float(np.sqrt(np.mean((values - mu) ** 2))))
             else:
                 missing_oracle = True
-            if mut_txt:
-                mut = float(mut_txt)
+            if grp[0].get("oracle_mu_tilde"):
+                mut = _cell_float(grp[0], "oracle_mu_tilde", results_path)
                 bias_mut = repr(mean - mut)
                 rmse_mut = repr(float(np.sqrt(np.mean((values - mut) ** 2))))
-            coverage = ""
-            if "ci_lo" in grp[0] and "ci_hi" in grp[0] and mu_txt:
-                mu = float(mu_txt)
-                hits = [
-                    float(r["ci_lo"]) <= mu <= float(r["ci_hi"])
-                    for r in grp
-                    if r.get("ci_lo") and r.get("ci_hi")
-                ]
-                if hits:
-                    coverage = repr(sum(hits) / len(hits))
+            # the coverage column stays empty: results rows carry no intervals
             fh.write(
                 f"{name},{lo},{hi},{n},{mean!r},{var!r},{bias_mu},{rmse_mu},"
-                f"{bias_mut},{rmse_mut},{coverage}\n"
+                f"{bias_mut},{rmse_mut},\n"
             )
     script_path = out_dir / "plot_summary.gp"
     with open(script_path, "w", encoding="ascii") as fh:
@@ -447,8 +425,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="max parallel replicates (or MPPSTAT_THREADS)")
         p.add_argument("--out", default="out", help="output directory")
 
     p_sim = sub.add_parser("simulate", help="write pattern CSVs and a manifest")
@@ -458,7 +434,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_est)
     p_est.add_argument("--patterns", default=None, help="read patterns from this directory")
     p_est.add_argument("--weights", default=None,
-                       choices=["equal", "alpha", "count", "rfvar"],
+                       choices=WEIGHT_KINDS,
                        help="weight strategy for 'weighted' estimators")
     p_est.add_argument("--cov-model", default=None, choices=["spherical", "trunc_exp"])
     p_est.add_argument("--cov-params", default=None, metavar="VAR,RANGE")

@@ -236,9 +236,6 @@ class PointPattern:
     def n_points(self) -> int:
         return self.locations.shape[0]
 
-    def with_weights(self, z: np.ndarray) -> "PointPattern":
-        return PointPattern(self.locations, self.y, z, self.sim_window)
-
 
 # ---------------------------------------------------------------------------
 # Distances and pair enumeration

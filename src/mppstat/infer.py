@@ -19,7 +19,6 @@ Everything here is restricted to d = 1 and ignores the weight marks
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,64 +28,7 @@ from .core import Band, InputError, PointPattern, Window, band_pair_indices
 from .markfn import MarkFunction, ThresholdFamily, threshold_family
 from .est import mean_mark
 
-__all__ = [
-    "CltConfig",
-    "CltResult",
-    "centered_pair_sum",
-    "clt_statistic",
-    "estimate_pair_rate",
-    "estimate_clt_variance",
-    "confidence_interval",
-    "convergence_curve",
-    "clt_experiment",
-]
-
-
-@dataclass(frozen=True)
-class CltConfig:
-    """Inputs of a threshold-excess inference run."""
-
-    band: Band
-    base_f: MarkFunction
-    u: float
-    t_extent: float
-
-    def __post_init__(self):
-        if self.base_f.arity != "first-only":
-            raise InputError("inference requires a first-only mark function")
-        if not np.isfinite(self.u) or self.u < 0:
-            raise InputError(f"threshold u must be finite and >= 0, got {self.u}")
-        if not np.isfinite(self.t_extent) or self.t_extent <= 0:
-            raise InputError("window extent must be finite and > 0")
-
-    def family(self) -> ThresholdFamily:
-        return threshold_family(self.base_f, self.u)
-
-
-@dataclass(frozen=True)
-class CltResult:
-    """Output of the normalized statistic and, when available, its inference.
-
-    `centered_stat` is the centered pair sum divided by the square root of
-    the conditional pair count.  `s_hat`, `ci_lo`, `ci_hi` and `level` are
-    None until a variance estimate (which needs many realizations) has
-    been attached.
-    """
-
-    centered_stat: float
-    lambda_u_hat: float
-    center: float
-    s_hat: float | None = None
-    ci_lo: float | None = None
-    ci_hi: float | None = None
-    level: float | None = None
-    diagnostics: dict | None = None
-
-    def __post_init__(self):
-        if self.s_hat is not None and self.s_hat < 0:
-            raise InputError(f"variance estimate must be >= 0, got {self.s_hat}")
-        if self.ci_lo is not None and self.ci_hi is not None and self.ci_lo > self.ci_hi:
-            raise InputError("confidence interval has lo > hi")
+__all__ = ["confidence_interval", "convergence_curve", "clt_experiment"]
 
 
 def _threshold_sums(
@@ -102,109 +44,27 @@ def _threshold_sums(
     return float(np.sum(family.excess(y1))), float(np.sum(family.indicator(y1)))
 
 
-def centered_pair_sum(
-    pattern: PointPattern,
-    win: Window,
-    band: Band,
-    base_f: MarkFunction,
-    u: float,
-    center: float,
-) -> float:
-    """Centered thresholded pair sum with an externally supplied centering constant.
+def _reduce_sums(
+    s: np.ndarray, d: np.ndarray, center: float | None, volume: float
+) -> tuple[float, np.ndarray, float, float]:
+    """(c, alpha_star, s_hat, lambda_u_hat) from per-realization (s, d) columns.
 
-    `center` should be the conditional mean of the excess given exceedance
-    (the true value in simulations, a plug-in estimate otherwise); with
-    exact centering the sum has mean zero.
+    `s` holds the excess sums and `d` the conditional pair counts.  The
+    centering constant c is `center` (the true conditional excess mean,
+    for simulation studies) or, when None, the pooled conditional mean
+    sum(s) / sum(d).  alpha_star = s - c d are the centered pair sums,
+    s_hat is their sample variance divided by the mean conditional pair
+    count (the asymptotic variance estimate), and lambda_u_hat is the mean
+    conditional pair count per unit window volume.
     """
-    family = threshold_family(base_f, u)
-    s, d = _threshold_sums(pattern, win, band, family)
-    return s - center * d
-
-
-def _plug_in_center(s: float, d: float) -> float:
-    if d == 0.0:
-        raise InputError("plug-in centering undefined: no conditional pairs")
-    return s / d
-
-
-def clt_statistic(
-    pattern: PointPattern,
-    win: Window,
-    band: Band,
-    base_f: MarkFunction,
-    u: float,
-    centering: float | str = "plug_in",
-) -> CltResult:
-    """Centered pair sum divided by the root of the conditional pair count.
-
-    `centering` is either a number (the true conditional excess mean, for
-    simulation studies) or the string "plug_in", which centers with the
-    same realization's own conditional mean.  Note that plug-in centering
-    makes the statistic identically zero by construction; it is kept as
-    the honest data-only fallback, and any real inference should center
-    with an external estimate.  Diagnostics report the minimal pairwise
-    distance so the caller can check the minimum-separation assumption.
-    """
-    if isinstance(centering, str) and centering != "plug_in":
-        raise InputError(f"centering must be a number or 'plug_in', got {centering!r}")
-    family = threshold_family(base_f, u)
-    s, d = _threshold_sums(pattern, win, band, family)
-    if d == 0.0:
-        raise InputError("statistic undefined: no pairs with exceeding first mark")
-    center = _plug_in_center(s, d) if centering == "plug_in" else float(centering)
-    x = np.sort(pattern.locations[:, 0])
-    min_dist = float(np.min(np.diff(x))) if x.size > 1 else float("inf")
-    return CltResult(
-        centered_stat=(s - center * d) / np.sqrt(d),
-        lambda_u_hat=d / win.volume,
-        center=center,
-        diagnostics={"min_pairwise_distance": min_dist, "conditional_pairs": d},
-    )
-
-
-def estimate_pair_rate(
-    patterns: Sequence[PointPattern],
-    win: Window,
-    band: Band,
-    base_f: MarkFunction,
-    u: float,
-) -> float:
-    """Mean conditional pair count per unit window volume across realizations."""
-    if not patterns:
-        raise InputError("at least one realization is required")
-    family = threshold_family(base_f, u)
-    d = [_threshold_sums(p, win, band, family)[1] for p in patterns]
-    return float(np.mean(d)) / win.volume
-
-
-def estimate_clt_variance(
-    patterns: Sequence[PointPattern],
-    win: Window,
-    band: Band,
-    base_f: MarkFunction,
-    u: float,
-    center: float | None = None,
-) -> float:
-    """Asymptotic variance estimate from independent realizations.
-
-    Computes the sample variance of the centered pair sums and divides by
-    the mean conditional pair count (the pair rate times the window
-    extent).  With `center=None` the pooled conditional mean over all
-    realizations is used for centering; passing the true value gives the
-    oracle-centered estimate.  Requires at least 30 realizations.
-    """
-    n = len(patterns)
-    if n < 30:
-        raise InputError(f"variance estimation needs >= 30 realizations, got {n}")
-    family = threshold_family(base_f, u)
-    sums = np.array([_threshold_sums(p, win, band, family) for p in patterns])
-    s, d = sums[:, 0], sums[:, 1]
-    mean_d = float(np.mean(d))
-    if mean_d == 0.0:
-        raise InputError("no conditional pairs in any realization")
+    if not np.any(d):
+        raise InputError(
+            "statistic undefined: no pairs with exceeding first mark in any realization"
+        )
     c = float(np.sum(s) / np.sum(d)) if center is None else float(center)
     alpha_star = s - c * d
-    return float(np.var(alpha_star, ddof=1)) / mean_d
+    mean_d = float(np.mean(d))
+    return c, alpha_star, float(np.var(alpha_star, ddof=1)) / mean_d, mean_d / volume
 
 
 def confidence_interval(
@@ -266,23 +126,23 @@ def clt_experiment(
     Kolmogorov-Smirnov p-value of the standardized statistics against a
     fitted normal, their skewness, and, when `truth` and `group_size` are
     given, the fraction of disjoint groups whose confidence interval for
-    the conditional mean covers the truth.
+    the conditional mean covers the truth.  Needs at least 30
+    realizations, since the variance estimate is a sample variance across
+    them.
     """
     n = len(patterns)
+    if n < 30:
+        raise InputError(f"variance estimation needs >= 30 realizations, got {n}")
     family = threshold_family(base_f, u)
     sums = np.array([_threshold_sums(p, win, band, family) for p in patterns])
     s, d = sums[:, 0], sums[:, 1]
-    if np.all(d == 0):
-        raise InputError("no conditional pairs in any realization")
-    c = float(np.sum(s) / np.sum(d)) if center is None else float(center)
-    alpha_star = s - c * d
+    c, alpha_star, s_hat, lam_hat = _reduce_sums(s, d, center, win.volume)
     with np.errstate(divide="ignore", invalid="ignore"):
         stat = np.where(d > 0, alpha_star / np.sqrt(d), np.nan)
-    ok = np.isfinite(stat)
-    standardized = (stat[ok] - np.mean(stat[ok])) / np.std(stat[ok], ddof=1)
+        ok = np.isfinite(stat)
+        # a zero spread (identical realizations) gives NaN, not a warning
+        standardized = (stat[ok] - np.mean(stat[ok])) / np.std(stat[ok], ddof=1)
     ks = stats.kstest(standardized, "norm")
-    s_hat = float(np.var(alpha_star, ddof=1)) / float(np.mean(d))
-    lam_hat = float(np.mean(d)) / win.volume
     summary = {
         "n": n,
         "center": c,
@@ -299,11 +159,8 @@ def clt_experiment(
         hits = 0
         for g in range(n_groups):
             sl = slice(g * group_size, (g + 1) * group_size)
-            sg, dg = s[sl], d[sl]
-            point = float(np.sum(sg) / np.sum(dg))
-            cg = point  # group-local plug-in centering
-            s_hat_g = float(np.var(sg - cg * dg, ddof=1)) / float(np.mean(dg))
-            lam_g = float(np.mean(dg)) / win.volume
+            # group-local pooled centering; the point estimate is that center
+            point, _, s_hat_g, lam_g = _reduce_sums(s[sl], d[sl], None, win.volume)
             lo, hi = confidence_interval(
                 point, s_hat_g, lam_g, win.volume * group_size, level
             )

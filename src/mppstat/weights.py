@@ -2,22 +2,23 @@
 
 Shipped strategies:
 
-* ``equal``  - every realization weighs the same.
-* ``pairs``  - weight by the realization's ordered-pair count in the band
+* ``equal`` - every realization weighs the same.
+* ``alpha`` - weight by the realization's ordered-pair count in the band
   per unit window volume; combined with the weighted estimator this pools
   all pairs across realizations.
-* ``counts`` - weight by the realization's point count in [0, T] per unit
+* ``count`` - weight by the realization's point count in [0, T] per unit
   window volume; for regularly spaced locations with iid marks these are
   the variance-minimizing weights (the estimator variance given the
   locations scales like 1/N).
-* ``rfvar``  - weight by the reciprocal of the estimator's conditional
+* ``rfvar`` - weight by the reciprocal of the estimator's conditional
   variance given the point locations, computed from a known mark
   covariance model; the general variance-minimizing choice when marks are
   independent of locations.
-* ``custom`` - caller-supplied function of (patterns, win, band).
 
 Strategies are evaluated on a :class:`~mppstat.est.PairTable`, whose pair
-and point counts the ``pairs`` and ``counts`` strategies read directly.
+and point counts the ``alpha`` and ``count`` strategies read directly.
+Callers with weights of their own pass them to
+:func:`~mppstat.est.mean_mark_weighted`.
 
 Also provides the best-linear-unbiased (inverse covariance) weights for
 averaging correlated observations with a common mean.
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -37,6 +38,7 @@ from .est import PairTable
 from .sim import banded_covariance
 
 __all__ = [
+    "WEIGHT_KINDS",
     "WeightStrategy",
     "compute_weights",
     "mean_mark_conditional_variance",
@@ -44,7 +46,7 @@ __all__ = [
     "neighbor_counts",
 ]
 
-_KINDS = ("equal", "pairs", "counts", "rfvar", "custom")
+WEIGHT_KINDS = ("equal", "alpha", "count", "rfvar")
 
 
 @dataclass(frozen=True)
@@ -54,21 +56,19 @@ class WeightStrategy:
     ``rfvar`` requires `cov` (vectorized covariance of the transformed
     marks as a function of non-negative distance, preferably a
     :class:`~mppstat.sim.Covariance`, whose range keeps the variance
-    banded) and `var_f` (its value at zero).  ``custom`` requires `fn`.
+    banded).
     """
 
     kind: str
     cov: Callable[[np.ndarray], np.ndarray] | None = None
-    var_f: float | None = None
-    fn: Callable[..., Sequence[float]] | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise InputError(f"unknown weight strategy {self.kind!r}; expected one of {_KINDS}")
-        if self.kind == "rfvar" and (self.cov is None or self.var_f is None):
-            raise InputError("rfvar strategy needs cov and var_f")
-        if self.kind == "custom" and self.fn is None:
-            raise InputError("custom strategy needs fn")
+        if self.kind not in WEIGHT_KINDS:
+            raise InputError(
+                f"unknown weight strategy {self.kind!r}; expected one of {WEIGHT_KINDS}"
+            )
+        if self.kind == "rfvar" and self.cov is None:
+            raise InputError("rfvar strategy needs cov")
 
 
 def neighbor_counts(pattern: PointPattern, win: Window, band: Band) -> np.ndarray:
@@ -90,7 +90,6 @@ def mean_mark_conditional_variance(
     win: Window,
     band: Band,
     cov: Callable[[np.ndarray], np.ndarray],
-    var_f: float,
 ) -> float:
     """Variance of the mean-mark estimator given the point locations.
 
@@ -102,17 +101,15 @@ def mean_mark_conditional_variance(
 
     where n(t) is the band-neighbor count of t.  Returns NaN when no
     in-window point has a neighbor (the estimate itself is undefined).
-    `cov(0)` must equal `var_f`.  With a :class:`~mppstat.sim.Covariance`
-    the sum runs over pairs within its `cov_range` only, in O(n b) for b
-    the most neighbours any point has within the range in the first
-    coordinate; a plain callable without a `cov_range` is summed over all
-    pairs, in O(n^2).
+    `cov(0)`, the mark variance, must be finite and >= 0.  With a
+    :class:`~mppstat.sim.Covariance` the sum runs over pairs within its
+    `cov_range` only, in O(n b) for b the most neighbours any point has
+    within the range in the first coordinate; a plain callable without a
+    `cov_range` is summed over all pairs, in O(n^2).
     """
     c0 = float(np.asarray(cov(np.zeros(1)))[0])
-    if not np.isfinite(var_f) or var_f < 0:
-        raise InputError(f"var_f must be finite and >= 0, got {var_f}")
-    if abs(c0 - var_f) > 1e-9 * max(1.0, abs(var_f)):
-        raise InputError(f"cov(0)={c0!r} does not match var_f={var_f!r}")
+    if not np.isfinite(c0) or c0 < 0:
+        raise InputError(f"cov(0) must be finite and >= 0, got {c0!r}")
     counts = neighbor_counts(pattern, win, band)
     active = counts > 0
     total = float(counts.sum())
@@ -139,27 +136,22 @@ def compute_weights(strategy: WeightStrategy, table: PairTable) -> np.ndarray:
     n = len(patterns)
     if strategy.kind == "equal":
         return np.ones(n)
-    if strategy.kind == "pairs":
+    if strategy.kind == "alpha":
         return table.count / win.volume
-    if strategy.kind == "counts":
+    if strategy.kind == "count":
         return table.n_window / win.volume
-    if strategy.kind == "rfvar":
-        out = np.empty(n)
-        for k, p in enumerate(patterns):
-            v = mean_mark_conditional_variance(p, win, band, strategy.cov, strategy.var_f)
-            if not np.isfinite(v) or v <= 0.0:
-                warnings.warn(
-                    f"realization {k}: conditional variance undefined or zero; weight set to 0",
-                    stacklevel=2,
-                )
-                out[k] = 0.0
-            else:
-                out[k] = 1.0 / v
-        return out
-    w = np.asarray(strategy.fn(patterns, win, band), dtype=np.float64)
-    if w.shape != (n,) or np.any(~np.isfinite(w)) or np.any(w < 0):
-        raise InputError("custom strategy must return finite non-negative weights, one per realization")
-    return w
+    out = np.empty(n)
+    for k, p in enumerate(patterns):
+        v = mean_mark_conditional_variance(p, win, band, strategy.cov)
+        if not np.isfinite(v) or v <= 0.0:
+            warnings.warn(
+                f"realization {k}: conditional variance undefined or zero; weight set to 0",
+                stacklevel=2,
+            )
+            out[k] = 0.0
+        else:
+            out[k] = 1.0 / v
+    return out
 
 
 def blue_weights(cov_matrix: np.ndarray) -> np.ndarray:

@@ -220,7 +220,7 @@ def test_c6_variance_minimizing_weights():
     """Count weighting beats equal weighting on heterogeneous point counts."""
     rng = np.random.default_rng(20260508)
     win = Window(100.0)
-    vals = {"counts": [], "equal": []}
+    vals = {"count": [], "equal": []}
     for _ in range(500):
         pats = []
         for _ in range(8):
@@ -231,7 +231,7 @@ def test_c6_variance_minimizing_weights():
             table = pair_table(pats, win, BAND, FIRST)
             w = compute_weights(WeightStrategy(kind), table)
             vals[kind].append(mean_mark_weighted(table, w).value)
-    weighted = np.array(vals["counts"])
+    weighted = np.array(vals["count"])
     equal = np.array(vals["equal"])
     ratio = np.var(weighted, ddof=1) / np.var(equal, ddof=1)
     boot = np.random.default_rng(1)
@@ -270,7 +270,7 @@ def test_c7_conditional_variance_oracle():
         counts = neighbor_counts(pat, win, band).astype(float)
         if counts.sum() == 0:
             continue
-        analytic = mean_mark_conditional_variance(pat, win, band, cov, var_f)
+        analytic = mean_mark_conditional_variance(pat, win, band, cov)
         n = pat.n_points
         diffs = pat.locations[:, 0][:, None] - pat.locations[:, 0][None, :]
         sigma = cov(np.abs(diffs)) + 1e-12 * var_f * np.eye(n)

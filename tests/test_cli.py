@@ -12,7 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mppstat
-from mppstat.cli import cmd_estimate, cmd_report, cmd_simulate, load_config, main
+from mppstat.cli import (
+    ESTIMATE_HEADER,
+    cmd_estimate,
+    cmd_report,
+    cmd_simulate,
+    load_config,
+    main,
+)
 from mppstat import InputError, core
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -245,20 +252,6 @@ class TestMain:
         b = (tmp_path / "b" / "results.csv").read_text()
         assert a != b
 
-    def test_threads_do_not_change_results(self, tmp_path):
-        cfg_path = small_config(tmp_path, n_replicates=6)
-        main(["estimate", "--config", str(cfg_path), "--out", str(tmp_path / "a")])
-        main(["estimate", "--config", str(cfg_path), "--threads", "4",
-              "--out", str(tmp_path / "b")])
-        assert _strip_runtime(tmp_path / "a" / "results.csv") == _strip_runtime(
-            tmp_path / "b" / "results.csv"
-        )
-
-    def test_env_var_thread_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MPPSTAT_THREADS", "2")
-        cfg_path = small_config(tmp_path, n_replicates=4)
-        assert main(["estimate", "--config", str(cfg_path), "--out", str(tmp_path / "a")]) == 0
-
     def test_weights_flag_requires_cov_params_for_rfvar(self, tmp_path):
         cfg_path = small_config(tmp_path)
         code = main(["estimate", "--config", str(cfg_path), "--weights", "rfvar",
@@ -275,7 +268,9 @@ class TestMain:
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("case", ["dim_header", "window_no_colon", "window_not_number",
-                                      "cov_params", "manifest_no_files"])
+                                      "cov_params", "manifest_no_files", "report_columns",
+                                      "report_value", "report_oracle_mu",
+                                      "report_oracle_mu_tilde", "report_short_row"])
     def test_malformed_input_exit_2_without_traceback(self, tmp_path, capsys, case):
         cfg_path = small_config(tmp_path, n_realizations=2, n_replicates=1)
         sim_dir = tmp_path / "sim"
@@ -293,6 +288,14 @@ class TestMain:
             lines[1] = "# window=a:b"
         elif case == "cov_params":
             argv += ["--weights", "rfvar", "--cov-model", "spherical", "--cov-params", "1"]
+        elif case.startswith("report"):
+            results = tmp_path / "results.csv"
+            row = {"report_value": "avg,0.5,1.5,0,xx,3,0,,1,0.1,1.0,1.0",
+                   "report_oracle_mu": "avg,0.5,1.5,0,2.0,3,0,,1,0.1,xx,1.0",
+                   "report_oracle_mu_tilde": "avg,0.5,1.5,0,2.0,3,0,,1,0.1,1.0,xx",
+                   "report_short_row": "avg,0.5,1.5,0\navg,0.5"}.get(case)
+            results.write_text("a,b\n1,2\n" if row is None else f"{ESTIMATE_HEADER}\n{row}\n")
+            argv = ["report", "--results", str(results), "--out", str(tmp_path / "r")]
         else:
             (sim_dir / "manifest.json").write_text(json.dumps({"seed": 1}))
         pattern.write_text("\n".join(lines) + "\n")

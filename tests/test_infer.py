@@ -16,16 +16,14 @@ from mppstat import (
     Window,
     buffered_window,
     builtin,
-    centered_pair_sum,
     clt_experiment,
-    clt_statistic,
     confidence_interval,
     convergence_curve,
-    estimate_clt_variance,
-    estimate_pair_rate,
     sample_mixture,
     threshold_excess_mean,
+    threshold_family,
 )
+from mppstat.infer import _reduce_sums, _threshold_sums
 
 from helpers import pattern_1d
 
@@ -45,44 +43,41 @@ def simulate(spec, t_extent, n, seed):
     return [p for p, _ in sample_mixture(spec, sw, n, seed)], win
 
 
+def sums_of(patterns, win, u, band=BAND):
+    fam = threshold_family(FIRST, u)
+    sums = np.array([_threshold_sums(p, win, band, fam) for p in patterns])
+    return sums[:, 0], sums[:, 1]
+
+
 class TestCltConfig:
-    def test_valid_config_builds_family(self):
-        from mppstat import CltConfig
-
-        cfg = CltConfig(band=BAND, base_f=FIRST, u=1.5, t_extent=100.0)
-        fam = cfg.family()
-        assert fam.u == 1.5
-        assert fam.excess(2.0) == 0.5
-
     def test_pair_function_rejected(self):
-        from mppstat import CltConfig
-
+        pat = pattern_1d([0.0, 1.0], y=[5.0, 5.0], lo=0.0, hi=1.0)
         with pytest.raises(InputError, match="first-only"):
-            CltConfig(band=BAND, base_f=builtin("product"), u=0.0, t_extent=10.0)
+            clt_experiment([pat] * 30, Window(1.0), BAND, builtin("product"), 0.0)
 
     def test_negative_u_rejected(self):
-        from mppstat import CltConfig
-
+        pat = pattern_1d([0.0, 1.0], y=[5.0, 5.0], lo=0.0, hi=1.0)
         with pytest.raises(InputError):
-            CltConfig(band=BAND, base_f=FIRST, u=-1.0, t_extent=10.0)
+            clt_experiment([pat] * 30, Window(1.0), BAND, FIRST, -1.0)
 
 
 class TestCenteredPairSum:
     def test_perfect_centering_gives_zero(self):
         pat = pattern_1d([0.0, 1.0, 2.0], y=[4.0, 4.0, 4.0], lo=0.0, hi=3.0)
-        out = centered_pair_sum(pat, Window(3.0), BAND, FIRST, u=0.0, center=4.0)
-        assert out == 0.0
+        out = clt_experiment([pat] * 30, Window(3.0), BAND, FIRST, u=0.0, center=4.0)
+        assert out["rows"][0]["alpha_star"] == 0.0
 
     def test_single_pair_by_hand(self):
         # one qualifying pair, excess 5, center 3, indicator 1 -> 2
         pat = pattern_1d([0.0, 1.0], y=[5.0, -1.0], lo=0.0, hi=1.0)
-        out = centered_pair_sum(pat, Window(1.0), Band(0.5, 1.5), FIRST, u=0.0, center=3.0)
-        assert out == 2.0
+        out = clt_experiment([pat] * 30, Window(1.0), Band(0.5, 1.5), FIRST, u=0.0,
+                             center=3.0)
+        assert out["rows"][0]["alpha_star"] == 2.0
 
     def test_threshold_above_all_marks(self):
         pat = pattern_1d([0.0, 1.0, 2.0], y=[1.0, 2.0, 1.5], lo=0.0, hi=3.0)
-        out = centered_pair_sum(pat, Window(3.0), BAND, FIRST, u=50.0, center=3.0)
-        assert out == 0.0
+        s, d = _threshold_sums(pat, Window(3.0), BAND, threshold_family(FIRST, 50.0))
+        assert s - 3.0 * d == 0.0
 
     def test_oracle_centered_mean_is_zero(self):
         # across many realizations the oracle-centered sum averages to zero
@@ -91,9 +86,8 @@ class TestCenteredPairSum:
         )
         truth, _ = threshold_excess_mean(spec.classes[0].marks, "first", 0.0)
         pats, win = simulate(spec, 60.0, 2000, seed=50)
-        vals = np.array(
-            [centered_pair_sum(p, win, BAND, FIRST, 0.0, truth) for p in pats]
-        )
+        out = clt_experiment(pats, win, BAND, FIRST, 0.0, center=truth)
+        vals = np.array([row["alpha_star"] for row in out["rows"]])
         se = np.std(vals, ddof=1) / np.sqrt(vals.size)
         assert abs(np.mean(vals)) < 3 * se
 
@@ -101,38 +95,23 @@ class TestCenteredPairSum:
 class TestCltStatistic:
     def test_degenerate_marks_zero(self):
         pat = pattern_1d([0.0, 1.0, 2.0], y=[5.0, 5.0, 5.0], lo=0.0, hi=3.0)
-        res = clt_statistic(pat, Window(3.0), BAND, FIRST, u=2.0, centering=3.0)
-        assert res.centered_stat == 0.0
-
-    def test_plug_in_centering_is_identically_zero(self):
-        # centering with the same realization's conditional mean cancels
-        # the sum exactly; kept as documented behavior
-        pat = pattern_1d([0.0, 1.0, 2.0], y=[3.0, 7.0, 2.0], lo=0.0, hi=3.0)
-        res = clt_statistic(pat, Window(3.0), BAND, FIRST, u=0.0, centering="plug_in")
-        assert res.centered_stat == 0.0
+        out = clt_experiment([pat] * 30, Window(3.0), BAND, FIRST, u=2.0, center=3.0)
+        assert out["rows"][0]["statistic"] == 0.0
 
     def test_shift_equivariance(self):
         pat = pattern_1d([0.0, 1.0, 2.0, 3.1], y=[0.5, 2.0, -0.3, 1.2], lo=0.0, hi=4.0)
-        base = clt_statistic(pat, Window(4.0), BAND, FIRST, u=0.5, centering=0.7)
+        base = clt_experiment([pat] * 30, Window(4.0), BAND, FIRST, u=0.5, center=0.7)
         shifted = pattern_1d([0.0, 1.0, 2.0, 3.1], y=np.array([0.5, 2.0, -0.3, 1.2]) + 2.0,
                              lo=0.0, hi=4.0)
-        res = clt_statistic(shifted, Window(4.0), BAND, FIRST, u=2.5, centering=0.7)
-        assert res.centered_stat == pytest.approx(base.centered_stat, rel=1e-12)
-
-    def test_diagnostics_report_min_distance(self):
-        pat = pattern_1d([0.0, 0.7, 2.0], y=[1.0, 1.0, 1.0], lo=0.0, hi=3.0)
-        res = clt_statistic(pat, Window(3.0), BAND, FIRST, u=0.0, centering=0.0)
-        assert res.diagnostics["min_pairwise_distance"] == pytest.approx(0.7)
+        res = clt_experiment([shifted] * 30, Window(4.0), BAND, FIRST, u=2.5, center=0.7)
+        assert res["rows"][0]["statistic"] == pytest.approx(
+            base["rows"][0]["statistic"], rel=1e-12
+        )
 
     def test_no_conditional_pairs_is_an_error(self):
         pat = pattern_1d([0.0, 1.0], y=[-1.0, -1.0], lo=0.0, hi=1.0)
         with pytest.raises(InputError, match="no pairs"):
-            clt_statistic(pat, Window(1.0), BAND, FIRST, u=0.0, centering=0.0)
-
-    def test_unknown_centering_keyword_rejected(self):
-        pat = pattern_1d([0.0, 1.0], y=[5.0, 5.0], lo=0.0, hi=1.0)
-        with pytest.raises(InputError, match="plug_in"):
-            clt_statistic(pat, Window(1.0), BAND, FIRST, u=0.0, centering="oracle")
+            clt_experiment([pat] * 30, Window(1.0), BAND, FIRST, u=0.0, center=0.0)
 
     def test_d2_rejected(self):
         import numpy as np
@@ -141,20 +120,20 @@ class TestCltStatistic:
         pat = PointPattern(np.array([[0.0, 0.0], [1.0, 0.0]]), np.ones(2), np.ones(2),
                            SimWindow.cube(0, 2, 2))
         with pytest.raises(InputError, match="d=1"):
-            clt_statistic(pat, Window(np.full(2, 2.0)), Band(0.5, 1.5, signed=False),
-                          FIRST, 0.0, 0.0)
+            clt_experiment([pat] * 30, Window(np.full(2, 2.0)), Band(0.5, 1.5, signed=False),
+                           FIRST, 0.0, center=0.0)
 
 
 class TestEstimateVariance:
     def test_identical_realizations_zero(self):
         pat = pattern_1d(np.arange(0.0, 30.0), y=np.tile([1.0, 3.0], 15), lo=0.0, hi=30.0)
-        s = estimate_clt_variance([pat] * 30, Window(30.0), BAND, FIRST, 0.0)
-        assert s == 0.0
+        s, d = sums_of([pat] * 30, Window(30.0), 0.0)
+        assert _reduce_sums(s, d, None, 30.0)[2] == 0.0
 
     def test_needs_30_realizations(self):
         pat = pattern_1d(np.arange(0.0, 5.0), lo=0.0, hi=5.0)
         with pytest.raises(InputError, match="30"):
-            estimate_clt_variance([pat] * 10, Window(5.0), BAND, FIRST, 0.0)
+            clt_experiment([pat] * 10, Window(5.0), BAND, FIRST, 0.0)
 
     def test_constant_marks_oracle_centering_zero(self):
         pats = [
@@ -162,8 +141,8 @@ class TestEstimateVariance:
                        lo=-1.0, hi=21.0)
             for k in range(30)
         ]
-        s = estimate_clt_variance(pats, Window(19.0), BAND, FIRST, u=1.0, center=3.0)
-        assert s == 0.0
+        s, d = sums_of(pats, Window(19.0), 1.0)
+        assert _reduce_sums(s, d, 3.0, 19.0)[2] == 0.0
 
     def test_stable_under_doubling(self):
         spec = grid_field_spec()
@@ -171,9 +150,6 @@ class TestEstimateVariance:
         pats_b, _ = simulate(spec, 200.0, 160, seed=61)
 
         def bootstrap_ci(pats, n_boot=300):
-            from mppstat.infer import _threshold_sums
-            from mppstat.markfn import threshold_family
-
             fam = threshold_family(FIRST, 0.0)
             sums = np.array([_threshold_sums(p, win, BAND, fam) for p in pats])
             rng = np.random.default_rng(7)
@@ -251,9 +227,6 @@ class TestNormalization:
         spec = grid_field_spec()
         pats, win = simulate(spec, 500.0, 250, seed=80)
         lam_oracle = 0.5
-        from mppstat.infer import _threshold_sums
-        from mppstat.markfn import threshold_family
-
         fam = threshold_family(FIRST, 0.0)
         ratios = [
             _threshold_sums(p, win, BAND, fam)[1] / (win.volume * lam_oracle) for p in pats
@@ -263,7 +236,7 @@ class TestNormalization:
     def test_estimated_pair_rate_matches(self):
         spec = grid_field_spec()
         pats, win = simulate(spec, 500.0, 100, seed=81)
-        lam = estimate_pair_rate(pats, win, BAND, FIRST, 0.0)
+        lam = clt_experiment(pats, win, BAND, FIRST, 0.0)["summary"]["lambda_u_hat"]
         assert lam == pytest.approx(0.5, abs=0.02)
 
 
@@ -277,10 +250,8 @@ class TestThresholdSchedule:
             u = float(stats.norm.ppf(1.0 - 1.0 / np.log(t_extent)))
             truth, _ = threshold_excess_mean(spec.classes[0].marks, "first", u)
             pats, win = simulate(spec, t_extent, 150, seed)
-            vals = [
-                clt_statistic(p, win, BAND, FIRST, u, centering=truth).centered_stat
-                for p in pats
-            ]
+            out = clt_experiment(pats, win, BAND, FIRST, u, center=truth)
+            vals = [row["statistic"] for row in out["rows"]]
             variances.append(np.var(vals, ddof=1))
         assert max(variances) / min(variances) < 3.0
 

@@ -267,7 +267,7 @@ class TestBandedField:
             y, z = sample_marks(locs, spec, seed=1)
             pat = PointPattern(locs, y, z, SimWindow.cube(0.0, 1200.0, 1))
             v = mean_mark_conditional_variance(pat, Window(1200.0), Band(0.5, 1.5),
-                                               spec.covariance(), 1.0)
+                                               spec.covariance())
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

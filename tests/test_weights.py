@@ -38,35 +38,30 @@ class TestComputeWeights:
         # pair counts (1, 3) on a window of volume 2 -> (0.5, 1.5)
         r1 = pattern_1d([0.0, 1.0], lo=0, hi=2)
         r2 = pattern_1d([0.0, 0.7, 1.4], lo=0, hi=2)
-        w = compute_weights(WeightStrategy("pairs"), _table([r1, r2]))
+        w = compute_weights(WeightStrategy("alpha"), _table([r1, r2]))
         assert w.tolist() == [0.5, 1.5]
 
     def test_counts_per_volume(self):
         r1 = pattern_1d(np.linspace(0, 1.9, 10), lo=0, hi=2)
         r2 = pattern_1d(np.linspace(0, 1.9, 20), lo=0, hi=2)
-        w = compute_weights(WeightStrategy("counts"), _table([r1, r2]))
+        w = compute_weights(WeightStrategy("count"), _table([r1, r2]))
         assert w.tolist() == [5.0, 10.0]
 
     def test_counts_ignore_buffer_points(self):
         pat = pattern_1d([-0.5, 0.2, 1.0, 2.4], lo=-1, hi=3)
-        w = compute_weights(WeightStrategy("counts"), _table([pat]))
+        w = compute_weights(WeightStrategy("count"), _table([pat]))
         assert w.tolist() == [1.0]  # 2 in-window points / volume 2
 
     def test_rfvar_reciprocal_and_zero_fallback(self):
         cov = covariance_model("spherical", 1.0, 0.5)
-        strat = WeightStrategy("rfvar", cov=cov, var_f=1.0)
+        strat = WeightStrategy("rfvar", cov=cov)
         good = pattern_1d([0.0, 1.0], lo=0, hi=2)
         lonely = pattern_1d([0.0], lo=0, hi=2)
         with pytest.warns(UserWarning, match="weight set to 0"):
             w = compute_weights(strat, _table([good, lonely]))
-        v = mean_mark_conditional_variance(good, Window(2.0), Band(0.5, 1.5), cov, 1.0)
+        v = mean_mark_conditional_variance(good, Window(2.0), Band(0.5, 1.5), cov)
         assert w[0] == pytest.approx(1.0 / v)
         assert w[1] == 0.0
-
-    def test_custom(self):
-        strat = WeightStrategy("custom", fn=lambda pats, win, band: [2.0] * len(pats))
-        pats = [pattern_1d([0.0, 1.0], lo=0, hi=2)] * 2
-        assert compute_weights(strat, _table(pats)).tolist() == [2.0, 2.0]
 
     def test_strategy_validation(self):
         with pytest.raises(InputError):
@@ -80,27 +75,27 @@ class TestComputeWeights:
         rng = np.random.default_rng(1)
         pats = [random_pattern(rng, 20, extent=6.0) for _ in range(4)]
         win, band = Window(6.0), Band(-1.0, 1.0)
-        for kind in ("equal", "pairs", "counts"):
+        for kind in ("equal", "alpha", "count"):
             w = compute_weights(WeightStrategy(kind), pair_table(pats, win, band, FIRST))
             assert np.all(w > 0)
 
 
 class TestConditionalVariance:
     def test_single_point_with_neighbors(self):
-        # one in-window point with k neighbors: variance equals var_f
+        # one in-window point with k neighbors: variance equals cov(0)
         pat = pattern_1d([0.0, 1.0, 1.2, 1.4], lo=0.0, hi=2.0)
         cov = covariance_model("spherical", 2.0, 0.5)
-        v = mean_mark_conditional_variance(pat, Window(0.5), Band(0.5, 1.5), cov, 2.0)
+        v = mean_mark_conditional_variance(pat, Window(0.5), Band(0.5, 1.5), cov)
         counts = neighbor_counts(pat, Window(0.5), Band(0.5, 1.5))
         assert counts.tolist() == [3, 0, 0, 0]
         assert v == pytest.approx(2.0)
 
     def test_two_uncorrelated_points(self):
         # two in-window points, one neighbor each, covariance zero between
-        # them: (var_f + var_f) / (1 + 1)^2 = var_f / 2
+        # them: (cov(0) + cov(0)) / (1 + 1)^2 = cov(0) / 2
         pat = pattern_1d([0.0, 1.0, 10.0, 11.0], lo=0.0, hi=12.0)
         cov = covariance_model("spherical", 3.0, 0.5)
-        v = mean_mark_conditional_variance(pat, Window(12.0), Band(0.5, 1.5), cov, 3.0)
+        v = mean_mark_conditional_variance(pat, Window(12.0), Band(0.5, 1.5), cov)
         assert v == pytest.approx(1.5)
 
     def test_fully_correlated_points(self):
@@ -109,21 +104,25 @@ class TestConditionalVariance:
         def cov(h):
             return np.full_like(np.asarray(h, dtype=float), 3.0)
 
-        v = mean_mark_conditional_variance(pat, Window(12.0), Band(0.5, 1.5), cov, 3.0)
+        v = mean_mark_conditional_variance(pat, Window(12.0), Band(0.5, 1.5), cov)
         assert v == pytest.approx(3.0)
 
     def test_no_pairs_undefined(self):
         pat = pattern_1d([0.0], lo=0.0, hi=1.0)
         cov = covariance_model("spherical", 1.0, 0.5)
         assert np.isnan(
-            mean_mark_conditional_variance(pat, Window(1.0), Band(0.5, 1.5), cov, 1.0)
+            mean_mark_conditional_variance(pat, Window(1.0), Band(0.5, 1.5), cov)
         )
 
-    def test_cov_zero_mismatch_rejected(self):
+    @pytest.mark.parametrize("c0", [-1.0, np.inf, np.nan])
+    def test_invalid_cov_zero_rejected(self, c0):
         pat = pattern_1d([0.0, 1.0], lo=0.0, hi=2.0)
-        cov = covariance_model("spherical", 1.0, 0.5)
-        with pytest.raises(InputError, match="var_f"):
-            mean_mark_conditional_variance(pat, Window(2.0), Band(0.5, 1.5), cov, 2.0)
+
+        def cov(h):
+            return np.full_like(np.asarray(h, dtype=float), c0)
+
+        with pytest.raises(InputError, match="cov\\(0\\)"):
+            mean_mark_conditional_variance(pat, Window(2.0), Band(0.5, 1.5), cov)
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("closure", [False, True])
@@ -133,7 +132,7 @@ class TestConditionalVariance:
         win, band = Window(np.full(dim, 12.0)), Band(0.3, 1.5, signed=(dim == 1))
         model = covariance_model("spherical", 2.0, 0.8)
         cov = (lambda h: model(h)) if closure else model  # a closure carries no range
-        v = mean_mark_conditional_variance(pat, win, band, cov, 2.0)
+        v = mean_mark_conditional_variance(pat, win, band, cov)
         counts = neighbor_counts(pat, win, band).astype(float)
         diff = pat.locations[:, None, :] - pat.locations[None, :, :]
         dense = model(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)))
@@ -149,7 +148,7 @@ class TestConditionalVariance:
         win, band = Window(20.0), Band(-1.5, 1.5)
         field = GaussianFieldMarks(1.0, 2.0, 1.0)
         cov = field.covariance()
-        v = mean_mark_conditional_variance(pat, win, band, cov, 2.0)
+        v = mean_mark_conditional_variance(pat, win, band, cov)
         counts = neighbor_counts(pat, win, band).astype(float)
         total = counts.sum()
         vals = np.empty(6000)

@@ -59,11 +59,9 @@ SPECS = {
 
 STRATEGIES = {
     "equal": WeightStrategy("equal"),
-    "pairs": WeightStrategy("pairs"),
-    "counts": WeightStrategy("counts"),
-    "rfvar": WeightStrategy(
-        "rfvar", cov=covariance_model("spherical", 1.0, 0.4), var_f=1.0
-    ),
+    "pairs": WeightStrategy("alpha"),
+    "counts": WeightStrategy("count"),
+    "rfvar": WeightStrategy("rfvar", cov=covariance_model("spherical", 1.0, 0.4)),
 }
 
 
@@ -120,7 +118,7 @@ class TestVarianceReductionLight:
         rng = np.random.default_rng(17)
         first = builtin("first")
         win, band = Window(100.0), Band(0.5, 1.5)
-        var = {"counts": [], "equal": []}
+        var = {"count": [], "equal": []}
         for _ in range(300):
             pats = []
             for _ in range(6):
@@ -132,4 +130,4 @@ class TestVarianceReductionLight:
                 table = pair_table(pats, win, band, first)
                 w = compute_weights(WeightStrategy(kind), table)
                 var[kind].append(mean_mark_weighted(table, w).value)
-        assert np.var(var["counts"], ddof=1) < np.var(var["equal"], ddof=1)
+        assert np.var(var["count"], ddof=1) < np.var(var["equal"], ddof=1)
