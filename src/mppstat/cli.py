@@ -76,17 +76,14 @@ ESTIMATE_HEADER = (
 
 
 def load_config(path) -> dict:
-    import jsonschema
-
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read config {path}: {exc}") from exc
-    try:
-        jsonschema.validate(doc, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise InputError(f"invalid config {path}: {exc.message}") from exc
+    error = sim._schema_error(doc, CONFIG_SCHEMA)
+    if error is not None:
+        raise InputError(f"invalid config {path}: {error.message}")
     return doc
 
 

@@ -212,17 +212,23 @@ class PointPattern:
                 f"locations have dim {loc.shape[1]} but window has dim {self.sim_window.dim}"
             )
         if n:
-            if not np.all(np.isfinite(loc)):
+            if not np.isfinite(loc).all():
                 raise InputError("locations must be finite")
-            if not np.all(np.isfinite(y)):
+            if not np.isfinite(y).all():
                 raise InputError("marks y must be finite")
-            if not np.all(np.isfinite(z)) or np.any(z < 0):
+            # NaN fails both comparisons
+            if not (z.min() >= 0.0 and z.max() < np.inf):
                 raise InputError("weight marks z must be finite and >= 0")
-            if not np.all(self.sim_window.contains(loc)):
+            win = self.sim_window
+            if (loc.min(axis=0) < win.lo).any() or (loc.max(axis=0) > win.hi).any():
                 raise InputError("all locations must lie inside sim_window")
-            order = np.lexsort(loc.T[::-1])
-            srt = loc[order]
-            if n > 1 and np.any(np.all(srt[1:] == srt[:-1], axis=1)):
+            if loc.shape[1] == 1:
+                srt = np.sort(loc[:, 0])
+                dup = srt[1:] == srt[:-1]
+            else:
+                srt = loc[np.lexsort(loc.T[::-1])]
+                dup = np.all(srt[1:] == srt[:-1], axis=1)
+            if dup.any():
                 raise InputError("pattern is not simple: duplicate locations")
         object.__setattr__(self, "locations", _freeze(loc))
         object.__setattr__(self, "y", _freeze(y))
@@ -302,38 +308,77 @@ def band_pair_indices_naive(
 
 
 def _pairs_sorted_1d(
-    pattern: PointPattern, win: Window, band: Band
+    x: np.ndarray, starts: np.ndarray, t1_ok: np.ndarray, band: Band
 ) -> tuple[np.ndarray, np.ndarray]:
-    x = pattern.locations[:, 0]
-    n = x.shape[0]
-    ii0 = np.nonzero(_t1_mask(pattern, win))[0]
-    if ii0.size == 0 or n == 0:
-        empty = np.empty(0, dtype=np.int64)
+    """Qualifying ordered pairs of a block of 1-D realizations, in one sorted sweep.
+
+    Realization k owns the points ``x[starts[k]:starts[k+1]]`` and `t1_ok`
+    flags the points that may be first of a pair.  Pairs never cross
+    realizations.  They come with i ascending and, for each i, j in the
+    order of a stable sort of its realization by x: the pairs and the
+    order of a sweep over that realization alone.
+    """
+    empty = np.empty(0, dtype=np.int64)
+    ii0 = np.nonzero(t1_ok)[0]
+    if ii0.size == 0:
         return empty, empty
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    xi = x[ii0]
-    if np.isfinite(band.lo) and np.isfinite(band.hi):
-        # Candidate ranges are widened by a few ulps so that the exact
-        # membership test below never loses a pair to rounding of xi + lo.
-        pad = 8.0 * np.spacing(np.abs(xi) + band.max_abs + 1.0)
-        left = np.searchsorted(xs, xi + band.lo - pad, side="left")
-        right = np.searchsorted(xs, xi + band.hi + pad, side="right")
+    n, n_real = x.shape[0], starts.shape[0] - 1
+    rid = np.repeat(np.arange(n_real), np.diff(starts))
+    if n_real == 1:
+        order = np.argsort(x, kind="stable")
+        ss = x[order]
     else:
-        left = np.zeros(ii0.size, dtype=np.int64)
-        right = np.full(ii0.size, n, dtype=np.int64)
-    counts = right - left
+        # One sorted array for the whole block: each realization is moved
+        # to start a unit gap after the end of the one before.
+        nonempty = starts[1:] > starts[:-1]
+        first = starts[:-1][nonempty]
+        lo, extent = np.zeros(n_real), np.ones(n_real)
+        lo[nonempty] = np.minimum.reduceat(x, first)
+        with np.errstate(over="ignore", invalid="ignore"):
+            extent[nonempty] += np.maximum.reduceat(x, first) - lo[nonempty]
+            base = np.concatenate(([0.0], np.cumsum(extent[:-1])))
+            s = x + (base - lo)[rid]
+        order = np.argsort(s)
+        ss = s[order]
+        # Strictly increasing shifted values sort the block by realization,
+        # then by x, which is the stable per-realization order; a tie or
+        # an overflow of the shift falls back to one sweep per realization.
+        if not (np.isfinite(ss[-1]) and np.all(ss[1:] > ss[:-1])):
+            return _pairs_each_1d(x, starts, t1_ok, band)
+    # candidates of point i never leave its realization's segment
+    left, right = starts[rid[ii0]], starts[rid[ii0] + 1]
+    if np.isfinite(band.lo) and np.isfinite(band.hi):
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n)
+        pos = rank[ii0]
+        # Candidate ranges are widened by a few ulps so that the exact
+        # membership test below never loses a pair to rounding of the
+        # shifted coordinates or of s + lo (a realization's shift is one
+        # constant, so its own rounding moves no difference).  The search
+        # runs over all points in sorted order, which is faster than in
+        # index order, and is read back for the points i.
+        pad = 8.0 * np.spacing(np.abs(ss) + 2.0 * band.max_abs + 1.0)
+        left = np.maximum(left, np.searchsorted(ss, ss + band.lo - pad, side="left")[pos])
+        right = np.minimum(right, np.searchsorted(ss, ss + band.hi + pad, side="right")[pos])
+    counts = np.maximum(right - left, 0)
     total = int(counts.sum())
     if total == 0:
-        empty = np.empty(0, dtype=np.int64)
         return empty, empty
     ii = np.repeat(ii0, counts)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    pos = np.arange(total) - np.repeat(starts, counts) + np.repeat(left, counts)
-    jj = order[pos]
-    d = x[jj] - x[ii]
-    keep = band.contains(d) & (ii != jj)
+    offset = np.concatenate(([0], np.cumsum(counts)[:-1])) - left
+    jj = order[np.arange(total) - np.repeat(offset, counts)]
+    keep = band.contains(x[jj] - x[ii]) & (ii != jj)
     return ii[keep], jj[keep]
+
+
+def _pairs_each_1d(x, starts, t1_ok, band) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_pairs_sorted_1d` one realization at a time, with the same output."""
+    ii, jj = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for a, b in zip(starts[:-1], starts[1:]):
+        i, j = _pairs_sorted_1d(x[a:b], np.array([0, b - a]), t1_ok[a:b], band)
+        ii.append(i + a)
+        jj.append(j + a)
+    return np.concatenate(ii), np.concatenate(jj)
 
 
 def _pairs_tree(pattern: PointPattern, win: Window, band: Band) -> tuple[np.ndarray, np.ndarray]:
@@ -372,7 +417,10 @@ def band_pair_indices(
     """
     band.require_dim(pattern.dim)
     if pattern.dim == 1:
-        return _pairs_sorted_1d(pattern, win, band)
+        n = pattern.n_points
+        return _pairs_sorted_1d(
+            pattern.locations[:, 0], np.array([0, n]), _t1_mask(pattern, win), band
+        )
     return _pairs_tree(pattern, win, band)
 
 
@@ -399,18 +447,28 @@ def pair_sums(
     ii, jj = band_pair_indices(pattern, win, band)
     if ii.size == 0:
         return 0.0, 0.0, 0
-    vals = np.asarray(f(pattern.y[ii], pattern.y[jj]), dtype=np.float64)
+    vals = _pair_values(f, pattern.y, ii, jj, lambda i, j: (pattern, i, j))
+    z1 = pattern.z[ii]
+    return float(np.sum(z1 * vals)), float(np.sum(z1)), int(ii.size)
+
+
+def _pair_values(f, y, ii, jj, locate) -> np.ndarray:
+    """f(y[ii], y[jj]) as float64; a non-finite value is a NumericError.
+
+    The error names the first offending pair; ``locate(i, j)`` maps its
+    indices into `y` to (pattern, index of i, index of j) in that pattern.
+    """
+    vals = np.asarray(f(y[ii], y[jj]), dtype=np.float64)
     bad = ~np.isfinite(vals)
     if np.any(bad):
         k = int(np.nonzero(bad)[0][0])
-        i, j = int(ii[k]), int(jj[k])
+        pattern, i, j = locate(int(ii[k]), int(jj[k]))
         raise NumericError(
             "mark function returned a non-finite value for pair "
             f"(t1={tuple(pattern.locations[i])}, y1={pattern.y[i]}, z1={pattern.z[i]}) x "
             f"(t2={tuple(pattern.locations[j])}, y2={pattern.y[j]})"
         )
-    z1 = pattern.z[ii]
-    return float(np.sum(z1 * vals)), float(np.sum(z1)), int(ii.size)
+    return vals
 
 
 def translate(pattern: PointPattern, x: Sequence[float]) -> PointPattern:

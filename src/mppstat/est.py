@@ -30,6 +30,8 @@ from .core import (
     Window,
     band_pair_indices,
     pair_sums,
+    _pair_values,
+    _pairs_sorted_1d,
     _row_displacements,
     _t1_mask,
 )
@@ -205,16 +207,75 @@ class PairTable:
         return tuple(self.count.tolist())
 
 
+# Points per block of the 1-D sweep in pair_table: blocks amortize the
+# per-call cost of the sweep over small realizations while their candidate
+# arrays stay small.  A larger realization forms a block of its own.
+_BLOCK_POINTS = 2048
+
+
 def pair_table(
     patterns: Sequence[PointPattern], win: Window, band: Band, f: MarkFunction
 ) -> PairTable:
-    """Enumerate each realization's pairs in the band once and tabulate their sums."""
+    """Enumerate each realization's pairs in the band once and tabulate their sums.
+
+    In d = 1 consecutive realizations are swept together, in blocks of at
+    most ``_BLOCK_POINTS`` points; the table is bit for bit the one that
+    :func:`~mppstat.core.pair_sums` gives realization by realization.
+    """
     if not patterns:
         raise InputError("at least one realization is required")
+    patterns = tuple(patterns)
+    if win.dim == 1 and band.signed and all(p.dim == 1 for p in patterns):
+        return PairTable(patterns, win, band, *_sums_1d(patterns, float(win.t[0]), band, f))
     sums = [pair_sums(p, win, band, f) for p in patterns]
     num, den, count = (np.array(col) for col in zip(*sums))
     n_window = np.array([np.count_nonzero(_t1_mask(p, win)) for p in patterns])
-    return PairTable(tuple(patterns), win, band, num, den, count, n_window)
+    return PairTable(patterns, win, band, num, den, count, n_window)
+
+
+def _blocks(n_points: np.ndarray):
+    """Consecutive (first, stop) realization ranges of at most _BLOCK_POINTS points each."""
+    first, size = 0, 0
+    for k, n in enumerate(n_points.tolist()):
+        if k > first and size + n > _BLOCK_POINTS:
+            yield first, k
+            first, size = k, 0
+        size += n
+    yield first, len(n_points)
+
+
+def _sums_1d(patterns: tuple[PointPattern, ...], t: float, band: Band, f: MarkFunction):
+    """(num, den, count, n_window) columns of 1-D realizations, one sweep per block."""
+    n_points = np.array([p.n_points for p in patterns], dtype=np.int64)
+    num, den = np.zeros(len(patterns)), np.zeros(len(patterns))
+    count, n_window = np.zeros_like(n_points), np.zeros_like(n_points)
+    for k0, k1 in _blocks(n_points):
+        block = patterns[k0:k1]
+        starts = np.concatenate(([0], np.cumsum(n_points[k0:k1])))
+        x = np.concatenate([p.locations[:, 0] for p in block])
+        t1_ok = (x >= 0.0) & (x <= t)
+        in_win = np.concatenate(([0], np.cumsum(t1_ok)))
+        n_window[k0:k1] = np.diff(in_win[starts])
+        ii, jj = _pairs_sorted_1d(x, starts, t1_ok, band)
+        if ii.size == 0:
+            continue
+
+        def locate(i, j):
+            r = int(np.searchsorted(starts, i, side="right")) - 1
+            return block[r], i - starts[r], j - starts[r]
+
+        y = np.concatenate([p.y for p in block])
+        vals = _pair_values(f, y, ii, jj, locate)
+        z1 = np.concatenate([p.z for p in block])[ii]
+        z1f = z1 * vals
+        # pairs are grouped by realization: i ascends; each realization's
+        # sums are numpy sums over its own slice, as pair_sums takes them
+        ends = np.searchsorted(ii, starts)
+        count[k0:k1] = np.diff(ends)
+        for k, a, b in zip(range(k0, k1), ends[:-1].tolist(), ends[1:].tolist()):
+            num[k] = z1f[a:b].sum()
+            den[k] = z1[a:b].sum()
+    return num, den, count, n_window
 
 
 def mean_mark_avg(table: PairTable) -> EstimateResult:

@@ -128,7 +128,8 @@ def clt_experiment(
     given, the fraction of disjoint groups whose confidence interval for
     the conditional mean covers the truth.  Needs at least 30
     realizations, since the variance estimate is a sample variance across
-    them.
+    them.  The p-value and the skewness are NaN when fewer than two
+    statistics are defined or their spread is at rounding level.
     """
     n = len(patterns)
     if n < 30:
@@ -139,17 +140,23 @@ def clt_experiment(
     c, alpha_star, s_hat, lam_hat = _reduce_sums(s, d, center, win.volume)
     with np.errstate(divide="ignore", invalid="ignore"):
         stat = np.where(d > 0, alpha_star / np.sqrt(d), np.nan)
-        ok = np.isfinite(stat)
-        # a zero spread (identical realizations) gives NaN, not a warning
-        standardized = (stat[ok] - np.mean(stat[ok])) / np.std(stat[ok], ddof=1)
-    ks = stats.kstest(standardized, "norm")
+    finite = stat[np.isfinite(stat)]
+    ks_pvalue = skewness = float("nan")
+    # A spread within the rounding error of the mean, at most n ulps of
+    # the largest |statistic| (identical realizations), carries no shape.
+    if finite.size > 1:
+        spread = np.std(finite, ddof=1)
+        if spread > finite.size * np.finfo(float).eps * np.max(np.abs(finite)):
+            standardized = (finite - np.mean(finite)) / spread
+            ks_pvalue = float(stats.kstest(standardized, "norm").pvalue)
+            skewness = float(stats.skew(standardized))
     summary = {
         "n": n,
         "center": c,
         "s_hat": s_hat,
         "lambda_u_hat": lam_hat,
-        "ks_pvalue": float(ks.pvalue),
-        "skewness": float(stats.skew(standardized)),
+        "ks_pvalue": ks_pvalue,
+        "skewness": skewness,
         "coverage": None,
     }
     if truth is not None and group_size:

@@ -29,8 +29,8 @@ from .core import (
     UnsupportedSpecError,
     Window,
     buffered_window,
-    pair_sums,
 )
+from .est import pair_table
 from .markfn import MarkFunction
 from .sim import (
     GaussianFieldMarks,
@@ -248,7 +248,8 @@ def monte_carlo_mean_mark(
     estimating the intensity-weighted mean) or averages the per-realization
     ratios (``target="classwise"``, estimating the class-averaged mean).
     Independent of the closed forms: sums are accumulated directly from
-    the simulated points and pairs.
+    the simulated points and, at order 2, read from the realizations'
+    :func:`~mppstat.est.pair_table`.
     """
     if n_mc < 1000:
         raise InputError(f"the Monte Carlo oracle needs n_mc >= 1000, got {n_mc}")
@@ -259,13 +260,14 @@ def monte_carlo_mean_mark(
     if win is None:
         win = Window(np.full(spec.dim, 20.0))
     sim_win = buffered_window(win, band) if order == 2 else win.box()
-    realizations = sample_mixture(spec, sim_win, n_mc, seed)
-    nums = np.empty(n_mc)
-    dens = np.empty(n_mc)
-    for i, (pattern, _) in enumerate(realizations):
-        if order == 2:
-            nums[i], dens[i], _ = pair_sums(pattern, win, band, f)
-        else:
+    patterns = [pattern for pattern, _ in sample_mixture(spec, sim_win, n_mc, seed)]
+    if order == 2:
+        table = pair_table(patterns, win, band, f)
+        nums, dens = table.num, table.den
+    else:
+        nums = np.empty(n_mc)
+        dens = np.empty(n_mc)
+        for i, pattern in enumerate(patterns):
             inside = np.all(
                 (pattern.locations >= 0.0) & (pattern.locations <= win.t), axis=1
             )

@@ -631,13 +631,29 @@ def mixture_to_json(spec: MixtureSpec) -> dict:
     return doc
 
 
-def mixture_from_json(doc: dict) -> MixtureSpec:
+_VALIDATORS: dict[int, object] = {}
+
+
+def _schema_error(doc, schema: dict):
+    """The error `jsonschema.validate(doc, schema)` would raise, or None.
+
+    `schema` must be a module constant: its validator is built, and the
+    schema checked against its metaschema, on first use only.
+    """
     import jsonschema
 
-    try:
-        jsonschema.validate(doc, MIXTURE_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise InputError(f"invalid mixture spec: {exc.message}") from exc
+    validator = _VALIDATORS.get(id(schema))
+    if validator is None:
+        cls = jsonschema.validators.validator_for(schema)
+        cls.check_schema(schema)
+        validator = _VALIDATORS[id(schema)] = cls(schema)
+    return jsonschema.exceptions.best_match(validator.iter_errors(doc))
+
+
+def mixture_from_json(doc: dict) -> MixtureSpec:
+    error = _schema_error(doc, MIXTURE_SCHEMA)
+    if error is not None:
+        raise InputError(f"invalid mixture spec: {error.message}")
     try:
         classes = tuple(
             MixtureClass(

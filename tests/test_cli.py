@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import mppstat
 from mppstat.cli import (
+    CONFIG_SCHEMA,
     ESTIMATE_HEADER,
     cmd_estimate,
     cmd_report,
@@ -20,7 +21,7 @@ from mppstat.cli import (
     load_config,
     main,
 )
-from mppstat import InputError, core
+from mppstat import InputError, core, sim
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -69,6 +70,44 @@ class TestConfig:
         path.write_text(json.dumps({"spec": {"classes": []}}))
         with pytest.raises(InputError, match="invalid config"):
             load_config(path)
+
+    @pytest.mark.parametrize("doc", [
+        {"spec": {"classes": []}},
+        {"spec": {"classes": [{"p": 1.0}]}, "window": 1.0, "bands": [[0, 1]], "f": {"name": "first"},
+         "estimators": [{"name": "avg"}], "n_realizations": 1, "seed": 0},
+        {"spec": {"classes": []}, "window": "wide", "bands": [[0, 1, 2]], "f": {},
+         "estimators": [{"name": "median"}], "n_realizations": 0, "seed": -1},
+        [],
+    ])
+    def test_schema_error_text_matches_jsonschema(self, tmp_path, doc):
+        import jsonschema
+
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(doc, CONFIG_SCHEMA)
+        with pytest.raises(InputError) as got:
+            load_config(path)
+        assert str(got.value) == f"invalid config {path}: {expected.value.message}"
+
+    def test_schema_checked_once_per_process(self, tmp_path, monkeypatch):
+        import jsonschema
+
+        cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+        original = cls.check_schema
+        checked = []
+
+        def counting_check(schema, *args, **kwargs):
+            checked.append(schema is CONFIG_SCHEMA)
+            return original(schema, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "check_schema", staticmethod(counting_check))
+        monkeypatch.setattr(sim, "_VALIDATORS", {})
+        path = small_config(tmp_path)
+        load_config(path)
+        assert checked == [True]
+        load_config(path)
+        assert checked == [True]
 
     def test_missing_file_is_input_error(self, tmp_path):
         with pytest.raises(InputError):
@@ -174,24 +213,34 @@ class TestEstimate:
         assert len(out.read_text().strip().splitlines()) == 1 + 3 * 3
 
     def test_one_enumeration_per_realization_and_band(self, tmp_path, monkeypatch):
-        # avg, pooled and both count-based weightings share one pair table per band
+        # avg, pooled and both count-based weightings share one pair table per
+        # band, and the table sweeps each realization once, inside a block
         estimators = [{"name": "avg"}, {"name": "pooled"},
                       {"name": "weighted", "weights": "alpha"},
                       {"name": "weighted", "weights": "count"}]
         cfg_path = small_config(tmp_path, n_realizations=6, n_replicates=1,
                                 bands=[[0.5, 1.5], [-1.5, -0.5]], estimators=estimators)
-        calls = []
-        original = core.band_pair_indices
+        sweeps = []
+        original = core._pairs_sorted_1d
 
-        def counting_pairs(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counting_sweep(x, starts, t1_ok, band):
+            sweeps.append((band.lo, x.tobytes(), starts.tolist()))
+            return original(x, starts, t1_ok, band)
 
         for module in vars(mppstat).values():
-            if getattr(module, "band_pair_indices", None) is original:
-                monkeypatch.setattr(module, "band_pair_indices", counting_pairs)
+            if getattr(module, "_pairs_sorted_1d", None) is original:
+                monkeypatch.setattr(module, "_pairs_sorted_1d", counting_sweep)
         assert main(["estimate", "--config", str(cfg_path), "--out", str(tmp_path / "e")]) == 0
-        assert len(calls) == 6 * 2
+        cfg = load_config(cfg_path)
+        spec = mppstat.mixture_from_json(cfg["spec"])
+        bands = [core.Band(*b) for b in cfg["bands"]]
+        sim_win = core.buffered_window(core.Window(cfg["window"]), bands)
+        patterns = [p for p, _ in mppstat.sample_mixture(spec, sim_win, 6, (cfg["seed"], 0))]
+        every_x = b"".join(p.locations[:, 0].tobytes() for p in patterns)
+        for band in bands:
+            mine = [(x, starts) for lo, x, starts in sweeps if lo == band.lo]
+            assert b"".join(x for x, _ in mine) == every_x
+            assert sum(len(starts) - 1 for _, starts in mine) == 6
 
     def test_malformed_pattern_file_names_file_and_line(self, tmp_path):
         cfg = load_config(small_config(tmp_path, n_realizations=2, n_replicates=1))

@@ -1,5 +1,7 @@
 """Core data model, distances, pair enumeration and serialization."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,42 @@ class TestValidation:
     def test_duplicate_locations_rejected(self):
         with pytest.raises(InputError, match="simple"):
             pattern_1d([0.0, 1.0, 1.0])
+
+    # Each case breaks its own check and every later one, so the expected
+    # message also pins the order of the checks.
+    MESSAGES = {
+        "location": "locations must be finite",
+        "y": "marks y must be finite",
+        "z": "weight marks z must be finite and >= 0",
+        "window": "all locations must lie inside sim_window",
+        "simple": "pattern is not simple: duplicate locations",
+    }
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("check,bad", [
+        ("location", np.nan), ("location", np.inf), ("location", -np.inf),
+        ("y", np.nan), ("y", np.inf),
+        ("z", np.nan), ("z", np.inf), ("z", -np.inf), ("z", -0.5),
+        ("window", 1.5), ("window", -0.25),
+        ("simple", None),
+    ])
+    def test_messages_in_check_order(self, dim, check, bad):
+        loc = np.tile(np.array([[0.25], [0.5], [0.75]]), (1, dim))
+        y, z = np.array([1.0, 2.0, 3.0]), np.ones(3)
+        order = list(self.MESSAGES)
+        later = order[order.index(check):]
+        if "simple" in later:
+            loc[2] = loc[1]
+        if "window" in later:
+            loc[1, -1] = bad if check == "window" else 2.0
+        if "z" in later:
+            z[1] = bad if check == "z" else -1.0
+        if "y" in later:
+            y[0] = bad if check == "y" else np.nan
+        if check == "location":
+            loc[0, 0] = bad
+        with pytest.raises(InputError, match=f"^{re.escape(self.MESSAGES[check])}$"):
+            PointPattern(loc, y, z, SimWindow.cube(0.0, 1.0, dim))
 
     def test_points_outside_window_rejected(self):
         with pytest.raises(InputError):

@@ -1,13 +1,23 @@
 """Estimator family: single-realization, conditional, kernel, multi-realization."""
 
+import tracemalloc
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mppstat import (
     Band,
     InputError,
+    NumericError,
     PointPattern,
+    SimWindow,
     Window,
+    band_pair_indices,
+    band_pair_indices_naive,
+    est,
     builtin,
     buffered_window,
     concat_patterns,
@@ -19,6 +29,7 @@ from mppstat import (
     mean_mark_kernel,
     mean_mark_pooled,
     mean_mark_weighted,
+    pair_sums,
     pair_table,
     sample_mixture,
     translate,
@@ -26,7 +37,9 @@ from mppstat import (
 from mppstat import IidMarks, MixtureClass, MixtureSpec, PoissonGround
 from mppstat import class_averaged_mean_mark, mixture_mean_mark
 
-from helpers import DYADIC, pattern_1d, random_pattern
+from mppstat.core import _pairs_sorted_1d
+
+from helpers import DYADIC, pattern_1d, random_pattern, sorted_pairs
 
 FIRST = builtin("first")
 ONE = builtin("const_one")
@@ -389,3 +402,143 @@ class TestEstInvariants:
 
         _, pooled_eq, avg_eq = run(2.0, 2.0, seed=103)
         assert abs(pooled_eq - avg_eq) < 0.15
+
+
+PRODUCT = builtin("product")
+
+
+@st.composite
+def realization_sets(draw):
+    """(patterns, window, band, block budget) with pairs exactly on the band ends.
+
+    Coordinates are multiples of a grid step, exact for 1/8 and rounded
+    otherwise; the band ends are displacements of drawn pairs, computed
+    as the pair test computes them.  Each realization has its own
+    simulation window, which may miss [0, T]; realizations may be empty.
+    """
+    t = draw(st.sampled_from([2.0, 5.0]))
+    step = draw(st.sampled_from([1 / 8, 0.1, 0.3 / 7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    patterns = []
+    for _ in range(draw(st.integers(1, 7))):
+        lo = draw(st.integers(-24, int(t / step) + 24))
+        hi = lo + draw(st.integers(0, 64))
+        cells = draw(st.lists(st.integers(lo, hi), unique=True, max_size=40))
+        x = np.array(cells, dtype=float) * step
+        patterns.append(PointPattern(x, rng.normal(0.0, 3.0, x.size),
+                                     rng.choice([0.0, 0.5, 1.0, 1.7], x.size),
+                                     SimWindow.cube(lo * step, hi * step, 1)))
+    x = np.concatenate([p.locations[:, 0] for p in patterns])
+    ends = [float(x[j] - x[i]) for i, j in rng.integers(0, max(x.size, 1), (2, 2))
+            if x.size and abs(x[j] - x[i]) <= 3.0]
+    ends += [draw(st.integers(-24, 16)) * step, draw(st.integers(-24, 16)) * step]
+    band = Band(*sorted(draw(st.permutations(ends))[:2]))
+    budget = draw(st.sampled_from([1, 5, 24, 2048]))
+    return patterns, Window(t), band, budget
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a).tobytes()
+
+
+class TestBlockedPairTable:
+    """The 1-D pair table sweeps blocks of realizations at once; it must equal per-pattern sums."""
+
+    @given(realization_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_per_pattern_sums_and_naive_pairs(self, case):
+        patterns, win, band, budget = case
+        with mock.patch.object(est, "_BLOCK_POINTS", budget):
+            table = pair_table(patterns, win, band, PRODUCT)
+        num, den, count = zip(*(pair_sums(p, win, band, PRODUCT) for p in patterns))
+        assert _bits(table.num) == _bits(np.array(num))
+        assert _bits(table.den) == _bits(np.array(den))
+        assert table.count.tolist() == list(count)
+        in_win = [int(np.sum((p.locations[:, 0] >= 0) & (p.locations[:, 0] <= win.t[0])))
+                  for p in patterns]
+        assert table.n_window.tolist() == in_win
+        # one sweep over all realizations gives each one's pairs, in the
+        # order of a sweep over that realization alone
+        starts = np.cumsum([0] + [p.n_points for p in patterns])
+        x = np.concatenate([p.locations[:, 0] for p in patterns])
+        ii, jj = _pairs_sorted_1d(x, starts, (x >= 0) & (x <= win.t[0]), band)
+        for k, p in enumerate(patterns):
+            mine = (ii >= starts[k]) & (ii < starts[k + 1])
+            fast = band_pair_indices(p, win, band)
+            assert np.array_equal(ii[mine] - starts[k], fast[0])
+            assert np.array_equal(jj[mine] - starts[k], fast[1])
+            assert sorted_pairs(*fast) == sorted_pairs(*band_pair_indices_naive(p, win, band))
+
+    def test_realization_larger_than_a_block(self):
+        rng = np.random.default_rng(4)
+        big = random_pattern(rng, est._BLOCK_POINTS + 300, extent=400.0, buffer=1.5)
+        small = [random_pattern(rng, int(rng.integers(0, 200)), extent=400.0, buffer=1.5)
+                 for _ in range(30)]
+        patterns = small[:10] + [big] + small[10:]
+        win, band = Window(400.0), Band(-1.5, -0.25)
+        table = pair_table(patterns, win, band, PRODUCT)
+        num, den, count = zip(*(pair_sums(p, win, band, PRODUCT) for p in patterns))
+        assert _bits(table.num) == _bits(np.array(num))
+        assert _bits(table.den) == _bits(np.array(den))
+        assert table.count.tolist() == list(count)
+        assert table.count[10] == band_pair_indices_naive(big, win, band)[0].size
+
+    def test_points_the_shift_would_merge(self):
+        # laying the second realization after the first rounds its points,
+        # 1e-300 apart, all to one coordinate; the block must still sweep
+        # each realization exactly, in its own order
+        rng = np.random.default_rng(6)
+        first = pattern_1d([0.0, 0.5, 1.0], y=[1.0, 2.0, 3.0])
+        x = rng.permutation(40) * 1e-300
+        tiny = pattern_1d(x, y=rng.normal(size=40), z=rng.uniform(size=40), lo=0.0, hi=1.0)
+        win, band = Window(1.0), Band(-0.5, 5e-300)
+        table = pair_table([first, tiny], win, band, PRODUCT)
+        num, den, count = zip(*(pair_sums(p, win, band, PRODUCT) for p in (first, tiny)))
+        assert _bits(table.num) == _bits(np.array(num))
+        assert _bits(table.den) == _bits(np.array(den))
+        assert table.count.tolist() == list(count)
+        assert count[1] == band_pair_indices_naive(tiny, win, band)[0].size
+
+    def test_realizations_too_wide_to_lay_end_to_end(self):
+        # each realization spans more than the largest double: the shifted
+        # coordinates overflow, and the block sweeps them one by one
+        wide = pattern_1d([-1e308, 0.0, 0.25, 1e308], y=[1.0, 2.0, 3.0, 4.0])
+        win, band = Window(1.0), Band(-0.5, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = pair_table([wide, wide], win, band, PRODUCT)
+        assert table.num.tolist() == [pair_sums(wide, win, band, PRODUCT)[0]] * 2 == [12.0] * 2
+
+    def test_non_finite_value_names_the_same_pair(self):
+        rng = np.random.default_rng(8)
+        patterns = [random_pattern(rng, 30, extent=6.0, buffer=1.0) for _ in range(5)]
+        bad = PointPattern(patterns[3].locations, np.where(np.arange(30) == 7, 4.0, 1.0),
+                           patterns[3].z, patterns[3].sim_window)
+        patterns[3] = bad
+        win, band = Window(6.0), Band(-1.0, 1.0)
+
+        def inverse(y1, y2):
+            with np.errstate(divide="ignore"):
+                return y1 / (y2 - 4.0)
+
+        f = make_mark_function(inverse, "inverse")
+        with pytest.raises(NumericError) as single:
+            pair_sums(bad, win, band, f)
+        with pytest.raises(NumericError) as blocked:
+            pair_table(patterns, win, band, f)
+        assert str(blocked.value) == str(single.value)
+
+    def test_memory_stays_within_a_block(self):
+        # 400 realizations of ~130 points: one unblocked sweep would hold
+        # candidate arrays for all 52,000 points at once (8 MB measured)
+        rng = np.random.default_rng(2)
+        patterns = [random_pattern(rng, int(rng.integers(100, 160)), extent=50.0, buffer=1.5)
+                    for _ in range(400)]
+        win, band = Window(50.0), Band(0.5, 1.5)
+        tracemalloc.start()
+        try:
+            pair_table(patterns, win, band, FIRST)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000

@@ -1,5 +1,8 @@
 """Normalized threshold statistics, variance estimation, intervals, diagnostics."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -107,6 +110,15 @@ class TestCltStatistic:
         assert res["rows"][0]["statistic"] == pytest.approx(
             base["rows"][0]["statistic"], rel=1e-12
         )
+
+    def test_identical_realizations_give_nan_shape(self):
+        # the spread of 30 equal statistics is rounding noise: no KS p-value
+        # or skewness, and no precision-loss warning from scipy
+        pat = pattern_1d([0.0, 1.0, 2.0, 3.1], y=[0.5, 2.0, -0.3, 1.2], lo=0.0, hi=4.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = clt_experiment([pat] * 30, Window(4.0), BAND, FIRST, u=0.5, center=0.7)["summary"]
+        assert math.isnan(s["ks_pvalue"]) and math.isnan(s["skewness"])
 
     def test_no_conditional_pairs_is_an_error(self):
         pat = pattern_1d([0.0, 1.0], y=[-1.0, -1.0], lo=0.0, hi=1.0)
