@@ -30,7 +30,7 @@ CONFIG_SCHEMA = {
     "required": ["spec", "window", "bands", "f", "estimators", "n_realizations", "seed"],
     "properties": {
         "spec": sim.MIXTURE_SCHEMA,
-        "window": {"type": ["number", "array"]},
+        "window": {"type": ["number", "array"], "items": {"type": "number"}},
         "bands": {
             "type": "array",
             "minItems": 1,

@@ -12,11 +12,11 @@ functions of their inputs, so values can be shared freely across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 __all__ = [
     "MppstatError",
@@ -95,7 +95,8 @@ class SimWindow:
 
     @property
     def volume(self) -> float:
-        return float(np.prod(self.hi - self.lo))
+        # in Python floats an extent beyond the float range is inf, without a warning
+        return math.prod(h - l for l, h in zip(self.lo.tolist(), self.hi.tolist()))
 
     def contains(self, locations: np.ndarray) -> np.ndarray:
         """Boolean mask: rows of `locations` inside the closed box."""
@@ -382,6 +383,8 @@ def _pairs_each_1d(x, starts, t1_ok, band) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pairs_tree(pattern: PointPattern, win: Window, band: Band) -> tuple[np.ndarray, np.ndarray]:
+    from scipy.spatial import cKDTree
+
     loc = pattern.locations
     n = pattern.n_points
     t1_ok = _t1_mask(pattern, win)

@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .core import Band, InputError, PointPattern, Window, band_pair_indices
 from .markfn import MarkFunction, ThresholdFamily, threshold_family
@@ -75,6 +74,8 @@ def confidence_interval(
     level: float,
 ) -> tuple[float, float]:
     """Normal-quantile interval mu +- z * sqrt(s_hat / (lambda * T))."""
+    from scipy import stats
+
     if not 0.0 < level < 1.0:
         raise InputError(f"level must be in (0, 1), got {level}")
     if not np.isfinite(lambda_u_hat) or lambda_u_hat <= 0:
@@ -147,6 +148,8 @@ def clt_experiment(
     if finite.size > 1:
         spread = np.std(finite, ddof=1)
         if spread > finite.size * np.finfo(float).eps * np.max(np.abs(finite)):
+            from scipy import stats
+
             standardized = (finite - np.mean(finite)) / spread
             ks_pvalue = float(stats.kstest(standardized, "norm").pvalue)
             skewness = float(stats.skew(standardized))

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, stats
 
 from .core import (
     Band,
@@ -201,8 +200,8 @@ def mixture_mean_mark(
     means = np.array([_mark_mean_f(c.marks, f, order) for c in spec.classes])
     weights = _class_weights(spec, order, band, pointwise)
     total = float(np.sum(weights))
-    if total <= 0:
-        raise InputError("mixture has zero total (pair) intensity on this band")
+    if not 0 < total < math.inf:
+        raise InputError(f"mixture has total (pair) intensity {total} on this band")
     return float(np.sum(weights * means) / total)
 
 
@@ -299,6 +298,8 @@ def threshold_excess_mean(marks, base_name: str, u: float) -> tuple[float, float
     P(g(Y) > u).  Used as the true centering constant and coverage target
     in simulation studies.
     """
+    from scipy import integrate, stats
+
     if u < 0 or not np.isfinite(u):
         raise InputError(f"threshold must be finite and >= 0, got {u}")
     if base_name not in ("first", "first_squared"):

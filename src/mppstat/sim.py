@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-import scipy.linalg
 
 from .core import InputError, NumericError, PointPattern, SimWindow
 
@@ -232,6 +231,37 @@ def covariance_model(shape: str, variance: float, cov_range: float) -> Covarianc
     return Covariance(shape, variance, cov_range)
 
 
+def _sorted_band(locations: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """(order, points sorted by first coordinate, band width b) for a covariance of `reach`.
+
+    b is the largest index gap between sorted points whose first
+    coordinates lie within `reach`; an infinite reach gives b = n - 1.
+    """
+    order = np.argsort(locations[:, 0], kind="stable")
+    pts = locations[order]
+    n = pts.shape[0]
+    if n == 0:
+        return order, pts, 0
+    if not np.isfinite(reach):
+        return order, pts, n - 1
+    xs = pts[:, 0]
+    # Widened by a few ulps so that a pair at exactly `reach` (where
+    # trunc_exp is still non-zero) is never lost to rounding of xs + reach.
+    pad = 8.0 * np.spacing(np.abs(xs) + reach + 1.0)
+    last = np.searchsorted(xs, xs + reach + pad, side="right") - 1
+    return order, pts, int(np.max(last - np.arange(n)))
+
+
+def _band_matrix(pts: np.ndarray, b: int, cov: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """``ab[k, i] = cov(||pts[i+k] - pts[i]||)`` for ``i + k < n``, zero elsewhere."""
+    n = pts.shape[0]
+    idx = np.arange(n)[None, :] + np.arange(b + 1)[:, None]
+    inside = idx < n
+    diff = pts[np.minimum(idx, n - 1)] - pts[None, :, :]
+    dist = np.sqrt(np.einsum("kij,kij->ki", diff, diff))
+    return np.where(inside, np.asarray(cov(dist), dtype=np.float64), 0.0)
+
+
 def banded_covariance(
     locations: np.ndarray, cov: Callable[[np.ndarray], np.ndarray], reach: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -244,27 +274,10 @@ def banded_covariance(
     within `reach`, so in d > 1 the band is a strip.  An infinite reach
     gives the full band.
     """
-    locations = np.asarray(locations, dtype=np.float64)
-    n = locations.shape[0]
-    order = np.argsort(locations[:, 0], kind="stable")
-    pts = locations[order]
-    if n == 0:
+    order, pts, b = _sorted_band(np.asarray(locations, dtype=np.float64), reach)
+    if pts.shape[0] == 0:
         return order, np.zeros((1, 0))
-    if np.isfinite(reach):
-        xs = pts[:, 0]
-        # Widened by a few ulps so that a pair at exactly `reach` (where
-        # trunc_exp is still non-zero) is never lost to rounding of xs + reach.
-        pad = 8.0 * np.spacing(np.abs(xs) + reach + 1.0)
-        last = np.searchsorted(xs, xs + reach + pad, side="right") - 1
-        b = int(np.max(last - np.arange(n)))
-    else:
-        b = n - 1
-    idx = np.arange(n)[None, :] + np.arange(b + 1)[:, None]
-    inside = idx < n
-    diff = pts[np.minimum(idx, n - 1)] - pts[None, :, :]
-    dist = np.sqrt(np.einsum("kij,kij->ki", diff, diff))
-    ab = np.where(inside, np.asarray(cov(dist), dtype=np.float64), 0.0)
-    return order, ab
+    return order, _band_matrix(pts, b, cov)
 
 
 def unit_ball_volume(dim: int) -> float:
@@ -287,7 +300,14 @@ def matern2_retained_intensity(proposal_intensity: float, min_dist: float, dim: 
 
 
 def _sample_poisson(intensity: float, window: SimWindow, rng: np.random.Generator) -> np.ndarray:
-    n = int(rng.poisson(intensity * window.volume))
+    expected = intensity * window.volume
+    try:
+        n = int(rng.poisson(expected))
+    except ValueError as exc:  # lam too large (or infinite) for the generator
+        raise InputError(
+            f"cannot sample a Poisson ground with {expected:.3g} expected points "
+            f"(intensity {intensity:.3g} on a window of volume {window.volume:.3g})"
+        ) from exc
     return rng.uniform(window.lo, window.hi, size=(n, window.dim))
 
 
@@ -353,9 +373,17 @@ def sample_ground(spec: GroundSpec, sim_window: SimWindow, seed) -> np.ndarray:
 
 _JITTER_LADDER = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 
+# Largest n * b^2 (n points, band width b) a Gaussian field may have: the
+# banded Cholesky costs about that many flops, and in d > 1, where the band
+# is a strip across the window, b and the O(n b) band storage grow with
+# the window's other sides.
+FIELD_BAND_BUDGET = 1e9
+
 
 def _cholesky_with_jitter(ab: np.ndarray, scale: float) -> np.ndarray:
     """Banded lower Cholesky factor of `ab`, adding diagonal jitter up to 1e-6 * scale if needed."""
+    import scipy.linalg
+
     try:
         return scipy.linalg.cholesky_banded(ab, lower=True)
     except np.linalg.LinAlgError:
@@ -378,16 +406,26 @@ def _sample_field(
 ) -> np.ndarray:
     """mean + L xi with L the banded Cholesky factor of the sorted covariance.
 
-    xi[i] stays paired with point i, so when no two points are within the
-    range (b = 0) the draw is mean + sqrt(variance) * xi bit for bit.
-    Cost is O(n b^2) time and O(n b) memory.
+    xi[i] stays paired with point i.  When no two points are within the
+    range (band width b = 0) L is the diagonal sqrt(C(0)), so the draw is
+    mean + sqrt(C(0)) * xi, computed without building the band or calling
+    LAPACK; it is bit for bit what the factor gives.  Otherwise the cost
+    is O(n b^2) time and O(n b) memory, and a field with n b^2 above
+    FIELD_BAND_BUDGET is rejected before anything of that size is built.
     """
     n = locations.shape[0]
     xi = rng.standard_normal(n)
-    if n == 0:
-        return xi
-    order, ab = banded_covariance(locations, spec.covariance(), spec.cov_range)
-    chol = _cholesky_with_jitter(ab, spec.variance)
+    cov = spec.covariance()
+    order, pts, b = _sorted_band(locations, spec.cov_range)
+    if b == 0:
+        return spec.mean + np.sqrt(cov(0.0)) * xi
+    if n * b * b > FIELD_BAND_BUDGET:
+        raise InputError(
+            f"Gaussian field too large: {n} points with band width {b} need "
+            f"n*b^2 = {float(n * b * b):.3g} flops, above the budget of "
+            f"{FIELD_BAND_BUDGET:.0e}; use a smaller window, intensity or cov_range"
+        )
+    chol = _cholesky_with_jitter(_band_matrix(pts, b, cov), spec.variance)
     v = xi[order]
     out = chol[0] * v
     for k in range(1, chol.shape[0]):

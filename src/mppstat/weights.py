@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .core import Band, InputError, PointPattern, Window, band_pair_indices
 from .est import PairTable
@@ -161,6 +160,8 @@ def blue_weights(cov_matrix: np.ndarray) -> np.ndarray:
     weights sum to one; this minimizes w' Sigma w subject to sum(w) = 1.
     The matrix must be symmetric positive definite.
     """
+    import scipy.linalg
+
     sigma = np.asarray(cov_matrix, dtype=np.float64)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise InputError(f"covariance matrix must be square, got shape {sigma.shape}")

@@ -3,7 +3,10 @@
 import contextlib
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -418,6 +421,67 @@ class TestMain:
         assert lines[0] == "seed_index,alpha_star,conditional_pairs,statistic"
         assert lines[-1].startswith("# summary,s_hat=")
         assert len(lines) == 62  # header + 60 seeds + summary
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    @pytest.mark.parametrize("overrides, message", [
+        ({"window": ["a"]}, "invalid config"),
+        # the buffered window is so large that no Poisson count can be drawn
+        ({"bands": [[0, 1e308]]}, "expected points"),
+    ], ids=["non_numeric_window", "huge_band"])
+    def test_unusable_window_exit_2_without_traceback(self, tmp_path, capsys, command,
+                                                      overrides, message):
+        cfg_path = small_config(tmp_path, n_realizations=2, n_replicates=1, **overrides)
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# cold start: scipy submodules are imported by the code that uses them
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+HEAVY_SCIPY = ("scipy.stats", "scipy.integrate", "scipy.spatial", "scipy.linalg")
+
+
+def _modules_after(code: str, cwd: Path) -> set[str]:
+    """The scipy modules a fresh interpreter has loaded after running `code`."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    probe = "\nimport sys\nprint(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code + probe], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+class TestColdStart:
+    def test_cli_and_config_load_no_heavy_scipy_module(self, tmp_path):
+        loaded = _modules_after(
+            "import mppstat.cli\n"
+            f"mppstat.cli.load_config({str(CONFIGS / 'two_class_separation.json')!r})",
+            tmp_path)
+        assert loaded.isdisjoint(HEAVY_SCIPY)
+
+    def test_help_report_and_iid_estimate_load_no_scipy(self, tmp_path):
+        # the shipped config with fewer realizations: the import set does not
+        # depend on the counts
+        doc = json.loads((CONFIGS / "two_class_separation.json").read_text())
+        doc.update(n_realizations=20, n_replicates=2)
+        cfg_path = tmp_path / "two_class_separation.json"
+        cfg_path.write_text(json.dumps(doc))
+        results = tmp_path / "est" / "results.csv"
+        runs = {
+            "help": "try:\n    main(['--help'])\nexcept SystemExit:\n    pass",
+            "estimate": f"assert main(['estimate', '--config', {str(cfg_path)!r}, "
+                        f"'--out', {str(tmp_path / 'est')!r}]) == 0",
+            "report": f"assert main(['report', '--results', {str(results)!r}, "
+                      f"'--out', {str(tmp_path / 'rep')!r}]) == 0",
+        }
+        for name, call in runs.items():  # report reads what estimate wrote
+            loaded = _modules_after("from mppstat.cli import main\n" + call, tmp_path)
+            assert loaded == set(), (name, sorted(loaded))
 
 
 # ---------------------------------------------------------------------------

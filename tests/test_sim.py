@@ -274,6 +274,55 @@ class TestBandedField:
         assert n > 2000 and np.isfinite(v)
         assert peak < 8 * n * n / 16
 
+    @staticmethod
+    def _grid_without_neighbours():
+        # spacing 1, jitter 0.1: no two points within cov_range 0.4 (the C5 shape)
+        return sample_ground(GridGround(1.0, 0.1), SimWindow.cube(0.0, 500.0, 1), seed=7)
+
+    @pytest.mark.parametrize("shape", ["spherical", "trunc_exp"])
+    def test_zero_band_width_equals_banded_factor(self, shape):
+        locs = self._grid_without_neighbours()
+        spec = GaussianFieldMarks(0.5, 2.0, 0.4, shape)
+        order, ab = banded_covariance(locs, spec.covariance(), spec.cov_range)
+        assert ab.shape == (1, locs.shape[0])
+        xi = np.random.default_rng(9).standard_normal(locs.shape[0])
+        expected = np.empty_like(xi)
+        expected[order] = spec.mean + _cholesky_with_jitter(ab, spec.variance)[0] * xi[order]
+        y, _ = sample_marks(locs, spec, seed=9)
+        assert y.tobytes() == expected.tobytes()
+
+    def test_zero_band_width_skips_the_factor(self, monkeypatch):
+        import scipy.linalg
+
+        calls = []
+        factor = scipy.linalg.cholesky_banded
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cholesky_banded", counting)
+        locs = self._grid_without_neighbours()
+        sample_marks(locs, GaussianFieldMarks(0.0, 1.0, 0.4), seed=1)
+        assert calls == []
+        sample_marks(locs, GaussianFieldMarks(0.0, 1.0, 1.5), seed=1)
+        assert calls == [1]
+
+    def test_oversized_field_rejected_before_the_band_is_built(self):
+        # 10^5 points at unit intensity in a square, range 1: the strip band
+        # is b ~ 316 wide, n b^2 ~ 10^10, and the band's difference array
+        # alone would take about 500 MB
+        locs = sample_ground(PoissonGround(1.0), SimWindow.cube(0.0, 316.0, 2), seed=1)
+        assert locs.shape[0] > 90_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match="above the budget of 1e\\+09"):
+                sample_marks(locs, GaussianFieldMarks(0.0, 1.0, 1.0), seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * locs.nbytes
+
 
 class TestMixture:
     def test_single_class_degenerate(self):
