@@ -19,7 +19,6 @@ from .core import (
     band_pair_indices,
     band_pair_indices_naive,
     buffered_window,
-    pair_count,
     pair_distance,
     pair_sums,
     read_pattern_csv,

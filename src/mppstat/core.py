@@ -30,7 +30,6 @@ __all__ = [
     "pair_distance",
     "band_pair_indices",
     "band_pair_indices_naive",
-    "pair_count",
     "pair_sums",
     "translate",
     "buffered_window",
@@ -425,12 +424,6 @@ def band_pair_indices(
             pattern.locations[:, 0], np.array([0, n]), _t1_mask(pattern, win), band
         )
     return _pairs_tree(pattern, win, band)
-
-
-def pair_count(pattern: PointPattern, win: Window, band: Band) -> int:
-    """Number of qualifying ordered pairs; an empty pattern has none."""
-    ii, _ = band_pair_indices(pattern, win, band)
-    return int(ii.size)
 
 
 def pair_sums(

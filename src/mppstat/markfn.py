@@ -27,7 +27,6 @@ __all__ = [
     "make_mark_function",
     "indicator_pair",
     "threshold_family",
-    "register",
     "resolve",
 ]
 
@@ -71,21 +70,10 @@ def _check_first_only(fn: Callable, name: str) -> None:
             raise InputError(f"mark function {name!r} declared first-only but uses y2")
 
 
-def make_mark_function(
-    fn: Callable,
-    name: str,
-    arity: str = BOTH,
-    vectorized: bool = True,
-) -> MarkFunction:
-    """Wrap a user callable as a MarkFunction.
-
-    Set ``vectorized=False`` for scalar-only callables; they are lifted
-    with :func:`numpy.vectorize` (same values, evaluated elementwise).
-    """
+def make_mark_function(fn: Callable, name: str, arity: str = BOTH) -> MarkFunction:
+    """Wrap a user callable, which must accept numpy arrays, as a MarkFunction."""
     if arity not in (FIRST_ONLY, BOTH):
         raise InputError(f"arity must be {FIRST_ONLY!r} or {BOTH!r}, got {arity!r}")
-    if not vectorized:
-        fn = np.vectorize(fn, otypes=[np.float64])
     if arity == FIRST_ONLY:
         _check_first_only(fn, name)
     return MarkFunction(name=name, fn=fn, arity=arity)
@@ -183,14 +171,6 @@ class ThresholdFamily:
             FIRST_ONLY,
         )
 
-    def indicator_fn(self) -> MarkFunction:
-        """The exceedance indicator as a pair function of y1 (ignores y2)."""
-        return MarkFunction(
-            f"exceeds[{self.base.name},u={self.u}]",
-            lambda y1, y2: self.indicator(y1),
-            FIRST_ONLY,
-        )
-
 
 def threshold_family(base: MarkFunction, u: float) -> ThresholdFamily:
     """Build the threshold-excess family for `base` at level u >= 0."""
@@ -198,19 +178,8 @@ def threshold_family(base: MarkFunction, u: float) -> ThresholdFamily:
 
 
 # ---------------------------------------------------------------------------
-# Registry for CLI configs
+# Config descriptors
 # ---------------------------------------------------------------------------
-
-_REGISTRY: dict[str, Callable[..., MarkFunction]] = {}
-
-
-def register(name: str, factory: Callable[..., MarkFunction]) -> None:
-    """Register a mark-function factory under `name` for config files.
-
-    The factory receives the descriptor's extra keys as keyword arguments.
-    Registration is process-global and not thread-safe.
-    """
-    _REGISTRY[name] = factory
 
 
 def resolve(descriptor: dict) -> MarkFunction:
@@ -233,6 +202,4 @@ def resolve(descriptor: dict) -> MarkFunction:
     if name == "threshold_excess":
         base = builtin(params.get("base", "first"))
         return threshold_family(base, params.get("u", 0.0)).excess_fn()
-    if name in _REGISTRY:
-        return _REGISTRY[name](**params)
     raise InputError(f"unknown mark function {name!r}")

@@ -162,17 +162,11 @@ def class_moments(cls: MixtureClass, f: MarkFunction, order: int, dim: int) -> C
     )
 
 
-def _class_weights(
-    spec: MixtureSpec, order: int, band: Band | None, pointwise: bool
-) -> np.ndarray:
+def _class_weights(spec: MixtureSpec, order: int, band: Band | None) -> np.ndarray:
     weights = np.empty(spec.n_classes)
     for k, cls in enumerate(spec.classes):
         if order == 1:
             rate = _intensity(cls.ground, spec.dim)
-        elif pointwise:
-            if not isinstance(cls.ground, PoissonGround):
-                raise UnsupportedSpecError("pointwise pair rates exist only for Poisson classes")
-            rate = cls.ground.intensity**2
         else:
             if band is None:
                 raise InputError("order-2 moments need a band")
@@ -186,36 +180,27 @@ def mixture_mean_mark(
     f: MarkFunction,
     order: int,
     band: Band | None = None,
-    pointwise: bool = False,
 ) -> float:
     """Intensity-weighted mixture mean mark.
 
     Each class's mark mean enters weighted by its class probability times
     its (pair) intensity times its mean weight mark; this is the target of
-    the pooled estimators.  With `pointwise=True` the order-2 weights use
-    the pair rate at a single displacement instead of a band integral
-    (identical for Poisson classes, whose rate does not depend on the
-    displacement).
+    the pooled estimators.
     """
     means = np.array([_mark_mean_f(c.marks, f, order) for c in spec.classes])
-    weights = _class_weights(spec, order, band, pointwise)
+    weights = _class_weights(spec, order, band)
     total = float(np.sum(weights))
     if not 0 < total < math.inf:
         raise InputError(f"mixture has total (pair) intensity {total} on this band")
     return float(np.sum(weights * means) / total)
 
 
-def class_averaged_mean_mark(
-    spec: MixtureSpec,
-    f: MarkFunction,
-    order: int,
-    band: Band | None = None,
-) -> float:
+def class_averaged_mean_mark(spec: MixtureSpec, f: MarkFunction, order: int) -> float:
     """Class-probability weighted mean mark, ignoring intensity differences.
 
-    The target of the equally-weighted multi-realization estimator.  The
-    band argument only validates that per-class means exist; with the
-    analytic classes supported here they do not vary over bands.
+    The target of the equally-weighted multi-realization estimator.  With
+    the analytic classes supported here the per-class means do not vary
+    over bands, so none is taken.
     """
     means = np.array([_mark_mean_f(c.marks, f, order) for c in spec.classes])
     probs = spec.probabilities()

@@ -252,9 +252,25 @@ def _sorted_band(locations: np.ndarray, reach: float) -> tuple[np.ndarray, np.nd
     return order, pts, int(np.max(last - np.arange(n)))
 
 
+# Largest n * b^2 (n points, band width b) a covariance band may have: the
+# banded Cholesky of a Gaussian field costs about that many flops, and in
+# d > 1, where the band is a strip across the window, b and the O(n b) band
+# storage grow with the window's other sides.
+FIELD_BAND_BUDGET = 1e9
+
+
 def _band_matrix(pts: np.ndarray, b: int, cov: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """``ab[k, i] = cov(||pts[i+k] - pts[i]||)`` for ``i + k < n``, zero elsewhere."""
+    """``ab[k, i] = cov(||pts[i+k] - pts[i]||)`` for ``i + k < n``, zero elsewhere.
+
+    A band with n b^2 above FIELD_BAND_BUDGET is rejected before it is built.
+    """
     n = pts.shape[0]
+    if n * b * b > FIELD_BAND_BUDGET:
+        raise InputError(
+            f"covariance band too large: {n} points with band width {b} give "
+            f"n*b^2 = {float(n * b * b):.3g}, above the budget of "
+            f"{FIELD_BAND_BUDGET:.0e}; use a smaller window, intensity or cov_range"
+        )
     idx = np.arange(n)[None, :] + np.arange(b + 1)[:, None]
     inside = idx < n
     diff = pts[np.minimum(idx, n - 1)] - pts[None, :, :]
@@ -272,7 +288,8 @@ def banded_covariance(
     distances beyond `reach`; the band width b (``ab.shape[0] - 1``) is the
     largest index gap between sorted points whose first coordinates lie
     within `reach`, so in d > 1 the band is a strip.  An infinite reach
-    gives the full band.
+    gives the full band.  Raises InputError when n b^2 exceeds
+    FIELD_BAND_BUDGET.
     """
     order, pts, b = _sorted_band(np.asarray(locations, dtype=np.float64), reach)
     if pts.shape[0] == 0:
@@ -373,13 +390,6 @@ def sample_ground(spec: GroundSpec, sim_window: SimWindow, seed) -> np.ndarray:
 
 _JITTER_LADDER = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 
-# Largest n * b^2 (n points, band width b) a Gaussian field may have: the
-# banded Cholesky costs about that many flops, and in d > 1, where the band
-# is a strip across the window, b and the O(n b) band storage grow with
-# the window's other sides.
-FIELD_BAND_BUDGET = 1e9
-
-
 def _cholesky_with_jitter(ab: np.ndarray, scale: float) -> np.ndarray:
     """Banded lower Cholesky factor of `ab`, adding diagonal jitter up to 1e-6 * scale if needed."""
     import scipy.linalg
@@ -419,12 +429,6 @@ def _sample_field(
     order, pts, b = _sorted_band(locations, spec.cov_range)
     if b == 0:
         return spec.mean + np.sqrt(cov(0.0)) * xi
-    if n * b * b > FIELD_BAND_BUDGET:
-        raise InputError(
-            f"Gaussian field too large: {n} points with band width {b} need "
-            f"n*b^2 = {float(n * b * b):.3g} flops, above the budget of "
-            f"{FIELD_BAND_BUDGET:.0e}; use a smaller window, intensity or cov_range"
-        )
     chol = _cholesky_with_jitter(_band_matrix(pts, b, cov), spec.variance)
     v = xi[order]
     out = chol[0] * v
@@ -498,14 +502,11 @@ class MixtureClass:
 class MixtureSpec:
     """A finite mixture of ergodic components on R^dim.
 
-    Class probabilities must sum to one.  `default_window` optionally
-    records a simulation box alongside the spec for serialization; the
-    samplers always take an explicit window.
+    Class probabilities must sum to one.
     """
 
     classes: tuple[MixtureClass, ...]
     dim: int = 1
-    default_window: tuple[float, float] | None = None
 
     def __post_init__(self):
         classes = tuple(self.classes)
@@ -565,12 +566,6 @@ MIXTURE_SCHEMA = {
     "required": ["classes"],
     "properties": {
         "dim": {"type": "integer", "minimum": 1},
-        "window": {
-            "type": "array",
-            "items": {"type": "number"},
-            "minItems": 2,
-            "maxItems": 2,
-        },
         "classes": {
             "type": "array",
             "minItems": 1,
@@ -652,7 +647,7 @@ def _z_rule_from_json(d) -> ZRule:
 
 
 def mixture_to_json(spec: MixtureSpec) -> dict:
-    doc = {
+    return {
         "dim": spec.dim,
         "classes": [
             {
@@ -664,9 +659,6 @@ def mixture_to_json(spec: MixtureSpec) -> dict:
             for c in spec.classes
         ],
     }
-    if spec.default_window is not None:
-        doc["window"] = list(spec.default_window)
-    return doc
 
 
 _VALIDATORS: dict[int, object] = {}
@@ -707,8 +699,7 @@ def mixture_from_json(doc: dict) -> MixtureSpec:
     except (KeyError, TypeError, ValueError) as exc:
         # a missing or mistyped parameter of a ground, mark or z_rule entry
         raise InputError(f"invalid mixture spec: {type(exc).__name__}: {exc}") from exc
-    window = tuple(doc["window"]) if "window" in doc else None
-    return MixtureSpec(classes=classes, dim=doc.get("dim", 1), default_window=window)
+    return MixtureSpec(classes=classes, dim=doc.get("dim", 1))
 
 
 def spec_digest(spec: MixtureSpec) -> str:

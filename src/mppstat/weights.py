@@ -104,7 +104,10 @@ def mean_mark_conditional_variance(
     :class:`~mppstat.sim.Covariance` the sum runs over pairs within its
     `cov_range` only, in O(n b) for b the most neighbours any point has
     within the range in the first coordinate; a plain callable without a
-    `cov_range` is summed over all pairs, in O(n^2).
+    `cov_range` is summed over all pairs, in O(n^2), since its b is n - 1.
+    Either way n b^2 is capped at ``FIELD_BAND_BUDGET`` (an InputError
+    above it), which holds a callable without a `cov_range` to about 1000
+    active points.
     """
     c0 = float(np.asarray(cov(np.zeros(1)))[0])
     if not np.isfinite(c0) or c0 < 0:

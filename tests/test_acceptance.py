@@ -79,7 +79,7 @@ def test_c1_two_target_separation():
     t0 = time.perf_counter()
     spec = _two_class_spec(1.0, 4.0)
     mu = m.mixture_mean_mark(spec, FIRST, 2, BAND)
-    mu_tilde = m.class_averaged_mean_mark(spec, FIRST, 2, BAND)
+    mu_tilde = m.class_averaged_mean_mark(spec, FIRST, 2)
     assert mu == pytest.approx(160.0 / 17.0, rel=1e-12)
     assert mu_tilde == 5.0
     pooled, avg = _replicate_means(spec, 200, 100, seed=20260501)

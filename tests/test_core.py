@@ -16,7 +16,6 @@ from mppstat import (
     band_pair_indices_naive,
     buffered_window,
     builtin,
-    pair_count,
     pair_distance,
     pair_sums,
     read_pattern_csv,
@@ -121,22 +120,22 @@ class TestPairCount:
 
     def test_forward_band(self, pattern):
         # of the 6 ordered pairs only (0.0 -> 0.5) has displacement in [0.4, 0.6]
-        assert pair_count(pattern, Window(3.0), Band(0.4, 0.6)) == 1
+        assert band_pair_indices(pattern, Window(3.0), Band(0.4, 0.6))[0].size == 1
 
     def test_backward_band(self, pattern):
-        assert pair_count(pattern, Window(3.0), Band(-0.6, -0.4)) == 1
+        assert band_pair_indices(pattern, Window(3.0), Band(-0.6, -0.4))[0].size == 1
 
     def test_empty_pattern(self):
         empty = PointPattern(np.empty((0, 1)), np.empty(0), np.empty(0),
                              SimWindow.cube(0, 3, 1))
-        assert pair_count(empty, Window(3.0), Band(0.4, 0.6)) == 0
+        assert band_pair_indices(empty, Window(3.0), Band(0.4, 0.6))[0].size == 0
 
     def test_t1_outside_window_not_counted(self):
         # the pair (-0.5 -> 0.0) starts outside [0, 1] and must not count,
         # but 0.0 -> -0.5 does: buffer points only serve as second of pair
         pat = pattern_1d([-0.5, 0.0], lo=-1.0, hi=1.0)
-        assert pair_count(pat, Window(1.0), Band(0.4, 0.6)) == 0
-        assert pair_count(pat, Window(1.0), Band(-0.6, -0.4)) == 1
+        assert band_pair_indices(pat, Window(1.0), Band(0.4, 0.6))[0].size == 0
+        assert band_pair_indices(pat, Window(1.0), Band(-0.6, -0.4))[0].size == 1
 
 
 class TestWeightedPairSum:
@@ -220,7 +219,7 @@ class TestEnumerationEquivalence:
 
     def test_band_boundary_membership_is_closed(self):
         pat = pattern_1d([0.0, 0.5, 1.0], lo=0.0, hi=1.0)
-        assert pair_count(pat, Window(1.0), Band(0.5, 0.5)) == 2  # (0,.5), (.5,1)
+        assert band_pair_indices(pat, Window(1.0), Band(0.5, 0.5))[0].size == 2  # (0,.5), (.5,1)
 
 
 class TestCoreInvariants:
@@ -230,7 +229,7 @@ class TestCoreInvariants:
             pat = random_pattern(rng, int(rng.integers(0, 60)), extent=5.0)
             pat = PointPattern(pat.locations, pat.y, np.ones(pat.n_points), pat.sim_window)
             win, band = Window(5.0), random_band(rng)
-            assert pair_sums(pat, win, band, ONE)[0] == pair_count(pat, win, band)
+            assert pair_sums(pat, win, band, ONE)[0] == band_pair_indices(pat, win, band)[0].size
 
     def test_additivity_over_disjoint_bands(self):
         rng = np.random.default_rng(23)

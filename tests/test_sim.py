@@ -362,7 +362,6 @@ class TestJson:
                 MixtureClass(0.75, GridGround(1.0, 0.1), GaussianFieldMarks(1.0, 2.0, 0.5)),
             ),
             dim=1,
-            default_window=(-2.0, 12.0),
         )
         back = mixture_from_json(mixture_to_json(spec))
         assert back == spec

@@ -1,5 +1,7 @@
 """Weight strategies, conditional variance of the estimator, and BLUE weights."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,9 @@ from mppstat import (
     Band,
     GaussianFieldMarks,
     InputError,
+    PointPattern,
+    PoissonGround,
+    SimWindow,
     WeightStrategy,
     Window,
     blue_weights,
@@ -16,6 +21,7 @@ from mppstat import (
     mean_mark_conditional_variance,
     neighbor_counts,
     pair_table,
+    sample_ground,
     sample_marks,
 )
 
@@ -156,6 +162,28 @@ class TestConditionalVariance:
             y, _ = sample_marks(pat.locations, field, seed=s)
             vals[s] = float(counts @ y) / total
         assert np.var(vals, ddof=1) == pytest.approx(v, rel=0.1)
+
+    def test_oversized_band_rejected_before_it_is_built(self):
+        # 10^5 points at unit intensity in a square, range 1: the strip band
+        # of the active points is b ~ 230 wide and n b^2 ~ 3e9.  The short
+        # distance band keeps the pair enumeration small, so the peak
+        # measures what is allocated for the covariance band.
+        sw = SimWindow.cube(0.0, 316.0, 2)
+        locs = sample_ground(PoissonGround(1.0), sw, seed=1)
+        assert locs.shape[0] > 90_000
+        n = locs.shape[0]
+        pat = PointPattern(locs, np.zeros(n), np.ones(n), sw)
+        cov = covariance_model("spherical", 1.0, 1.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match="above the budget of 1e\\+09"):
+                mean_mark_conditional_variance(
+                    pat, Window(np.full(2, 316.0)), Band(0.0, 0.5, signed=False), cov
+                )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * locs.nbytes
 
 
 class TestBlueWeights:
