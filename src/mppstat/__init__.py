@@ -12,6 +12,7 @@ from .core import (
     InputError,
     MppstatError,
     NumericError,
+    PatternBatch,
     PointPattern,
     SimWindow,
     UnsupportedSpecError,
@@ -47,6 +48,7 @@ from .sim import (
     matern2_retained_intensity,
     mixture_from_json,
     mixture_to_json,
+    sample_batch,
     sample_ground,
     sample_marks,
     sample_mixture,

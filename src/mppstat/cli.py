@@ -19,7 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Band, InputError, MppstatError, Window, buffered_window, write_pattern_csv
+from .core import (
+    Band, InputError, MppstatError, PatternBatch, Window, buffered_window, write_pattern_csv,
+)
 from . import est, infer, markfn, oracle, sim
 from .weights import WEIGHT_KINDS, WeightStrategy, compute_weights
 
@@ -28,6 +30,7 @@ __all__ = ["main", "load_config", "CONFIG_SCHEMA"]
 CONFIG_SCHEMA = {
     "type": "object",
     "required": ["spec", "window", "bands", "f", "estimators", "n_realizations", "seed"],
+    "additionalProperties": False,
     "properties": {
         "spec": sim.MIXTURE_SCHEMA,
         "window": {"type": ["number", "array"], "items": {"type": "number"}},
@@ -48,6 +51,7 @@ CONFIG_SCHEMA = {
             "items": {
                 "type": "object",
                 "required": ["name"],
+                "additionalProperties": False,
                 "properties": {
                     "name": {"enum": ["avg", "pooled", "weighted"]},
                     "weights": {"enum": list(WEIGHT_KINDS)},
@@ -59,6 +63,7 @@ CONFIG_SCHEMA = {
         "seed": {"type": "integer", "minimum": 0},
         "clt": {
             "type": "object",
+            "additionalProperties": False,
             "properties": {
                 "u": {"type": "number", "minimum": 0},
                 "level": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
@@ -206,19 +211,19 @@ def cmd_estimate(config: dict, out_path: Path, args=None, pattern_dir: Path | No
         _strategy(e.get("weights", "equal"), args) if e["name"] == "weighted" else None
         for e in estimators
     ]
-    loaded = _load_pattern_dir(pattern_dir) if pattern_dir is not None else None
+    # pattern files get the full per-pattern checks; sampled batches are checked once
+    loaded = (PatternBatch.from_patterns(_load_pattern_dir(pattern_dir))
+              if pattern_dir is not None else None)
 
     def run_replicate(r: int):
         if loaded is not None:
-            patterns = loaded
+            batch = loaded
         else:
-            patterns = [
-                p for p, _ in sim.sample_mixture(spec, sim_win, config["n_realizations"], (seed, r))
-            ]
+            batch = sim.sample_batch(spec, sim_win, config["n_realizations"], (seed, r))
         rows = []
         any_undefined = False
         for band in bands:
-            table = est.pair_table(patterns, win, band, f)
+            table = est.pair_table(batch, win, band, f)
             for est_cfg, strategy in zip(estimators, strategies):
                 name = est_cfg["name"]
                 t0 = time.perf_counter()
@@ -369,9 +374,7 @@ def cmd_infer_clt(config: dict, out_dir: Path) -> int:
     if f.arity != "first-only":
         raise InputError("infer clt requires a first-only mark function")
     sim_win = buffered_window(win, band)
-    patterns = [
-        p for p, _ in sim.sample_mixture(spec, sim_win, n_seeds, config["seed"])
-    ]
+    batch = sim.sample_batch(spec, sim_win, n_seeds, config["seed"])
     center = truth = None
     try:
         truth, _ = oracle.threshold_excess_mean(spec.classes[0].marks, f.name, u)
@@ -379,7 +382,7 @@ def cmd_infer_clt(config: dict, out_dir: Path) -> int:
     except MppstatError:
         pass
     out = infer.clt_experiment(
-        patterns, win, band, f, u,
+        batch, win, band, f, u,
         level=level, center=center, truth=truth,
         group_size=int(group_size) if group_size else None,
     )

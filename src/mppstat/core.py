@@ -25,6 +25,7 @@ __all__ = [
     "UnsupportedSpecError",
     "SimWindow",
     "PointPattern",
+    "PatternBatch",
     "Window",
     "Band",
     "pair_distance",
@@ -211,25 +212,7 @@ class PointPattern:
             raise InputError(
                 f"locations have dim {loc.shape[1]} but window has dim {self.sim_window.dim}"
             )
-        if n:
-            if not np.isfinite(loc).all():
-                raise InputError("locations must be finite")
-            if not np.isfinite(y).all():
-                raise InputError("marks y must be finite")
-            # NaN fails both comparisons
-            if not (z.min() >= 0.0 and z.max() < np.inf):
-                raise InputError("weight marks z must be finite and >= 0")
-            win = self.sim_window
-            if (loc.min(axis=0) < win.lo).any() or (loc.max(axis=0) > win.hi).any():
-                raise InputError("all locations must lie inside sim_window")
-            if loc.shape[1] == 1:
-                srt = np.sort(loc[:, 0])
-                dup = srt[1:] == srt[:-1]
-            else:
-                srt = loc[np.lexsort(loc.T[::-1])]
-                dup = np.all(srt[1:] == srt[:-1], axis=1)
-            if dup.any():
-                raise InputError("pattern is not simple: duplicate locations")
+        _check_points(loc, y, z, self.sim_window, (0, n))
         object.__setattr__(self, "locations", _freeze(loc))
         object.__setattr__(self, "y", _freeze(y))
         object.__setattr__(self, "z", _freeze(z))
@@ -241,6 +224,111 @@ class PointPattern:
     @property
     def n_points(self) -> int:
         return self.locations.shape[0]
+
+
+def _check_points(loc, y, z, win: SimWindow, starts) -> None:
+    """The invariants of a pattern, for realizations ``loc[starts[k]:starts[k+1]]``.
+
+    Locations and y finite, z finite and >= 0, every location in `win`,
+    and no location twice in one realization.
+    """
+    if not loc.shape[0]:
+        return
+    if not np.isfinite(loc).all():
+        raise InputError("locations must be finite")
+    if not np.isfinite(y).all():
+        raise InputError("marks y must be finite")
+    # NaN fails both comparisons
+    if not (z.min() >= 0.0 and z.max() < np.inf):
+        raise InputError("weight marks z must be finite and >= 0")
+    if (loc.min(axis=0) < win.lo).any() or (loc.max(axis=0) > win.hi).any():
+        raise InputError("all locations must lie inside sim_window")
+    for a, b in zip(starts[:-1], starts[1:]):
+        if b - a < 2:
+            continue
+        if loc.shape[1] == 1:
+            srt = np.sort(loc[a:b, 0])
+            dup = srt[1:] == srt[:-1]
+        else:
+            pts = loc[a:b]
+            srt = pts[np.lexsort(pts.T[::-1])]
+            dup = np.all(srt[1:] == srt[:-1], axis=1)
+        if dup.any():
+            raise InputError("pattern is not simple: duplicate locations")
+
+
+@dataclass(frozen=True, eq=False)
+class PatternBatch:
+    """Realizations on one simulation window, stored as flat columns.
+
+    Realization k owns rows ``starts[k]:starts[k+1]`` of `locations`
+    (shape (N, dim)), `y` and `z`; `classes` holds each realization's
+    mixture class, or is None when it is unknown.  Every realization
+    satisfies the :class:`PointPattern` invariants, checked once for the
+    whole batch with the same messages.
+    """
+
+    locations: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    starts: np.ndarray
+    sim_window: SimWindow
+    classes: np.ndarray | None = None
+
+    def __post_init__(self):
+        loc = np.asarray(self.locations, dtype=np.float64)
+        y = np.asarray(self.y, dtype=np.float64)
+        z = np.asarray(self.z, dtype=np.float64)
+        starts = np.asarray(self.starts, dtype=np.int64)
+        n = loc.shape[0] if loc.ndim == 2 else -1
+        if n < 0 or loc.shape[1] != self.sim_window.dim:
+            raise InputError(f"locations must have shape (n, {self.sim_window.dim})")
+        if y.shape != (n,) or z.shape != (n,):
+            raise InputError("y and z must be 1-d with one entry per point")
+        if (starts.ndim != 1 or starts.size < 2 or starts[0] != 0 or starts[-1] != n
+                or np.any(starts[1:] < starts[:-1])):
+            raise InputError("starts must rise from 0 to the number of points")
+        _check_points(loc, y, z, self.sim_window, starts.tolist())
+        object.__setattr__(self, "locations", _freeze(loc))
+        object.__setattr__(self, "y", _freeze(y))
+        object.__setattr__(self, "z", _freeze(z))
+        for name in ("starts", "classes"):
+            if getattr(self, name) is not None:
+                column = np.array(getattr(self, name), dtype=np.int64)
+                column.flags.writeable = False
+                object.__setattr__(self, name, column)
+
+    @classmethod
+    def from_patterns(cls, patterns: Sequence[PointPattern]) -> "PatternBatch":
+        """The patterns end to end; the window is the smallest box holding all of theirs."""
+        patterns = tuple(patterns)
+        if not patterns:
+            raise InputError("at least one realization is required")
+        dim = patterns[0].dim
+        if any(p.dim != dim for p in patterns):
+            raise InputError("realizations must share one dimension")
+        lo = np.min([p.sim_window.lo for p in patterns], axis=0)
+        hi = np.max([p.sim_window.hi for p in patterns], axis=0)
+        return cls(
+            np.concatenate([p.locations for p in patterns]),
+            np.concatenate([p.y for p in patterns]),
+            np.concatenate([p.z for p in patterns]),
+            np.cumsum([0] + [p.n_points for p in patterns]),
+            SimWindow(lo, hi),
+        )
+
+    @property
+    def dim(self) -> int:
+        return self.sim_window.dim
+
+    @property
+    def n_realizations(self) -> int:
+        return self.starts.size - 1
+
+    def pattern(self, k: int) -> PointPattern:
+        """Realization k as a (validated) :class:`PointPattern` on the batch window."""
+        a, b = int(self.starts[k]), int(self.starts[k + 1])
+        return PointPattern(self.locations[a:b], self.y[a:b], self.z[a:b], self.sim_window)
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +374,12 @@ def band_pair_indices_naive(
     closed band.  Used as the ground truth for the accelerated paths.
     """
     band.require_dim(pattern.dim)
-    loc = pattern.locations
-    n = pattern.n_points
-    t1_ok = _t1_mask(pattern, win)
+    return _pairs_naive(pattern.locations, _t1_mask(pattern, win), band)
+
+
+def _pairs_naive(loc: np.ndarray, t1_ok: np.ndarray, band: Band) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`band_pair_indices_naive` on the rows of `loc`, `t1_ok` flagging those in [0, T]."""
+    n = loc.shape[0]
     out_i: list[np.ndarray] = []
     out_j: list[np.ndarray] = []
     all_j = np.arange(n)
@@ -381,17 +472,15 @@ def _pairs_each_1d(x, starts, t1_ok, band) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(ii), np.concatenate(jj)
 
 
-def _pairs_tree(pattern: PointPattern, win: Window, band: Band) -> tuple[np.ndarray, np.ndarray]:
+def _pairs_tree(loc: np.ndarray, t1_ok: np.ndarray, band: Band) -> tuple[np.ndarray, np.ndarray]:
+    """Qualifying ordered pairs of one realization in d > 1, from a kd-tree query."""
     from scipy.spatial import cKDTree
 
-    loc = pattern.locations
-    n = pattern.n_points
-    t1_ok = _t1_mask(pattern, win)
     empty = np.empty(0, dtype=np.int64)
-    if n < 2 or not t1_ok.any():
+    if loc.shape[0] < 2 or not t1_ok.any():
         return empty, empty
     if not np.isfinite(band.hi):
-        return band_pair_indices_naive(pattern, win, band)
+        return _pairs_naive(loc, t1_ok, band)
     scale = band.hi + float(np.max(np.abs(loc))) + 1.0
     radius = band.hi + 16.0 * np.spacing(scale)
     tree = cKDTree(loc)
@@ -423,7 +512,7 @@ def band_pair_indices(
         return _pairs_sorted_1d(
             pattern.locations[:, 0], np.array([0, n]), _t1_mask(pattern, win), band
         )
-    return _pairs_tree(pattern, win, band)
+    return _pairs_tree(pattern.locations, _t1_mask(pattern, win), band)
 
 
 def pair_sums(
@@ -443,26 +532,22 @@ def pair_sums(
     ii, jj = band_pair_indices(pattern, win, band)
     if ii.size == 0:
         return 0.0, 0.0, 0
-    vals = _pair_values(f, pattern.y, ii, jj, lambda i, j: (pattern, i, j))
+    vals = _pair_values(f, pattern.locations, pattern.y, pattern.z, ii, jj)
     z1 = pattern.z[ii]
     return float(np.sum(z1 * vals)), float(np.sum(z1)), int(ii.size)
 
 
-def _pair_values(f, y, ii, jj, locate) -> np.ndarray:
-    """f(y[ii], y[jj]) as float64; a non-finite value is a NumericError.
-
-    The error names the first offending pair; ``locate(i, j)`` maps its
-    indices into `y` to (pattern, index of i, index of j) in that pattern.
-    """
+def _pair_values(f, loc, y, z, ii, jj) -> np.ndarray:
+    """f(y[ii], y[jj]) as float64; a non-finite value is a NumericError naming its pair."""
     vals = np.asarray(f(y[ii], y[jj]), dtype=np.float64)
     bad = ~np.isfinite(vals)
     if np.any(bad):
         k = int(np.nonzero(bad)[0][0])
-        pattern, i, j = locate(int(ii[k]), int(jj[k]))
+        i, j = int(ii[k]), int(jj[k])
         raise NumericError(
             "mark function returned a non-finite value for pair "
-            f"(t1={tuple(pattern.locations[i])}, y1={pattern.y[i]}, z1={pattern.z[i]}) x "
-            f"(t2={tuple(pattern.locations[j])}, y2={pattern.y[j]})"
+            f"(t1={tuple(loc[i])}, y1={y[i]}, z1={z[i]}) x "
+            f"(t2={tuple(loc[j])}, y2={y[j]})"
         )
     return vals
 

@@ -25,6 +25,7 @@ import numpy as np
 from .core import (
     Band,
     InputError,
+    PatternBatch,
     PointPattern,
     SimWindow,
     Window,
@@ -32,8 +33,8 @@ from .core import (
     pair_sums,
     _pair_values,
     _pairs_sorted_1d,
+    _pairs_tree,
     _row_displacements,
-    _t1_mask,
 )
 from .markfn import MarkFunction, builtin as _builtin
 
@@ -179,18 +180,22 @@ class PairTable:
     """Per-realization pair sums in one band, the input of every multi-realization estimator.
 
     Entry k of `num`, `den` and `count` holds :func:`~mppstat.core.pair_sums`
-    of realization k (sum z1 f, sum z1, ordered pair count); `n_window` is
-    its number of points in [0, T].  Realization k has a defined estimate
-    iff ``den[k] != 0``.  Build one with :func:`pair_table`.
+    of realization k of `batch` (sum z1 f, sum z1, ordered pair count);
+    `n_window` is its number of points in [0, T].  `neighbors` has one
+    entry per point of the batch: its number of band neighbours when it
+    lies in [0, T], else 0 (what the rfvar weights read).  Realization k
+    has a defined estimate iff ``den[k] != 0``.  Build one with
+    :func:`pair_table`.
     """
 
-    patterns: tuple[PointPattern, ...]
+    batch: PatternBatch
     win: Window
     band: Band
     num: np.ndarray
     den: np.ndarray
     count: np.ndarray
     n_window: np.ndarray
+    neighbors: np.ndarray
 
     @property
     def defined(self) -> np.ndarray:
@@ -207,30 +212,20 @@ class PairTable:
         return tuple(self.count.tolist())
 
 
-# Points per block of the 1-D sweep in pair_table: blocks amortize the
-# per-call cost of the sweep over small realizations while their candidate
-# arrays stay small.  A larger realization forms a block of its own.
+# Points per block of the 1-D sweep: blocks amortize the per-call cost of
+# the sweep over small realizations while their candidate arrays stay
+# small.  A larger realization forms a block of its own.
 _BLOCK_POINTS = 2048
 
 
-def pair_table(
-    patterns: Sequence[PointPattern], win: Window, band: Band, f: MarkFunction
-) -> PairTable:
-    """Enumerate each realization's pairs in the band once and tabulate their sums.
-
-    In d = 1 consecutive realizations are swept together, in blocks of at
-    most ``_BLOCK_POINTS`` points; the table is bit for bit the one that
-    :func:`~mppstat.core.pair_sums` gives realization by realization.
-    """
-    if not patterns:
-        raise InputError("at least one realization is required")
-    patterns = tuple(patterns)
-    if win.dim == 1 and band.signed and all(p.dim == 1 for p in patterns):
-        return PairTable(patterns, win, band, *_sums_1d(patterns, float(win.t[0]), band, f))
-    sums = [pair_sums(p, win, band, f) for p in patterns]
-    num, den, count = (np.array(col) for col in zip(*sums))
-    n_window = np.array([np.count_nonzero(_t1_mask(p, win)) for p in patterns])
-    return PairTable(patterns, win, band, num, den, count, n_window)
+def _as_batch(realizations: PatternBatch | Sequence[PointPattern], win: Window,
+              band: Band) -> PatternBatch:
+    batch = (realizations if isinstance(realizations, PatternBatch)
+             else PatternBatch.from_patterns(realizations))
+    if win.dim != batch.dim:
+        raise InputError(f"window dim {win.dim} != pattern dim {batch.dim}")
+    band.require_dim(batch.dim)
+    return batch
 
 
 def _blocks(n_points: np.ndarray):
@@ -244,38 +239,72 @@ def _blocks(n_points: np.ndarray):
     yield first, len(n_points)
 
 
-def _sums_1d(patterns: tuple[PointPattern, ...], t: float, band: Band, f: MarkFunction):
-    """(num, den, count, n_window) columns of 1-D realizations, one sweep per block."""
-    n_points = np.array([p.n_points for p in patterns], dtype=np.int64)
-    num, den = np.zeros(len(patterns)), np.zeros(len(patterns))
-    count, n_window = np.zeros_like(n_points), np.zeros_like(n_points)
-    for k0, k1 in _blocks(n_points):
-        block = patterns[k0:k1]
-        starts = np.concatenate(([0], np.cumsum(n_points[k0:k1])))
-        x = np.concatenate([p.locations[:, 0] for p in block])
-        t1_ok = (x >= 0.0) & (x <= t)
+def _sweep(batch: PatternBatch, win: Window, band: Band):
+    """Enumerate each realization's band pairs once, a block of realizations at a time.
+
+    Yields ``(k0, k1, ends, t1_ok, ii, jj)`` for consecutive realizations
+    k0..k1-1, whose points are rows ``batch.starts[k0]:batch.starts[k1]``
+    (the block).  `t1_ok` flags the block's points in [0, T], and ii, jj
+    index the block's points, grouped by realization: realization k0 + r
+    owns pairs ``ends[r]:ends[r+1]``, in the order of a sweep over it
+    alone.  In d = 1 blocks hold up to ``_BLOCK_POINTS`` points; in
+    d > 1 each realization is its own block.
+    """
+    starts = batch.starts
+    if batch.dim == 1:
+        blocks = _blocks(np.diff(starts))
+    else:
+        blocks = ((k, k + 1) for k in range(batch.n_realizations))
+    for k0, k1 in blocks:
+        a, b = starts[k0], starts[k1]
+        loc = batch.locations[a:b]
+        t1_ok = np.all((loc >= 0.0) & (loc <= win.t), axis=1)
+        local = starts[k0:k1 + 1] - a
+        if batch.dim == 1:
+            ii, jj = _pairs_sorted_1d(loc[:, 0], local, t1_ok, band)
+            ends = np.searchsorted(ii, local)
+        else:
+            ii, jj = _pairs_tree(loc, t1_ok, band)
+            ends = np.array([0, ii.size])
+        yield k0, k1, ends, t1_ok, ii, jj
+        del ii, jj, ends  # a block's pairs are freed before the next block is swept
+
+
+def _slice_sums(values: np.ndarray, ends: np.ndarray) -> list[float]:
+    """Sum of each slice ``values[ends[r]:ends[r+1]]``, as numpy sums over the slice alone."""
+    return [values[a:b].sum() for a, b in zip(ends[:-1].tolist(), ends[1:].tolist())]
+
+
+def pair_table(
+    realizations: PatternBatch | Sequence[PointPattern], win: Window, band: Band,
+    f: MarkFunction,
+) -> PairTable:
+    """Enumerate each realization's pairs in the band once and tabulate their sums.
+
+    `realizations` is a :class:`~mppstat.core.PatternBatch` or a sequence
+    of patterns.  The table is bit for bit the one that
+    :func:`~mppstat.core.pair_sums` gives realization by realization.
+    """
+    batch = _as_batch(realizations, win, band)
+    n = batch.n_realizations
+    num, den = np.zeros(n), np.zeros(n)
+    count, n_window = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    # int32: one column entry per point of the batch, and no point has 2^31 neighbors
+    neighbors = np.zeros(batch.starts[-1], dtype=np.int32)
+    for k0, k1, ends, t1_ok, ii, jj in _sweep(batch, win, band):
+        a, b = batch.starts[k0], batch.starts[k1]
         in_win = np.concatenate(([0], np.cumsum(t1_ok)))
-        n_window[k0:k1] = np.diff(in_win[starts])
-        ii, jj = _pairs_sorted_1d(x, starts, t1_ok, band)
+        n_window[k0:k1] = np.diff(in_win[batch.starts[k0:k1 + 1] - a])
         if ii.size == 0:
             continue
-
-        def locate(i, j):
-            r = int(np.searchsorted(starts, i, side="right")) - 1
-            return block[r], i - starts[r], j - starts[r]
-
-        y = np.concatenate([p.y for p in block])
-        vals = _pair_values(f, y, ii, jj, locate)
-        z1 = np.concatenate([p.z for p in block])[ii]
-        z1f = z1 * vals
-        # pairs are grouped by realization: i ascends; each realization's
-        # sums are numpy sums over its own slice, as pair_sums takes them
-        ends = np.searchsorted(ii, starts)
+        neighbors[a:b] = np.bincount(ii, minlength=b - a)
+        vals = _pair_values(f, batch.locations[a:b], batch.y[a:b], batch.z[a:b], ii, jj)
+        z1 = batch.z[a:b][ii]
         count[k0:k1] = np.diff(ends)
-        for k, a, b in zip(range(k0, k1), ends[:-1].tolist(), ends[1:].tolist()):
-            num[k] = z1f[a:b].sum()
-            den[k] = z1[a:b].sum()
-    return num, den, count, n_window
+        num[k0:k1] = _slice_sums(z1 * vals, ends)
+        den[k0:k1] = _slice_sums(z1, ends)
+        del ii, jj, vals, z1, ends
+    return PairTable(batch, win, band, num, den, count, n_window, neighbors)
 
 
 def mean_mark_avg(table: PairTable) -> EstimateResult:
@@ -342,7 +371,7 @@ def mean_mark_pooled(table: PairTable) -> EstimateResult:
             table.band,
             table.pair_counts,
             per_realization=table.values.tolist(),
-            exclusions=len(table.patterns),
+            exclusions=table.batch.n_realizations,
         )
     return mean_mark_weighted(table, counts)
 

@@ -23,24 +23,32 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Band, InputError, PointPattern, Window, band_pair_indices
+from .core import Band, InputError, PatternBatch, PointPattern, Window
 from .markfn import MarkFunction, ThresholdFamily, threshold_family
-from .est import mean_mark
+from .est import _as_batch, _slice_sums, _sweep, mean_mark
 
-__all__ = ["confidence_interval", "convergence_curve", "clt_experiment"]
+__all__ = ["confidence_interval", "convergence_curve", "clt_experiment", "threshold_sums"]
 
 
-def _threshold_sums(
-    pattern: PointPattern, win: Window, band: Band, family: ThresholdFamily
-) -> tuple[float, float]:
-    """(sum of excess(y1), sum of indicator(y1)) over qualifying pairs."""
-    if pattern.dim != 1:
+def threshold_sums(
+    realizations: PatternBatch | Sequence[PointPattern], win: Window, band: Band,
+    family: ThresholdFamily,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-realization (sum of excess(y1), sum of indicator(y1)) over qualifying pairs.
+
+    Both columns reduce the pairs of one blocked sweep
+    (:func:`~mppstat.est.pair_table`'s), each realization's sums being
+    numpy sums over its own pairs in the order of a sweep over it alone.
+    """
+    batch = _as_batch(realizations, win, band)
+    if batch.dim != 1:
         raise InputError("inference is defined for d=1 patterns only")
-    ii, _ = band_pair_indices(pattern, win, band)
-    if ii.size == 0:
-        return 0.0, 0.0
-    y1 = pattern.y[ii]
-    return float(np.sum(family.excess(y1))), float(np.sum(family.indicator(y1)))
+    s, d = np.zeros(batch.n_realizations), np.zeros(batch.n_realizations)
+    for k0, k1, ends, _, ii, _ in _sweep(batch, win, band):
+        y1 = batch.y[batch.starts[k0]:batch.starts[k1]][ii]
+        s[k0:k1] = _slice_sums(family.excess(y1), ends)
+        d[k0:k1] = _slice_sums(family.indicator(y1), ends)
+    return s, d
 
 
 def _reduce_sums(
@@ -110,7 +118,7 @@ def convergence_curve(
 
 
 def clt_experiment(
-    patterns: Sequence[PointPattern],
+    realizations: PatternBatch | Sequence[PointPattern],
     win: Window,
     band: Band,
     base_f: MarkFunction,
@@ -120,7 +128,7 @@ def clt_experiment(
     truth: float | None = None,
     group_size: int | None = None,
 ) -> dict:
-    """Batch inference over many independent realizations.
+    """Batch inference over many independent realizations (a batch or patterns).
 
     Returns per-realization statistics (centered with `center`, or with
     the pooled conditional mean when None), the variance estimate, a
@@ -132,12 +140,11 @@ def clt_experiment(
     them.  The p-value and the skewness are NaN when fewer than two
     statistics are defined or their spread is at rounding level.
     """
-    n = len(patterns)
+    batch = _as_batch(realizations, win, band)
+    n = batch.n_realizations
     if n < 30:
         raise InputError(f"variance estimation needs >= 30 realizations, got {n}")
-    family = threshold_family(base_f, u)
-    sums = np.array([_threshold_sums(p, win, band, family) for p in patterns])
-    s, d = sums[:, 0], sums[:, 1]
+    s, d = threshold_sums(batch, win, band, threshold_family(base_f, u))
     c, alpha_star, s_hat, lam_hat = _reduce_sums(s, d, center, win.volume)
     with np.errstate(divide="ignore", invalid="ignore"):
         stat = np.where(d > 0, alpha_star / np.sqrt(d), np.nan)

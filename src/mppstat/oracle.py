@@ -40,7 +40,7 @@ from .sim import (
     MixtureSpec,
     PoissonGround,
     matern2_retained_intensity,
-    sample_mixture,
+    sample_batch,
     unit_ball_volume,
 )
 
@@ -244,18 +244,17 @@ def monte_carlo_mean_mark(
     if win is None:
         win = Window(np.full(spec.dim, 20.0))
     sim_win = buffered_window(win, band) if order == 2 else win.box()
-    patterns = [pattern for pattern, _ in sample_mixture(spec, sim_win, n_mc, seed)]
+    batch = sample_batch(spec, sim_win, n_mc, seed)
     if order == 2:
-        table = pair_table(patterns, win, band, f)
+        table = pair_table(batch, win, band, f)
         nums, dens = table.num, table.den
     else:
         nums = np.empty(n_mc)
         dens = np.empty(n_mc)
-        for i, pattern in enumerate(patterns):
-            inside = np.all(
-                (pattern.locations >= 0.0) & (pattern.locations <= win.t), axis=1
-            )
-            y, z = pattern.y[inside], pattern.z[inside]
+        for i, (a, b) in enumerate(zip(batch.starts[:-1].tolist(), batch.starts[1:].tolist())):
+            loc = batch.locations[a:b]
+            inside = np.all((loc >= 0.0) & (loc <= win.t), axis=1)
+            y, z = batch.y[a:b][inside], batch.z[a:b][inside]
             nums[i] = float(np.sum(z * f(y, y)))
             dens[i] = float(np.sum(z))
     if target == "pooled":

@@ -24,7 +24,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .core import InputError, NumericError, PointPattern, SimWindow
+from .core import InputError, NumericError, PatternBatch, PointPattern, SimWindow
 
 __all__ = [
     "PoissonGround",
@@ -41,6 +41,7 @@ __all__ = [
     "matern2_retained_intensity",
     "sample_ground",
     "sample_marks",
+    "sample_batch",
     "sample_mixture",
     "mixture_to_json",
     "mixture_from_json",
@@ -90,8 +91,8 @@ class GridGround:
     """Lattice with fixed spacing; each node jittered uniformly in [-jitter, jitter]^d.
 
     The lattice is anchored at the window's lower corner, so with zero
-    jitter the output is fully deterministic.  Jittered nodes that leave
-    the window are dropped.
+    jitter the output is fully deterministic.  Nodes that leave the window
+    (by jitter, or by rounding of the last node) are dropped.
     """
 
     spacing: float
@@ -325,7 +326,8 @@ def _sample_poisson(intensity: float, window: SimWindow, rng: np.random.Generato
             f"cannot sample a Poisson ground with {expected:.3g} expected points "
             f"(intensity {intensity:.3g} on a window of volume {window.volume:.3g})"
         ) from exc
-    return rng.uniform(window.lo, window.hi, size=(n, window.dim))
+    # the same bits as rng.uniform(lo, hi, size), with less per-call overhead
+    return window.lo + (window.hi - window.lo) * rng.random((n, window.dim))
 
 
 def _sample_hardcore(spec: HardcoreGround, window: SimWindow, rng: np.random.Generator) -> np.ndarray:
@@ -366,8 +368,8 @@ def _sample_grid(spec: GridGround, window: SimWindow, rng: np.random.Generator) 
     nodes = np.stack([m.ravel() for m in mesh], axis=1)
     if spec.jitter > 0:
         nodes = nodes + rng.uniform(-spec.jitter, spec.jitter, size=nodes.shape)
-        nodes = nodes[window.contains(nodes)]
-    return nodes
+    # lo + spacing * (count - 1) may round past hi even without jitter
+    return nodes[window.contains(nodes)]
 
 
 def sample_ground(spec: GroundSpec, sim_window: SimWindow, seed) -> np.ndarray:
@@ -527,17 +529,18 @@ class MixtureSpec:
         return np.array([c.p for c in self.classes])
 
 
-def sample_mixture(
+def sample_batch(
     spec: MixtureSpec, sim_window: SimWindow, n_realizations: int, seed
-) -> list[tuple[PointPattern, int]]:
-    """Draw independent realizations of the mixture.
+) -> PatternBatch:
+    """Draw independent realizations of the mixture as one :class:`PatternBatch`.
 
     For each realization a class is drawn with its probability, then the
-    class's ground and marks are sampled.  The realized class index is
-    returned for oracle validation; estimators must not look at it.
-    Realization i uses the seed stream (seed, i) (`seed` may be an int or
-    a tuple of ints), so outputs are bit-exact reproducible and
-    realizations never share generator state.
+    class's ground and marks are sampled.  The realized class indices are
+    kept in ``batch.classes`` for oracle validation; estimators must not
+    look at them.  Realization i uses the seed stream (seed, i) (`seed`
+    may be an int or a tuple of ints), so outputs are bit-exact
+    reproducible and realizations never share generator state.  The
+    batch is checked once, with the messages of :class:`PointPattern`.
     """
     if n_realizations < 1:
         raise InputError("n_realizations must be >= 1")
@@ -545,16 +548,31 @@ def sample_mixture(
         raise InputError(f"window dim {sim_window.dim} != spec dim {spec.dim}")
     entropy = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
     cum = np.cumsum(spec.probabilities())
-    out = []
+    locs, ys, zs, classes = [], [], [], []
     for i in range(n_realizations):
         rng = np.random.default_rng(np.random.SeedSequence(entropy + (i,)))
         k = int(np.searchsorted(cum, rng.random(), side="right"))
         k = min(k, spec.n_classes - 1)
         cls = spec.classes[k]
-        locs = sample_ground(cls.ground, sim_window, rng)
-        y, z = sample_marks(locs, cls.marks, rng, z_rule=cls.z_rule)
-        out.append((PointPattern(locs, y, z, sim_window), k))
-    return out
+        loc = sample_ground(cls.ground, sim_window, rng)
+        y, z = sample_marks(loc, cls.marks, rng, z_rule=cls.z_rule)
+        if y.shape != (loc.shape[0],) or z.shape != y.shape:
+            raise InputError("y and z must be 1-d with one entry per point")
+        locs.append(loc)
+        ys.append(y)
+        zs.append(z)
+        classes.append(k)
+    starts = np.cumsum([0] + [y.size for y in ys])
+    return PatternBatch(np.concatenate(locs), np.concatenate(ys), np.concatenate(zs),
+                        starts, sim_window, classes)
+
+
+def sample_mixture(
+    spec: MixtureSpec, sim_window: SimWindow, n_realizations: int, seed
+) -> list[tuple[PointPattern, int]]:
+    """:func:`sample_batch` as a list of (pattern, class index) pairs."""
+    batch = sample_batch(spec, sim_window, n_realizations, seed)
+    return [(batch.pattern(k), int(batch.classes[k])) for k in range(n_realizations)]
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +582,7 @@ def sample_mixture(
 MIXTURE_SCHEMA = {
     "type": "object",
     "required": ["classes"],
+    "additionalProperties": False,
     "properties": {
         "dim": {"type": "integer", "minimum": 1},
         "classes": {
@@ -572,6 +591,7 @@ MIXTURE_SCHEMA = {
             "items": {
                 "type": "object",
                 "required": ["p", "ground", "marks"],
+                "additionalProperties": False,
                 "properties": {
                     "p": {"type": "number", "exclusiveMinimum": 0},
                     "ground": {"type": "object", "required": ["kind"]},

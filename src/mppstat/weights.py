@@ -15,8 +15,9 @@ Shipped strategies:
   covariance model; the general variance-minimizing choice when marks are
   independent of locations.
 
-Strategies are evaluated on a :class:`~mppstat.est.PairTable`, whose pair
-and point counts the ``alpha`` and ``count`` strategies read directly.
+Strategies are evaluated on a :class:`~mppstat.est.PairTable`, whose pair,
+point and per-point neighbor counts the ``alpha``, ``count`` and ``rfvar``
+strategies read directly.
 Callers with weights of their own pass them to
 :func:`~mppstat.est.mean_mark_weighted`.
 
@@ -32,8 +33,9 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Band, InputError, PointPattern, Window, band_pair_indices
-from .est import PairTable
+from .core import Band, InputError, PointPattern, Window
+from .est import PairTable, pair_table
+from .markfn import builtin
 from .sim import banded_covariance
 
 __all__ = [
@@ -77,11 +79,7 @@ def neighbor_counts(pattern: PointPattern, win: Window, band: Band) -> np.ndarra
     t in the band, t2 anywhere in the simulation window.  Points outside
     [0, T] get count zero.
     """
-    ii, _ = band_pair_indices(pattern, win, band)
-    counts = np.zeros(pattern.n_points, dtype=np.int64)
-    if ii.size:
-        np.add.at(counts, ii, 1)
-    return counts
+    return pair_table([pattern], win, band, builtin("const_one")).neighbors
 
 
 def mean_mark_conditional_variance(
@@ -109,17 +107,25 @@ def mean_mark_conditional_variance(
     above it), which holds a callable without a `cov_range` to about 1000
     active points.
     """
+    _check_cov(cov)
+    return _conditional_variance(pattern.locations, neighbor_counts(pattern, win, band), cov)
+
+
+def _check_cov(cov) -> None:
     c0 = float(np.asarray(cov(np.zeros(1)))[0])
     if not np.isfinite(c0) or c0 < 0:
         raise InputError(f"cov(0) must be finite and >= 0, got {c0!r}")
-    counts = neighbor_counts(pattern, win, band)
+
+
+def _conditional_variance(locations: np.ndarray, counts: np.ndarray, cov) -> float:
+    """The variance of :func:`mean_mark_conditional_variance` from per-point neighbor counts."""
     active = counts > 0
     total = float(counts.sum())
     if total == 0.0:
         return float("nan")
     # n' C n over the diagonals of the banded (symmetric) covariance
     reach = getattr(cov, "cov_range", np.inf)
-    order, ab = banded_covariance(pattern.locations[active], cov, reach)
+    order, ab = banded_covariance(locations[active], cov, reach)
     w = counts[active][order].astype(np.float64)
     quad = float(ab[0] @ (w * w))
     for k in range(1, ab.shape[0]):
@@ -130,21 +136,26 @@ def mean_mark_conditional_variance(
 def compute_weights(strategy: WeightStrategy, table: PairTable) -> np.ndarray:
     """Evaluate a weight strategy on the realizations of a pair table.
 
-    All strategies return finite non-negative weights.  The rfvar strategy
-    assigns weight zero (with a warning) to realizations whose conditional
-    variance is undefined because they have no qualifying pairs.
+    All strategies return finite non-negative weights: ``equal`` ones,
+    ``alpha`` and ``count`` the table's pair and point counts per unit
+    window volume, and ``rfvar`` the reciprocal conditional variance
+    computed from the table's per-point neighbor counts, with no second
+    pair enumeration.  The rfvar strategy assigns weight zero (with a
+    warning) to realizations whose conditional variance is undefined
+    because they have no qualifying pairs.
     """
-    patterns, win, band = table.patterns, table.win, table.band
-    n = len(patterns)
+    batch, volume = table.batch, table.win.volume
+    n = batch.n_realizations
     if strategy.kind == "equal":
         return np.ones(n)
     if strategy.kind == "alpha":
-        return table.count / win.volume
+        return table.count / volume
     if strategy.kind == "count":
-        return table.n_window / win.volume
+        return table.n_window / volume
+    _check_cov(strategy.cov)
     out = np.empty(n)
-    for k, p in enumerate(patterns):
-        v = mean_mark_conditional_variance(p, win, band, strategy.cov)
+    for k, (a, b) in enumerate(zip(batch.starts[:-1].tolist(), batch.starts[1:].tolist())):
+        v = _conditional_variance(batch.locations[a:b], table.neighbors[a:b], strategy.cov)
         if not np.isfinite(v) or v <= 0.0:
             warnings.warn(
                 f"realization {k}: conditional variance undefined or zero; weight set to 0",

@@ -37,10 +37,11 @@ from mppstat import (
     neighbor_counts,
     pair_sums,
     pair_table,
+    sample_batch,
     sample_mixture,
     threshold_excess_mean,
 )
-from mppstat.infer import _threshold_sums
+from mppstat.infer import threshold_sums
 from mppstat.markfn import threshold_family
 
 from helpers import DYADIC, pattern_1d, random_band, random_pattern, sorted_pairs
@@ -181,8 +182,7 @@ def test_c5_clt_normality_and_coverage():
     sums = []
     for chunk in range(10):
         sums.extend(
-            _threshold_sums(p, win, BAND, fam)
-            for p, _ in sample_mixture(spec, sw, 200, (20260506, chunk))
+            zip(*threshold_sums(sample_batch(spec, sw, 200, (20260506, chunk)), win, BAND, fam))
         )
     sums = np.array(sums)
     stat = (sums[:, 0] - truth * sums[:, 1]) / np.sqrt(sums[:, 1])
@@ -194,13 +194,9 @@ def test_c5_clt_normality_and_coverage():
     n_exp, n_per = 1000, 100
     hits = 0
     for g in range(n_exp):
-        arr = np.array(
-            [
-                _threshold_sums(p, win, BAND, fam)
-                for p, _ in sample_mixture(spec, sw, n_per, (20260507, g))
-            ]
+        s_sum, d_sum = threshold_sums(
+            sample_batch(spec, sw, n_per, (20260507, g)), win, BAND, fam
         )
-        s_sum, d_sum = arr[:, 0], arr[:, 1]
         point = s_sum.sum() / d_sum.sum()
         s_hat = float(np.var(s_sum - point * d_sum, ddof=1)) / float(d_sum.mean())
         lam = float(d_sum.mean()) / win.volume

@@ -216,15 +216,13 @@ class TestEstimate:
         assert len(out.read_text().strip().splitlines()) == 1 + 3 * 3
 
     def test_one_enumeration_per_realization_and_band(self, tmp_path, monkeypatch):
-        # avg, pooled and both count-based weightings share one pair table per
-        # band, and the table sweeps each realization once, inside a block
-        estimators = [{"name": "avg"}, {"name": "pooled"},
-                      {"name": "weighted", "weights": "alpha"},
-                      {"name": "weighted", "weights": "count"}]
-        cfg_path = small_config(tmp_path, n_realizations=6, n_replicates=1,
-                                bands=[[0.5, 1.5], [-1.5, -0.5]], estimators=estimators)
-        sweeps = []
+        # every estimator and weighting, rfvar included, shares one pair
+        # table per band, whose sweep covers each realization once inside a
+        # block; infer clt sweeps its one band once.  No command enumerates
+        # a single pattern again.
+        sweeps, single = [], []
         original = core._pairs_sorted_1d
+        single_pattern = core.band_pair_indices
 
         def counting_sweep(x, starts, t1_ok, band):
             sweeps.append((band.lo, x.tobytes(), starts.tolist()))
@@ -233,17 +231,66 @@ class TestEstimate:
         for module in vars(mppstat).values():
             if getattr(module, "_pairs_sorted_1d", None) is original:
                 monkeypatch.setattr(module, "_pairs_sorted_1d", counting_sweep)
-        assert main(["estimate", "--config", str(cfg_path), "--out", str(tmp_path / "e")]) == 0
-        cfg = load_config(cfg_path)
-        spec = mppstat.mixture_from_json(cfg["spec"])
-        bands = [core.Band(*b) for b in cfg["bands"]]
-        sim_win = core.buffered_window(core.Window(cfg["window"]), bands)
-        patterns = [p for p, _ in mppstat.sample_mixture(spec, sim_win, 6, (cfg["seed"], 0))]
-        every_x = b"".join(p.locations[:, 0].tobytes() for p in patterns)
-        for band in bands:
-            mine = [(x, starts) for lo, x, starts in sweeps if lo == band.lo]
-            assert b"".join(x for x, _ in mine) == every_x
-            assert sum(len(starts) - 1 for _, starts in mine) == 6
+            if getattr(module, "band_pair_indices", None) is single_pattern:
+                monkeypatch.setattr(module, "band_pair_indices",
+                                    lambda *args: single.append(args) or single_pattern(*args))
+
+        def assert_one_sweep(cfg_path, n, seed, bands):
+            cfg = load_config(cfg_path)
+            spec = mppstat.mixture_from_json(cfg["spec"])
+            sim_win = core.buffered_window(core.Window(cfg["window"]), bands)
+            patterns = [p for p, _ in mppstat.sample_mixture(spec, sim_win, n, seed)]
+            every_x = b"".join(p.locations[:, 0].tobytes() for p in patterns)
+            for band in bands:
+                mine = [(x, starts) for lo, x, starts in sweeps if lo == band.lo]
+                assert b"".join(x for x, _ in mine) == every_x
+                assert sum(len(starts) - 1 for _, starts in mine) == n
+            assert single == []
+            sweeps.clear()
+
+        estimators = [{"name": "avg"}, {"name": "pooled"},
+                      {"name": "weighted", "weights": "alpha"},
+                      {"name": "weighted", "weights": "count"},
+                      {"name": "weighted", "weights": "rfvar"}]
+        cfg_path = small_config(tmp_path, n_realizations=6, n_replicates=1,
+                                bands=[[0.5, 1.5], [-1.5, -0.5]], estimators=estimators)
+        assert main(["estimate", "--config", str(cfg_path), "--out", str(tmp_path / "e"),
+                     "--cov-model", "spherical", "--cov-params", "1.0,0.5"]) == 0
+        seed = load_config(cfg_path)["seed"]
+        assert_one_sweep(cfg_path, 6, (seed, 0),
+                         [core.Band(0.5, 1.5), core.Band(-1.5, -0.5)])
+
+        doc = json.loads((CONFIGS / "clt_grid_field.json").read_text())
+        doc["window"] = 20.0
+        doc["clt"].update(n_seeds=30, group_size=30)
+        clt_path = tmp_path / "clt.json"
+        clt_path.write_text(json.dumps(doc))
+        assert main(["infer", "clt", "--config", str(clt_path),
+                     "--out", str(tmp_path / "clt")]) == 0
+        assert_one_sweep(clt_path, 30, doc["seed"], [core.Band(*doc["bands"][0])])
+
+    def test_estimate_from_simulated_files_equals_estimate_from_sampler(self, tmp_path,
+                                                                        monkeypatch):
+        # simulate draws realization i from the stream (seed, i) and estimate
+        # from (seed, r, i); with the streams aligned, reading the files back
+        # must give the sampler's results byte for byte
+        estimators = [{"name": "avg"}, {"name": "pooled"},
+                      {"name": "weighted", "weights": "count"},
+                      {"name": "weighted", "weights": "rfvar"}]
+        cfg_path = small_config(tmp_path, n_realizations=12, n_replicates=1,
+                                bands=[[0.5, 1.5], [-1.5, -0.5]], estimators=estimators)
+        rfvar = ["--cov-model", "spherical", "--cov-params", "1.0,0.5"]
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "sim")]) == 0
+        assert main(["estimate", "--config", str(cfg_path), "--patterns", str(tmp_path / "sim"),
+                     "--out", str(tmp_path / "from_files"), *rfvar]) == 0
+        sample_batch = sim.sample_batch
+        monkeypatch.setattr(sim, "sample_batch",
+                            lambda spec, win, n, seed: sample_batch(spec, win, n, seed[0]))
+        assert main(["estimate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "from_sampler"), *rfvar]) == 0
+        from_files = _strip_runtime(tmp_path / "from_files" / "results.csv")
+        assert from_files == _strip_runtime(tmp_path / "from_sampler" / "results.csv")
+        assert len(from_files) == 1 + 2 * len(estimators)
 
     def test_malformed_pattern_file_names_file_and_line(self, tmp_path):
         cfg = load_config(small_config(tmp_path, n_realizations=2, n_replicates=1))
@@ -290,6 +337,26 @@ class TestMain:
         path = tmp_path / "bad.json"
         path.write_text("{\"spec\": 3}")
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+
+    def test_misspelt_config_key_exit_2(self, tmp_path, capsys):
+        doc = json.loads((CONFIGS / "vwap_two_regimes.json").read_text())
+        doc["n_replicatse"] = doc.pop("n_replicates")
+        cfg_path = tmp_path / "typo.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["estimate", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+        assert "'n_replicatse' was unexpected" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    def test_infinite_mark_parameter_exit_2(self, tmp_path, capsys, command):
+        cfg_path = small_config(tmp_path, n_realizations=2, n_replicates=1)
+        doc = json.loads(cfg_path.read_text())
+        for cls in doc["spec"]["classes"]:
+            cls["marks"]["params"][0] = float("inf")
+        cfg_path.write_text(json.dumps(doc))  # written as Infinity
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "marks y must be finite" in err
 
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["estimate", "--config", str(tmp_path / "none.json"),

@@ -9,6 +9,7 @@ from mppstat import (
     Band,
     InputError,
     NumericError,
+    PatternBatch,
     PointPattern,
     SimWindow,
     Window,
@@ -63,18 +64,20 @@ class TestValidation:
         "simple": "pattern is not simple: duplicate locations",
     }
 
-    @pytest.mark.parametrize("dim", [1, 2])
-    @pytest.mark.parametrize("check,bad", [
+    CASES = [
         ("location", np.nan), ("location", np.inf), ("location", -np.inf),
         ("y", np.nan), ("y", np.inf),
         ("z", np.nan), ("z", np.inf), ("z", -np.inf), ("z", -0.5),
         ("window", 1.5), ("window", -0.25),
         ("simple", None),
-    ])
-    def test_messages_in_check_order(self, dim, check, bad):
+    ]
+
+    @classmethod
+    def broken(cls, dim, check, bad):
+        """Three points (loc, y, z) that fail `check` and every later check."""
         loc = np.tile(np.array([[0.25], [0.5], [0.75]]), (1, dim))
         y, z = np.array([1.0, 2.0, 3.0]), np.ones(3)
-        order = list(self.MESSAGES)
+        order = list(cls.MESSAGES)
         later = order[order.index(check):]
         if "simple" in later:
             loc[2] = loc[1]
@@ -86,8 +89,44 @@ class TestValidation:
             y[0] = bad if check == "y" else np.nan
         if check == "location":
             loc[0, 0] = bad
+        return loc, y, z
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("check,bad", CASES)
+    def test_messages_in_check_order(self, dim, check, bad):
+        loc, y, z = self.broken(dim, check, bad)
         with pytest.raises(InputError, match=f"^{re.escape(self.MESSAGES[check])}$"):
             PointPattern(loc, y, z, SimWindow.cube(0.0, 1.0, dim))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("check,bad", CASES)
+    def test_batch_messages_in_check_order(self, dim, check, bad):
+        # the broken points are the second realization of a batch
+        loc, y, z = self.broken(dim, check, bad)
+        good = np.full((2, dim), 0.125) + np.array([[0.0], [0.5]])
+        with pytest.raises(InputError, match=f"^{re.escape(self.MESSAGES[check])}$"):
+            PatternBatch(np.vstack([good, loc]), np.concatenate([[0.0, 0.0], y]),
+                         np.concatenate([[1.0, 1.0], z]), [0, 2, 5], SimWindow.cube(0.0, 1.0, dim))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_batch_location_shared_across_realizations_is_simple(self, dim):
+        loc = np.full((4, dim), 0.5)
+        loc[1] = loc[3] = 0.25
+        batch = PatternBatch(loc, np.ones(4), np.ones(4), [0, 2, 4], SimWindow.cube(0.0, 1.0, dim))
+        assert batch.n_realizations == 2
+        assert batch.pattern(1).locations.tobytes() == loc[2:].tobytes()
+
+    def test_batch_from_patterns(self):
+        a = pattern_1d([0.0, 2.0], y=[1.0, 2.0], lo=-1.0, hi=2.0)
+        b = pattern_1d([0.5], y=[3.0], z=[0.25], lo=0.0, hi=4.0)
+        batch = PatternBatch.from_patterns([a, b])
+        assert batch.starts.tolist() == [0, 2, 3]
+        assert batch.locations[:, 0].tolist() == [0.0, 2.0, 0.5]
+        assert (batch.y.tolist(), batch.z.tolist()) == ([1.0, 2.0, 3.0], [1.0, 1.0, 0.25])
+        assert (batch.sim_window.lo.tolist(), batch.sim_window.hi.tolist()) == ([-1.0], [4.0])
+        assert batch.classes is None
+        with pytest.raises(InputError, match="at least one realization"):
+            PatternBatch.from_patterns([])
 
     def test_points_outside_window_rejected(self):
         with pytest.raises(InputError):

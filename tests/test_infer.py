@@ -9,6 +9,7 @@ from scipy import stats
 
 from mppstat import (
     Band,
+    band_pair_indices,
     GaussianFieldMarks,
     GridGround,
     IidMarks,
@@ -22,11 +23,12 @@ from mppstat import (
     clt_experiment,
     confidence_interval,
     convergence_curve,
+    sample_batch,
     sample_mixture,
     threshold_excess_mean,
     threshold_family,
 )
-from mppstat.infer import _reduce_sums, _threshold_sums
+from mppstat.infer import _reduce_sums, threshold_sums
 
 from helpers import pattern_1d
 
@@ -47,9 +49,21 @@ def simulate(spec, t_extent, n, seed):
 
 
 def sums_of(patterns, win, u, band=BAND):
-    fam = threshold_family(FIRST, u)
-    sums = np.array([_threshold_sums(p, win, band, fam) for p in patterns])
-    return sums[:, 0], sums[:, 1]
+    return threshold_sums(patterns, win, band, threshold_family(FIRST, u))
+
+
+class TestThresholdSums:
+    def test_equal_to_per_pattern_enumeration(self):
+        # 40 realizations of about 62 points: two blocks of the sweep
+        win = Window(60.0)
+        batch = sample_batch(grid_field_spec(), buffered_window(win, BAND), 40, seed=90)
+        fam = threshold_family(FIRST, 0.3)
+        s, d = threshold_sums(batch, win, BAND, fam)
+        for k in range(batch.n_realizations):
+            p = batch.pattern(k)
+            y1 = p.y[band_pair_indices(p, win, BAND)[0]]
+            assert s[k] == float(np.sum(fam.excess(y1)))
+            assert d[k] == float(np.sum(fam.indicator(y1)))
 
 
 class TestCltConfig:
@@ -79,7 +93,7 @@ class TestCenteredPairSum:
 
     def test_threshold_above_all_marks(self):
         pat = pattern_1d([0.0, 1.0, 2.0], y=[1.0, 2.0, 1.5], lo=0.0, hi=3.0)
-        s, d = _threshold_sums(pat, Window(3.0), BAND, threshold_family(FIRST, 50.0))
+        (s,), (d,) = threshold_sums([pat], Window(3.0), BAND, threshold_family(FIRST, 50.0))
         assert s - 3.0 * d == 0.0
 
     def test_oracle_centered_mean_is_zero(self):
@@ -163,7 +177,7 @@ class TestEstimateVariance:
 
         def bootstrap_ci(pats, n_boot=300):
             fam = threshold_family(FIRST, 0.0)
-            sums = np.array([_threshold_sums(p, win, BAND, fam) for p in pats])
+            sums = np.column_stack(threshold_sums(pats, win, BAND, fam))
             rng = np.random.default_rng(7)
             vals = []
             for _ in range(n_boot):
@@ -240,9 +254,7 @@ class TestNormalization:
         pats, win = simulate(spec, 500.0, 250, seed=80)
         lam_oracle = 0.5
         fam = threshold_family(FIRST, 0.0)
-        ratios = [
-            _threshold_sums(p, win, BAND, fam)[1] / (win.volume * lam_oracle) for p in pats
-        ]
+        ratios = threshold_sums(pats, win, BAND, fam)[1] / (win.volume * lam_oracle)
         assert 0.95 <= np.mean(ratios) <= 1.05
 
     def test_estimated_pair_rate_matches(self):

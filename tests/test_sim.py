@@ -1,7 +1,9 @@
 """Generators: determinism, hard constraints, and distributional sanity."""
 
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,17 +23,21 @@ from mppstat import (
     SimWindow,
     Window,
     banded_covariance,
+    buffered_window,
     covariance_model,
     matern2_retained_intensity,
     mean_mark_conditional_variance,
     mixture_from_json,
     mixture_to_json,
+    sample_batch,
     sample_ground,
     sample_marks,
     sample_mixture,
     spec_digest,
 )
-from mppstat.sim import _cholesky_with_jitter
+from mppstat.sim import _cholesky_with_jitter, _sample_poisson
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 WIN1 = SimWindow.cube(-1.0, 11.0, 1)
 
@@ -133,6 +139,18 @@ class TestGrid:
     def test_lattice_d2(self):
         locs = sample_ground(GridGround(0.5, 0.0), SimWindow.cube(0, 1, 2), seed=0)
         assert locs.shape == (9, 2)
+
+    def test_zero_jitter_node_rounded_past_the_window_is_dropped(self):
+        # 0 + 0.1 * 3 rounds to 0.30000000000000004 > 0.3
+        nodes = sample_ground(GridGround(0.1), SimWindow([0.0], [0.3]), seed=0)
+        assert nodes[:, 0].tolist() == [0.0, 0.1, 0.2]
+
+    def test_zero_jitter_grid_on_a_buffered_window(self):
+        spec = MixtureSpec((MixtureClass(1.0, GridGround(0.2), IidMarks("constant", (1.0,))),))
+        sw = buffered_window(Window(1.4), Band(0.5, 1.5))
+        batch = sample_batch(spec, sw, 2, seed=0)
+        assert batch.starts.tolist() == [0, 22, 44]
+        assert batch.locations.max() <= sw.hi[0]
 
     def test_jitter_must_stay_below_half_spacing(self):
         with pytest.raises(InputError):
@@ -354,6 +372,72 @@ class TestMixture:
             )
 
 
+def _realizations_one_by_one(spec, window, n, seed):
+    """The per-realization loop that sampled mixtures before the batch existed."""
+    entropy = tuple(seed) if isinstance(seed, tuple) else (seed,)
+    cum = np.cumsum(spec.probabilities())
+    out = []
+    for i in range(n):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy + (i,)))
+        k = min(int(np.searchsorted(cum, rng.random(), side="right")), spec.n_classes - 1)
+        cls = spec.classes[k]
+        locs = sample_ground(cls.ground, window, rng)
+        y, z = sample_marks(locs, cls.marks, rng, z_rule=cls.z_rule)
+        out.append((PointPattern(locs, y, z, window), k))
+    return out
+
+
+def _shipped_cases():
+    for path in sorted(CONFIGS.glob("*.json")):
+        cfg = json.loads(path.read_text())
+        spec = mixture_from_json(cfg["spec"])
+        bands = [Band(lo, hi, signed=spec.dim == 1) for lo, hi in cfg["bands"]]
+        window = buffered_window(Window(np.atleast_1d(cfg["window"])), bands)
+        yield pytest.param(spec, window, id=path.stem)
+
+
+def _ground_cases():
+    z_rule = IidMarks("uniform", (0.5, 1.5))
+    for dim in (1, 2):
+        window = SimWindow.cube(-1.5, 6.5 if dim == 2 else 30.0, dim)
+        for name, ground in (("poisson", PoissonGround(2.0)),
+                             ("hardcore", HardcoreGround(3.0, 0.3)),
+                             ("grid", GridGround(0.7)),
+                             ("jittered-grid", GridGround(0.7, 0.2))):
+            spec = MixtureSpec(
+                (MixtureClass(0.5, ground, GaussianFieldMarks(1.0, 2.0, 0.8), z_rule=z_rule),
+                 MixtureClass(0.5, PoissonGround(1.0), IidMarks("normal", (0.0, 1.0)))),
+                dim=dim,
+            )
+            yield pytest.param(spec, window, id=f"{name}-d{dim}")
+
+
+class TestBatch:
+    @pytest.mark.parametrize("spec,window", [*_shipped_cases(), *_ground_cases()])
+    def test_batch_equals_realizations_sampled_one_by_one(self, spec, window):
+        old = _realizations_one_by_one(spec, window, 12, (5, 1))
+        batch = sample_batch(spec, window, 12, (5, 1))
+        assert batch.starts.tolist() == np.cumsum([0] + [p.n_points for p, _ in old]).tolist()
+        assert batch.classes.tolist() == [k for _, k in old]
+        for column in ("locations", "y", "z"):
+            flat = np.concatenate([getattr(p, column) for p, _ in old])
+            assert getattr(batch, column).tobytes() == flat.tobytes()
+        for (p, k), (q, j) in zip(sample_mixture(spec, window, 12, (5, 1)), old):
+            assert k == j
+            for column in ("locations", "y", "z"):
+                assert getattr(p, column).tobytes() == getattr(q, column).tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_affine_draw_equals_uniform(self, dim):
+        window = SimWindow(np.linspace(-1.5, -0.25, dim), np.linspace(3.0, 7.75, dim))
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            n = int(rng.poisson(2.0 * window.volume))
+            expected = rng.uniform(window.lo, window.hi, size=(n, dim))
+            drawn = _sample_poisson(2.0, window, np.random.default_rng(seed))
+            assert drawn.tobytes() == expected.tobytes()
+
+
 class TestJson:
     def test_round_trip(self):
         spec = MixtureSpec(
@@ -379,6 +463,14 @@ class TestJson:
             )
         )
         assert mixture_from_json(mixture_to_json(spec)) == spec
+
+    def test_unknown_keys_rejected(self):
+        doc = mixture_to_json(two_class_spec())
+        with pytest.raises(InputError, match="'dimm' was unexpected"):
+            mixture_from_json({**doc, "dimm": 3})
+        doc["classes"][0]["ground_kind"] = "poisson"
+        with pytest.raises(InputError, match="'ground_kind' was unexpected"):
+            mixture_from_json(doc)
 
     def test_schema_rejects_garbage(self):
         with pytest.raises(InputError, match="invalid mixture spec"):

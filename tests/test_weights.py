@@ -1,6 +1,7 @@
 """Weight strategies, conditional variance of the estimator, and BLUE weights."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from mppstat import (
     SimWindow,
     WeightStrategy,
     Window,
+    band_pair_indices,
     blue_weights,
     builtin,
     compute_weights,
@@ -26,6 +28,7 @@ from mppstat import (
 )
 
 from helpers import pattern_1d, random_pattern
+from mppstat.weights import _conditional_variance
 
 FIRST = builtin("first")
 
@@ -68,6 +71,24 @@ class TestComputeWeights:
         v = mean_mark_conditional_variance(good, Window(2.0), Band(0.5, 1.5), cov)
         assert w[0] == pytest.approx(1.0 / v)
         assert w[1] == 0.0
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_rfvar_from_table_equals_per_pattern_enumeration(self, dim):
+        # the table's per-point neighbour counts, swept in blocks, give each
+        # realization the variance of its own enumeration, bit for bit
+        rng = np.random.default_rng(3)
+        pats = [random_pattern(rng, int(rng.integers(0, 60)), dim=dim, extent=6.0, buffer=1.5)
+                for _ in range(40)]
+        win = Window(np.full(dim, 6.0))
+        band = Band(-1.5, -0.5) if dim == 1 else Band.absolute(0.5, 1.5)
+        cov = covariance_model("spherical", 1.0, 0.8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # realizations without pairs
+            w = compute_weights(WeightStrategy("rfvar", cov=cov), pair_table(pats, win, band, FIRST))
+        for wk, p in zip(w, pats):
+            ii, _ = band_pair_indices(p, win, band)
+            v = _conditional_variance(p.locations, np.bincount(ii, minlength=p.n_points), cov)
+            assert wk == (1.0 / v if np.isfinite(v) and v > 0 else 0.0)
 
     def test_strategy_validation(self):
         with pytest.raises(InputError):
