@@ -21,7 +21,6 @@ from .core import (
     band_pair_indices_naive,
     buffered_window,
     pair_distance,
-    pair_sums,
     read_pattern_csv,
     translate,
     write_pattern_csv,
@@ -64,6 +63,7 @@ from .est import (
     mean_mark_kernel,
     mean_mark_pooled,
     mean_mark_weighted,
+    pair_sums,
     pair_table,
 )
 from .weights import (
@@ -73,7 +73,7 @@ from .weights import (
     mean_mark_conditional_variance,
     neighbor_counts,
 )
-from .infer import clt_experiment, confidence_interval, convergence_curve
+from .infer import clt_experiment, confidence_interval
 from .oracle import (
     ClassMoments,
     class_averaged_mean_mark,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "pair_distance",
     "band_pair_indices",
     "band_pair_indices_naive",
-    "pair_sums",
     "translate",
     "buffered_window",
     "write_pattern_csv",
@@ -133,6 +132,16 @@ class Window:
     def box(self) -> SimWindow:
         return SimWindow(np.zeros(self.dim), self.t)
 
+    def contains(self, locations: np.ndarray) -> np.ndarray:
+        """Boolean mask: rows of `locations` (shape (n, dim)) inside [0, T].
+
+        This is the one place that decides which points may be first of
+        a pair.
+        """
+        if locations.shape[1] != self.dim:
+            raise InputError(f"window dim {self.dim} != pattern dim {locations.shape[1]}")
+        return np.all((locations >= 0.0) & (locations <= self.t), axis=1)
+
 
 @dataclass(frozen=True)
 class Band:
@@ -183,49 +192,6 @@ class Band:
         return (v >= self.lo) & (v <= self.hi)
 
 
-@dataclass(frozen=True)
-class PointPattern:
-    """A finite realization of a marked point process on a simulation window.
-
-    `locations` has shape (n, dim); `y` and `z` have shape (n,).  Patterns
-    are simple: no two points share a location.  All weight marks z are
-    non-negative and every location lies inside `sim_window`.
-    """
-
-    locations: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    sim_window: SimWindow
-
-    def __post_init__(self):
-        loc = np.asarray(self.locations, dtype=np.float64)
-        if loc.ndim == 1:
-            loc = loc.reshape(-1, 1)
-        if loc.ndim != 2:
-            raise InputError("locations must have shape (n, dim)")
-        y = np.atleast_1d(np.asarray(self.y, dtype=np.float64))
-        z = np.atleast_1d(np.asarray(self.z, dtype=np.float64))
-        n = loc.shape[0]
-        if y.shape != (n,) or z.shape != (n,):
-            raise InputError("y and z must be 1-d with one entry per point")
-        if loc.shape[1] != self.sim_window.dim:
-            raise InputError(
-                f"locations have dim {loc.shape[1]} but window has dim {self.sim_window.dim}"
-            )
-        _check_points(loc, y, z, self.sim_window, (0, n))
-        object.__setattr__(self, "locations", _freeze(loc))
-        object.__setattr__(self, "y", _freeze(y))
-        object.__setattr__(self, "z", _freeze(z))
-
-    @property
-    def dim(self) -> int:
-        return self.sim_window.dim
-
-    @property
-    def n_points(self) -> int:
-        return self.locations.shape[0]
-
-
 def _check_points(loc, y, z, win: SimWindow, starts) -> None:
     """The invariants of a pattern, for realizations ``loc[starts[k]:starts[k+1]]``.
 
@@ -265,7 +231,7 @@ class PatternBatch:
     (shape (N, dim)), `y` and `z`; `classes` holds each realization's
     mixture class, or is None when it is unknown.  Every realization
     satisfies the :class:`PointPattern` invariants, checked once for the
-    whole batch with the same messages.
+    whole batch; a :class:`PointPattern` is the batch of one realization.
     """
 
     locations: np.ndarray
@@ -279,24 +245,26 @@ class PatternBatch:
         loc = np.asarray(self.locations, dtype=np.float64)
         y = np.asarray(self.y, dtype=np.float64)
         z = np.asarray(self.z, dtype=np.float64)
-        starts = np.asarray(self.starts, dtype=np.int64)
         n = loc.shape[0] if loc.ndim == 2 else -1
         if n < 0 or loc.shape[1] != self.sim_window.dim:
             raise InputError(f"locations must have shape (n, {self.sim_window.dim})")
         if y.shape != (n,) or z.shape != (n,):
             raise InputError("y and z must be 1-d with one entry per point")
-        if (starts.ndim != 1 or starts.size < 2 or starts[0] != 0 or starts[-1] != n
-                or np.any(starts[1:] < starts[:-1])):
+        starts = np.array(self.starts, dtype=np.int64)
+        bounds = starts.tolist() if starts.ndim == 1 else []
+        if (len(bounds) < 2 or bounds[0] != 0 or bounds[-1] != n
+                or any(b < a for a, b in zip(bounds, bounds[1:]))):
             raise InputError("starts must rise from 0 to the number of points")
-        _check_points(loc, y, z, self.sim_window, starts.tolist())
+        _check_points(loc, y, z, self.sim_window, bounds)
         object.__setattr__(self, "locations", _freeze(loc))
         object.__setattr__(self, "y", _freeze(y))
         object.__setattr__(self, "z", _freeze(z))
-        for name in ("starts", "classes"):
-            if getattr(self, name) is not None:
-                column = np.array(getattr(self, name), dtype=np.int64)
-                column.flags.writeable = False
-                object.__setattr__(self, name, column)
+        starts.flags.writeable = False
+        object.__setattr__(self, "starts", starts)
+        if self.classes is not None:
+            classes = np.array(self.classes, dtype=np.int64)
+            classes.flags.writeable = False
+            object.__setattr__(self, "classes", classes)
 
     @classmethod
     def from_patterns(cls, patterns: Sequence[PointPattern]) -> "PatternBatch":
@@ -309,7 +277,7 @@ class PatternBatch:
             raise InputError("realizations must share one dimension")
         lo = np.min([p.sim_window.lo for p in patterns], axis=0)
         hi = np.max([p.sim_window.hi for p in patterns], axis=0)
-        return cls(
+        return PatternBatch(
             np.concatenate([p.locations for p in patterns]),
             np.concatenate([p.y for p in patterns]),
             np.concatenate([p.z for p in patterns]),
@@ -329,6 +297,28 @@ class PatternBatch:
         """Realization k as a (validated) :class:`PointPattern` on the batch window."""
         a, b = int(self.starts[k]), int(self.starts[k + 1])
         return PointPattern(self.locations[a:b], self.y[a:b], self.z[a:b], self.sim_window)
+
+
+class PointPattern(PatternBatch):
+    """A finite realization of a marked point process on a simulation window.
+
+    `locations` has shape (n, dim), or (n,) for d = 1; `y` and `z` have
+    shape (n,).  Patterns are simple: no two points share a location.
+    All weight marks z are non-negative and every location lies inside
+    `sim_window`.  A pattern is the batch of its one realization
+    (``starts == [0, n]``), so it is checked, swept and tabulated as a
+    batch is.
+    """
+
+    def __init__(self, locations, y, z, sim_window: SimWindow):
+        loc = np.asarray(locations, dtype=np.float64)
+        if loc.ndim == 1:
+            loc = loc.reshape(-1, 1)
+        super().__init__(loc, y, z, (0, loc.shape[0] if loc.ndim else 0), sim_window)
+
+    @property
+    def n_points(self) -> int:
+        return self.locations.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +347,6 @@ def pair_distance(t1: Sequence[float], t2: Sequence[float]) -> float:
     return float(_row_displacements(a, b)[0])
 
 
-def _t1_mask(pattern: PointPattern, win: Window) -> np.ndarray:
-    if win.dim != pattern.dim:
-        raise InputError(f"window dim {win.dim} != pattern dim {pattern.dim}")
-    loc = pattern.locations
-    return np.all((loc >= 0.0) & (loc <= win.t), axis=1)
-
-
 def band_pair_indices_naive(
     pattern: PointPattern, win: Window, band: Band
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -374,7 +357,7 @@ def band_pair_indices_naive(
     closed band.  Used as the ground truth for the accelerated paths.
     """
     band.require_dim(pattern.dim)
-    return _pairs_naive(pattern.locations, _t1_mask(pattern, win), band)
+    return _pairs_naive(pattern.locations, win.contains(pattern.locations), band)
 
 
 def _pairs_naive(loc: np.ndarray, t1_ok: np.ndarray, band: Band) -> tuple[np.ndarray, np.ndarray]:
@@ -414,7 +397,7 @@ def _pairs_sorted_1d(
     if ii0.size == 0:
         return empty, empty
     n, n_real = x.shape[0], starts.shape[0] - 1
-    rid = np.repeat(np.arange(n_real), np.diff(starts))
+    rid = np.repeat(np.arange(n_real), starts[1:] - starts[:-1])
     if n_real == 1:
         order = np.argsort(x, kind="stable")
         ss = x[order]
@@ -496,45 +479,67 @@ def _pairs_tree(loc: np.ndarray, t1_ok: np.ndarray, band: Band) -> tuple[np.ndar
     return cand_i[keep].astype(np.int64), cand_j[keep].astype(np.int64)
 
 
+# Points per block of the 1-D sweep: blocks amortize the per-call cost of
+# the sweep over small realizations while their candidate arrays stay
+# small.  A larger realization forms a block of its own.
+_BLOCK_POINTS = 2048
+
+
+def _blocks(n_points: np.ndarray):
+    """Consecutive (first, stop) realization ranges of at most _BLOCK_POINTS points each."""
+    first, size = 0, 0
+    for k, n in enumerate(n_points.tolist()):
+        if k > first and size + n > _BLOCK_POINTS:
+            yield first, k
+            first, size = k, 0
+        size += n
+    yield first, len(n_points)
+
+
+def _sweep(batch: PatternBatch, win: Window, band: Band):
+    """Enumerate each realization's band pairs once, a block of realizations at a time.
+
+    Yields ``(k0, k1, ends, t1_ok, ii, jj)`` for consecutive realizations
+    k0..k1-1, whose points are rows ``batch.starts[k0]:batch.starts[k1]``
+    (the block).  `t1_ok` flags the block's points in [0, T], and ii, jj
+    index the block's points, grouped by realization: realization k0 + r
+    owns pairs ``ends[r]:ends[r+1]``, in the order of a sweep over it
+    alone.  In d = 1 blocks hold up to ``_BLOCK_POINTS`` points; in
+    d > 1 each realization is its own block.  The window and the band
+    are checked against the batch's dimension before the first block.
+    """
+    t1_ok = win.contains(batch.locations)
+    band.require_dim(batch.dim)
+    starts = batch.starts
+    if batch.dim == 1:
+        blocks = _blocks(starts[1:] - starts[:-1])
+    else:
+        blocks = ((k, k + 1) for k in range(batch.n_realizations))
+    for k0, k1 in blocks:
+        a, b = starts[k0], starts[k1]
+        local = starts[k0:k1 + 1] - a
+        if batch.dim == 1:
+            ii, jj = _pairs_sorted_1d(batch.locations[a:b, 0], local, t1_ok[a:b], band)
+            ends = np.searchsorted(ii, local)
+        else:
+            ii, jj = _pairs_tree(batch.locations[a:b], t1_ok[a:b], band)
+            ends = np.array([0, ii.size])
+        yield k0, k1, ends, t1_ok[a:b], ii, jj
+        del ii, jj, ends  # a block's pairs are freed before the next block is swept
+
+
 def band_pair_indices(
     pattern: PointPattern, win: Window, band: Band
 ) -> tuple[np.ndarray, np.ndarray]:
     """Indices (i, j) of ordered pairs with point i in [0, T] and displacement in band.
 
-    Point j may lie anywhere in the simulation window.  Uses a sorted
-    sweep for d=1 and a kd-tree for d>1; candidate supersets are filtered
-    with the same closed-band predicate as the naive double loop, so the
-    returned pair set is identical to it.
+    Point j may lie anywhere in the simulation window.  The pattern is
+    the single block of :func:`_sweep`: a sorted sweep for d=1 and a
+    kd-tree for d>1.  Candidate supersets are filtered with the same
+    closed-band predicate as the naive double loop, so the returned pair
+    set is identical to it.
     """
-    band.require_dim(pattern.dim)
-    if pattern.dim == 1:
-        n = pattern.n_points
-        return _pairs_sorted_1d(
-            pattern.locations[:, 0], np.array([0, n]), _t1_mask(pattern, win), band
-        )
-    return _pairs_tree(pattern.locations, _t1_mask(pattern, win), band)
-
-
-def pair_sums(
-    pattern: PointPattern,
-    win: Window,
-    band: Band,
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-) -> tuple[float, float, int]:
-    """One enumeration pass: (sum of z1 * f(y1, y2), sum of z1, ordered pair count).
-
-    Sums run over the qualifying ordered pairs of :func:`band_pair_indices`.
-    `f` must accept numpy arrays of first and second marks and return an
-    array of values; a non-finite value is a :class:`NumericError` naming
-    the offending pair.  A pattern without qualifying pairs gives
-    (0.0, 0.0, 0).
-    """
-    ii, jj = band_pair_indices(pattern, win, band)
-    if ii.size == 0:
-        return 0.0, 0.0, 0
-    vals = _pair_values(f, pattern.locations, pattern.y, pattern.z, ii, jj)
-    z1 = pattern.z[ii]
-    return float(np.sum(z1 * vals)), float(np.sum(z1)), int(ii.size)
+    return next(_sweep(pattern, win, band))[-2:]
 
 
 def _pair_values(f, loc, y, z, ii, jj) -> np.ndarray:

@@ -30,11 +30,9 @@ from .core import (
     SimWindow,
     Window,
     band_pair_indices,
-    pair_sums,
     _pair_values,
-    _pairs_sorted_1d,
-    _pairs_tree,
     _row_displacements,
+    _sweep,
 )
 from .markfn import MarkFunction, builtin as _builtin
 
@@ -42,6 +40,7 @@ _CONST_ONE = _builtin("const_one")
 
 __all__ = [
     "EstimateResult",
+    "pair_sums",
     "mean_mark",
     "mean_mark_cond",
     "mean_mark_kernel",
@@ -179,8 +178,9 @@ def mean_mark_kernel(
 class PairTable:
     """Per-realization pair sums in one band, the input of every multi-realization estimator.
 
-    Entry k of `num`, `den` and `count` holds :func:`~mppstat.core.pair_sums`
-    of realization k of `batch` (sum z1 f, sum z1, ordered pair count);
+    Entry k of `num`, `den` and `count` holds realization k of `batch`'s
+    sum of z1 f, sum of z1 and ordered pair count over its qualifying
+    pairs (:func:`pair_sums` of a single pattern is its row 0);
     `n_window` is its number of points in [0, T].  `neighbors` has one
     entry per point of the batch: its number of band neighbours when it
     lies in [0, T], else 0 (what the rfvar weights read).  Realization k
@@ -212,62 +212,10 @@ class PairTable:
         return tuple(self.count.tolist())
 
 
-# Points per block of the 1-D sweep: blocks amortize the per-call cost of
-# the sweep over small realizations while their candidate arrays stay
-# small.  A larger realization forms a block of its own.
-_BLOCK_POINTS = 2048
-
-
-def _as_batch(realizations: PatternBatch | Sequence[PointPattern], win: Window,
-              band: Band) -> PatternBatch:
-    batch = (realizations if isinstance(realizations, PatternBatch)
-             else PatternBatch.from_patterns(realizations))
-    if win.dim != batch.dim:
-        raise InputError(f"window dim {win.dim} != pattern dim {batch.dim}")
-    band.require_dim(batch.dim)
-    return batch
-
-
-def _blocks(n_points: np.ndarray):
-    """Consecutive (first, stop) realization ranges of at most _BLOCK_POINTS points each."""
-    first, size = 0, 0
-    for k, n in enumerate(n_points.tolist()):
-        if k > first and size + n > _BLOCK_POINTS:
-            yield first, k
-            first, size = k, 0
-        size += n
-    yield first, len(n_points)
-
-
-def _sweep(batch: PatternBatch, win: Window, band: Band):
-    """Enumerate each realization's band pairs once, a block of realizations at a time.
-
-    Yields ``(k0, k1, ends, t1_ok, ii, jj)`` for consecutive realizations
-    k0..k1-1, whose points are rows ``batch.starts[k0]:batch.starts[k1]``
-    (the block).  `t1_ok` flags the block's points in [0, T], and ii, jj
-    index the block's points, grouped by realization: realization k0 + r
-    owns pairs ``ends[r]:ends[r+1]``, in the order of a sweep over it
-    alone.  In d = 1 blocks hold up to ``_BLOCK_POINTS`` points; in
-    d > 1 each realization is its own block.
-    """
-    starts = batch.starts
-    if batch.dim == 1:
-        blocks = _blocks(np.diff(starts))
-    else:
-        blocks = ((k, k + 1) for k in range(batch.n_realizations))
-    for k0, k1 in blocks:
-        a, b = starts[k0], starts[k1]
-        loc = batch.locations[a:b]
-        t1_ok = np.all((loc >= 0.0) & (loc <= win.t), axis=1)
-        local = starts[k0:k1 + 1] - a
-        if batch.dim == 1:
-            ii, jj = _pairs_sorted_1d(loc[:, 0], local, t1_ok, band)
-            ends = np.searchsorted(ii, local)
-        else:
-            ii, jj = _pairs_tree(loc, t1_ok, band)
-            ends = np.array([0, ii.size])
-        yield k0, k1, ends, t1_ok, ii, jj
-        del ii, jj, ends  # a block's pairs are freed before the next block is swept
+def _as_batch(realizations: PatternBatch | Sequence[PointPattern]) -> PatternBatch:
+    if isinstance(realizations, PatternBatch):
+        return realizations
+    return PatternBatch.from_patterns(realizations)
 
 
 def _slice_sums(values: np.ndarray, ends: np.ndarray) -> list[float]:
@@ -281,11 +229,13 @@ def pair_table(
 ) -> PairTable:
     """Enumerate each realization's pairs in the band once and tabulate their sums.
 
-    `realizations` is a :class:`~mppstat.core.PatternBatch` or a sequence
-    of patterns.  The table is bit for bit the one that
-    :func:`~mppstat.core.pair_sums` gives realization by realization.
+    `realizations` is a :class:`~mppstat.core.PatternBatch` (a single
+    :class:`~mppstat.core.PointPattern` included) or a sequence of
+    patterns.  Each realization's sums are numpy sums over its own pairs
+    in the order of a sweep over it alone, so the table is bit for bit
+    the one the realizations give one at a time.
     """
-    batch = _as_batch(realizations, win, band)
+    batch = _as_batch(realizations)
     n = batch.n_realizations
     num, den = np.zeros(n), np.zeros(n)
     count, n_window = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
@@ -293,18 +243,34 @@ def pair_table(
     neighbors = np.zeros(batch.starts[-1], dtype=np.int32)
     for k0, k1, ends, t1_ok, ii, jj in _sweep(batch, win, band):
         a, b = batch.starts[k0], batch.starts[k1]
-        in_win = np.concatenate(([0], np.cumsum(t1_ok)))
-        n_window[k0:k1] = np.diff(in_win[batch.starts[k0:k1 + 1] - a])
+        in_win = np.concatenate(([0], np.cumsum(t1_ok)))[batch.starts[k0:k1 + 1] - a]
+        n_window[k0:k1] = in_win[1:] - in_win[:-1]
         if ii.size == 0:
             continue
         neighbors[a:b] = np.bincount(ii, minlength=b - a)
         vals = _pair_values(f, batch.locations[a:b], batch.y[a:b], batch.z[a:b], ii, jj)
         z1 = batch.z[a:b][ii]
-        count[k0:k1] = np.diff(ends)
+        count[k0:k1] = ends[1:] - ends[:-1]
         num[k0:k1] = _slice_sums(z1 * vals, ends)
         den[k0:k1] = _slice_sums(z1, ends)
         del ii, jj, vals, z1, ends
     return PairTable(batch, win, band, num, den, count, n_window, neighbors)
+
+
+def pair_sums(
+    pattern: PointPattern, win: Window, band: Band, f: MarkFunction
+) -> tuple[float, float, int]:
+    """One enumeration pass: (sum of z1 * f(y1, y2), sum of z1, ordered pair count).
+
+    Row 0 of the pattern's :func:`pair_table`: sums over the qualifying
+    ordered pairs of :func:`~mppstat.core.band_pair_indices`.  `f` must
+    accept numpy arrays of first and second marks and return an array of
+    values; a non-finite value is a :class:`~mppstat.core.NumericError`
+    naming the offending pair.  A pattern without qualifying pairs gives
+    (0.0, 0.0, 0).
+    """
+    table = pair_table(pattern, win, band, f)
+    return float(table.num[0]), float(table.den[0]), int(table.count[0])
 
 
 def mean_mark_avg(table: PairTable) -> EstimateResult:
@@ -409,20 +375,20 @@ def concat_patterns(
     if not np.isfinite(gap) or gap <= 0:
         raise InputError(f"cannot build a positive concatenation gap from band {band}")
     w_rel = w / w.sum()
+    den = pair_table(patterns, win, band, _CONST_ONE).den
     locs, ys, zs = [], [], []
     offset = 0.0
     for k, pattern in enumerate(patterns):
         if w_rel[k] > 0:
-            _, den, _ = pair_sums(pattern, win, band, _CONST_ONE)
-            if den == 0.0:
+            if den[k] == 0.0:
                 raise InputError(
                     f"realization {k} has positive weight but no weighted pairs in the band"
                 )
-            scale = w_rel[k] / den
+            scale = w_rel[k] / den[k]
         else:
             scale = 0.0
         x = pattern.locations[:, 0]
-        in_win = (x >= 0.0) & (x <= win.t[0])
+        in_win = win.contains(pattern.locations)
         lo_k = float(pattern.sim_window.lo[0])
         hi_k = float(pattern.sim_window.hi[0])
         locs.append(x - lo_k + offset)

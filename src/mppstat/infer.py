@@ -23,11 +23,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Band, InputError, PatternBatch, PointPattern, Window
+from .core import Band, InputError, PatternBatch, PointPattern, Window, _sweep
 from .markfn import MarkFunction, ThresholdFamily, threshold_family
-from .est import _as_batch, _slice_sums, _sweep, mean_mark
+from .est import _as_batch, _slice_sums
 
-__all__ = ["confidence_interval", "convergence_curve", "clt_experiment", "threshold_sums"]
+__all__ = ["confidence_interval", "clt_experiment", "threshold_sums"]
 
 
 def threshold_sums(
@@ -40,7 +40,7 @@ def threshold_sums(
     (:func:`~mppstat.est.pair_table`'s), each realization's sums being
     numpy sums over its own pairs in the order of a sweep over it alone.
     """
-    batch = _as_batch(realizations, win, band)
+    batch = _as_batch(realizations)
     if batch.dim != 1:
         raise InputError("inference is defined for d=1 patterns only")
     s, d = np.zeros(batch.n_realizations), np.zeros(batch.n_realizations)
@@ -95,28 +95,6 @@ def confidence_interval(
     return float(mu_point - half), float(mu_point + half)
 
 
-def convergence_curve(
-    pattern: PointPattern,
-    band: Band,
-    f: MarkFunction,
-    extents: Sequence[float],
-) -> list[tuple[float, float]]:
-    """Mean mark on nested windows [0, T_k] for an increasing sequence of T_k.
-
-    Under ergodicity the curve settles at the process mean mark; on a
-    mixture realization it settles at the realized class's value.
-    Undefined entries are flagged with NaN.
-    """
-    ext = [float(t) for t in extents]
-    if any(b <= a for a, b in zip(ext, ext[1:])):
-        raise InputError("window extents must be strictly increasing")
-    out = []
-    for t in ext:
-        res = mean_mark(pattern, Window(np.full(pattern.dim, t)), band, f)
-        out.append((t, res.value if res.defined else float("nan")))
-    return out
-
-
 def clt_experiment(
     realizations: PatternBatch | Sequence[PointPattern],
     win: Window,
@@ -140,7 +118,7 @@ def clt_experiment(
     them.  The p-value and the skewness are NaN when fewer than two
     statistics are defined or their spread is at rounding level.
     """
-    batch = _as_batch(realizations, win, band)
+    batch = _as_batch(realizations)
     n = batch.n_realizations
     if n < 30:
         raise InputError(f"variance estimation needs >= 30 realizations, got {n}")

@@ -113,7 +113,9 @@ def builtin(name: str) -> MarkFunction:
         ) from None
 
 
-def indicator_pair(a_lo: float, a_hi: float, b_lo: float, b_hi: float) -> MarkFunction:
+def indicator_pair(
+    a_lo: float = -np.inf, a_hi: float = np.inf, b_lo: float = -np.inf, b_hi: float = np.inf
+) -> MarkFunction:
     """Indicator 1{y1 in [a_lo, a_hi]} * 1{y2 in [b_lo, b_hi]}.
 
     Infinite endpoints are allowed; [-inf, inf] on both marks gives the
@@ -182,8 +184,19 @@ def threshold_family(base: MarkFunction, u: float) -> ThresholdFamily:
 # ---------------------------------------------------------------------------
 
 
+def _threshold_excess(base: str = "first", u: float = 0.0) -> MarkFunction:
+    return threshold_family(builtin(base), u).excess_fn()
+
+
+# parametrized functions by config name; their keyword parameters are the config keys
+_FAMILIES = {"indicator_pair": indicator_pair, "threshold_excess": _threshold_excess}
+
+
 def resolve(descriptor: dict) -> MarkFunction:
-    """Build a MarkFunction from a config descriptor {"name": ..., **params}."""
+    """Build a MarkFunction from a config descriptor {"name": ..., **params}.
+
+    An unknown or misspelt parameter is an InputError naming it.
+    """
     if "name" not in descriptor:
         raise InputError("mark function descriptor needs a 'name' key")
     params = {k: v for k, v in descriptor.items() if k != "name"}
@@ -192,14 +205,9 @@ def resolve(descriptor: dict) -> MarkFunction:
         if params:
             raise InputError(f"built-in mark function {name!r} takes no parameters")
         return builtin(name)
-    if name == "indicator_pair":
-        return indicator_pair(
-            params.get("a_lo", -np.inf),
-            params.get("a_hi", np.inf),
-            params.get("b_lo", -np.inf),
-            params.get("b_hi", np.inf),
-        )
-    if name == "threshold_excess":
-        base = builtin(params.get("base", "first"))
-        return threshold_family(base, params.get("u", 0.0)).excess_fn()
-    raise InputError(f"unknown mark function {name!r}")
+    if name not in _FAMILIES:
+        raise InputError(f"unknown mark function {name!r}")
+    try:
+        return _FAMILIES[name](**params)
+    except TypeError as exc:
+        raise InputError(f"mark function {name!r}: {exc}") from exc

@@ -29,7 +29,7 @@ from .core import (
     Window,
     buffered_window,
 )
-from .est import pair_table
+from .est import _slice_sums, pair_table
 from .markfn import MarkFunction
 from .sim import (
     GaussianFieldMarks,
@@ -249,14 +249,12 @@ def monte_carlo_mean_mark(
         table = pair_table(batch, win, band, f)
         nums, dens = table.num, table.den
     else:
-        nums = np.empty(n_mc)
-        dens = np.empty(n_mc)
-        for i, (a, b) in enumerate(zip(batch.starts[:-1].tolist(), batch.starts[1:].tolist())):
-            loc = batch.locations[a:b]
-            inside = np.all((loc >= 0.0) & (loc <= win.t), axis=1)
-            y, z = batch.y[a:b][inside], batch.z[a:b][inside]
-            nums[i] = float(np.sum(z * f(y, y)))
-            dens[i] = float(np.sum(z))
+        # each realization's sums over its own points in [0, T]
+        inside = win.contains(batch.locations)
+        ends = np.concatenate(([0], np.cumsum(inside)))[batch.starts]
+        y, z = batch.y[inside], batch.z[inside]
+        nums = np.array(_slice_sums(z * f(y, y), ends))
+        dens = np.array(_slice_sums(z, ends))
     if target == "pooled":
         s_num, s_den = np.sum(nums), np.sum(dens)
         if s_den == 0:

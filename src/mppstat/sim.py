@@ -19,7 +19,7 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -604,65 +604,42 @@ MIXTURE_SCHEMA = {
 }
 
 
-def _ground_to_json(g: GroundSpec) -> dict:
-    if isinstance(g, PoissonGround):
-        return {"kind": "poisson", "intensity": g.intensity}
-    if isinstance(g, HardcoreGround):
-        return {
-            "kind": "hardcore",
-            "proposal_intensity": g.proposal_intensity,
-            "min_dist": g.min_dist,
-        }
-    return {"kind": "grid", "spacing": g.spacing, "jitter": g.jitter}
+# Each JSON "kind" is a spec dataclass whose fields are its parameters, so
+# an unknown or misspelt parameter is a TypeError of the constructor.
+_GROUND_KINDS = {"poisson": PoissonGround, "hardcore": HardcoreGround, "grid": GridGround}
+_MARK_KINDS = {"iid": IidMarks, "gaussian_field": GaussianFieldMarks}
+_Z_RULE_KINDS = {"iid": IidMarks}
+_KIND_NAMES = {cls: kind for kinds in (_GROUND_KINDS, _MARK_KINDS) for kind, cls in kinds.items()}
 
 
-def _ground_from_json(d: dict) -> GroundSpec:
-    kind = d.get("kind")
-    if kind == "poisson":
-        return PoissonGround(d["intensity"])
-    if kind == "hardcore":
-        return HardcoreGround(d["proposal_intensity"], d["min_dist"])
-    if kind == "grid":
-        return GridGround(d["spacing"], d.get("jitter", 0.0))
-    raise InputError(f"unknown ground kind {kind!r}")
+def _spec_to_json(spec) -> dict:
+    kind = _KIND_NAMES.get(type(spec))
+    if kind is None:
+        raise InputError(f"{spec!r} cannot be serialized to JSON")
+    return {"kind": kind, **asdict(spec)}
 
 
-def _marks_to_json(m: MarkSpec) -> dict:
-    if isinstance(m, IidMarks):
-        return {"kind": "iid", "distribution": m.distribution, "params": list(m.params)}
-    return {
-        "kind": "gaussian_field",
-        "mean": m.mean,
-        "variance": m.variance,
-        "cov_range": m.cov_range,
-        "shape": m.shape,
-    }
-
-
-def _marks_from_json(d: dict) -> MarkSpec:
-    kind = d.get("kind")
-    if kind == "iid":
-        return IidMarks(d["distribution"], tuple(d["params"]))
-    if kind == "gaussian_field":
-        return GaussianFieldMarks(
-            d["mean"], d["variance"], d["cov_range"], d.get("shape", "spherical")
-        )
-    raise InputError(f"unknown marks kind {kind!r}")
+def _spec_from_json(d: dict, kinds: dict, what: str):
+    params = dict(d)
+    kind = params.pop("kind", None)
+    if kind not in kinds:
+        raise InputError(f"unknown {what} {kind!r}")
+    return kinds[kind](**params)
 
 
 def _z_rule_to_json(z: ZRule):
     if z == "const_one":
         return "const_one"
     if isinstance(z, IidMarks):
-        return {"kind": "iid", "distribution": z.distribution, "params": list(z.params)}
+        return _spec_to_json(z)
     raise InputError("callable z_rule cannot be serialized to JSON")
 
 
 def _z_rule_from_json(d) -> ZRule:
     if d == "const_one" or d is None:
         return "const_one"
-    if isinstance(d, dict) and d.get("kind") == "iid":
-        return IidMarks(d["distribution"], tuple(d["params"]))
+    if isinstance(d, dict) and d.get("kind") in _Z_RULE_KINDS:
+        return _spec_from_json(d, _Z_RULE_KINDS, "z_rule kind")
     raise InputError(f"unknown z_rule {d!r}")
 
 
@@ -672,8 +649,8 @@ def mixture_to_json(spec: MixtureSpec) -> dict:
         "classes": [
             {
                 "p": c.p,
-                "ground": _ground_to_json(c.ground),
-                "marks": _marks_to_json(c.marks),
+                "ground": _spec_to_json(c.ground),
+                "marks": _spec_to_json(c.marks),
                 "z_rule": _z_rule_to_json(c.z_rule),
             }
             for c in spec.classes
@@ -708,8 +685,8 @@ def mixture_from_json(doc: dict) -> MixtureSpec:
         classes = tuple(
             MixtureClass(
                 p=c["p"],
-                ground=_ground_from_json(c["ground"]),
-                marks=_marks_from_json(c["marks"]),
+                ground=_spec_from_json(c["ground"], _GROUND_KINDS, "ground kind"),
+                marks=_spec_from_json(c["marks"], _MARK_KINDS, "marks kind"),
                 z_rule=_z_rule_from_json(c.get("z_rule")),
             )
             for c in doc["classes"]
@@ -717,7 +694,7 @@ def mixture_from_json(doc: dict) -> MixtureSpec:
     except InputError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
-        # a missing or mistyped parameter of a ground, mark or z_rule entry
+        # a missing, unknown or mistyped parameter of a ground, mark or z_rule entry
         raise InputError(f"invalid mixture spec: {type(exc).__name__}: {exc}") from exc
     return MixtureSpec(classes=classes, dim=doc.get("dim", 1))
 

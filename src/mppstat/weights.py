@@ -79,7 +79,7 @@ def neighbor_counts(pattern: PointPattern, win: Window, band: Band) -> np.ndarra
     t in the band, t2 anywhere in the simulation window.  Points outside
     [0, T] get count zero.
     """
-    return pair_table([pattern], win, band, builtin("const_one")).neighbors
+    return pair_table(pattern, win, band, builtin("const_one")).neighbors
 
 
 def mean_mark_conditional_variance(

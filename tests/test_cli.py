@@ -347,6 +347,30 @@ class TestMain:
         assert "'n_replicatse' was unexpected" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("where,entry,key", [
+        ("f", {"name": "threshold_excess", "base": "first", "uu": 2.0}, "uu"),
+        ("f", {"name": "indicator_pair", "a_low": 2.0}, "a_low"),
+        ("ground", {"kind": "grid", "spacing": 1.0, "jiter": 0.2}, "jiter"),
+        ("marks", {"kind": "gaussian_field", "mean": 0.0, "variance": 1.0, "cov_range": 0.4,
+                   "shap": "trunc_exp"}, "shap"),
+        ("ground", {"kind": "poisson", "intensity": 4.0, "intensty": 2.0}, "intensty"),
+        ("marks", {"kind": "iid", "distribution": "normal", "params": [0.0, 1.0], "sd": 2.0},
+         "sd"),
+    ], ids=["threshold_excess", "indicator_pair", "grid", "gaussian_field", "poisson", "iid"])
+    def test_misspelt_parameter_exit_2(self, tmp_path, capsys, where, entry, key):
+        cfg_path = small_config(tmp_path, n_realizations=2, n_replicates=1)
+        doc = json.loads(cfg_path.read_text())
+        if where == "f":
+            doc["f"] = entry
+        else:
+            doc["spec"]["classes"][1][where] = entry
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["estimate", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"unexpected keyword argument '{key}'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("command", ["simulate", "estimate"])
     def test_infinite_mark_parameter_exit_2(self, tmp_path, capsys, command):
         cfg_path = small_config(tmp_path, n_realizations=2, n_replicates=1)

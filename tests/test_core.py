@@ -1,6 +1,7 @@
 """Core data model, distances, pair enumeration and serialization."""
 
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -17,8 +18,12 @@ from mppstat import (
     band_pair_indices_naive,
     buffered_window,
     builtin,
+    core,
+    mean_mark,
+    neighbor_counts,
     pair_distance,
     pair_sums,
+    pair_table,
     read_pattern_csv,
     translate,
     write_pattern_csv,
@@ -148,6 +153,86 @@ class TestValidation:
     def test_window_positive(self):
         with pytest.raises(InputError):
             Window(0.0)
+
+
+class TestBatchOfOne:
+    """A pattern is the batch of its one realization and takes the batch's one sweep."""
+
+    def test_pattern_is_a_batch_of_one(self):
+        pat = pattern_1d([0.0, 0.5, 2.0], y=[2.0, 4.0, 6.0], lo=0.0, hi=3.0)
+        assert isinstance(pat, PatternBatch)
+        assert pat.starts.tolist() == [0, 3] and pat.n_realizations == 1
+        assert pat.n_points == 3 and pat.classes is None
+        assert pair_table(pat, Window(3.0), Band(0.4, 0.6), FIRST).batch is pat
+        assert "__post_init__" not in vars(PointPattern)
+
+    def test_one_dimensional_locations_are_reshaped(self):
+        pat = PointPattern([0.5, 0.25], [1.0, 2.0], [1.0, 1.0], SimWindow.cube(0.0, 1.0, 1))
+        assert pat.locations.shape == (2, 1)
+        assert pat.locations[:, 0].tolist() == [0.5, 0.25]
+
+    @pytest.mark.parametrize("batch", [False, True])
+    @pytest.mark.parametrize("loc,y,z,dim,message", [
+        (np.zeros((2, 1, 1)), np.ones(2), np.ones(2), 1, "locations must have shape (n, 1)"),
+        (np.zeros((2, 2)), np.ones(2), np.ones(2), 1, "locations must have shape (n, 1)"),
+        (np.zeros((2, 1)), np.ones(2), np.ones(2), 2, "locations must have shape (n, 2)"),
+        (np.array([[0.25], [0.5]]), np.ones(3), np.ones(2), 1,
+         "y and z must be 1-d with one entry per point"),
+        (np.array([[0.25], [0.5]]), np.ones(2), np.ones((2, 1)), 1,
+         "y and z must be 1-d with one entry per point"),
+    ], ids=["3d_locations", "dim_above_window", "dim_below_window", "short_y", "2d_z"])
+    def test_shape_messages(self, batch, loc, y, z, dim, message):
+        win = SimWindow.cube(0.0, 1.0, dim)
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            if batch:
+                PatternBatch(loc, y, z, [0, loc.shape[0]], win)
+            else:
+                PointPattern(loc, y, z, win)
+
+    @pytest.mark.parametrize("starts", [[0], [1, 2], [0, 1], [0, 2, 1, 2], [[0, 2]]])
+    def test_batch_starts_message(self, starts):
+        with pytest.raises(InputError, match="^starts must rise from 0 to the number of points$"):
+            PatternBatch(np.array([[0.25], [0.5]]), np.ones(2), np.ones(2), starts,
+                         SimWindow.cube(0.0, 1.0, 1))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("call", [
+        lambda p, win, band: band_pair_indices(p, win, band),
+        lambda p, win, band: pair_sums(p, win, band, FIRST),
+        lambda p, win, band: mean_mark(p, win, band, FIRST),
+        lambda p, win, band: neighbor_counts(p, win, band),
+    ], ids=["band_pair_indices", "pair_sums", "mean_mark", "neighbor_counts"])
+    def test_single_pattern_takes_one_kernel_call_in_the_sweep(self, monkeypatch, dim, call):
+        kernel, other = ("_pairs_sorted_1d", "_pairs_tree") if dim == 1 else (
+            "_pairs_tree", "_pairs_sorted_1d")
+        original = getattr(core, kernel)
+        callers = []
+
+        def spy(*args):
+            callers.append(sys._getframe(1).f_code)
+            return original(*args)
+
+        monkeypatch.setattr(core, kernel, spy)
+        monkeypatch.setattr(core, other, lambda *args: pytest.fail(f"{other} called"))
+        rng = np.random.default_rng(9)
+        pat = random_pattern(rng, 40, dim=dim, extent=6.0, buffer=1.0)
+        band = Band(0.5, 1.0) if dim == 1 else Band.absolute(0.5, 1.0)
+        call(pat, Window(np.full(dim, 6.0)), band)
+        assert callers == [core._sweep.__code__]
+
+    def test_window_dim_mismatch_rejected(self):
+        pat = random_pattern(np.random.default_rng(1), 10, dim=2)
+        with pytest.raises(InputError, match="window dim 1 != pattern dim 2"):
+            band_pair_indices(pat, Window(10.0), Band.absolute(0.0, 1.0))
+        with pytest.raises(InputError, match="window dim 1 != pattern dim 2"):
+            band_pair_indices_naive(pat, Window(10.0), Band.absolute(0.0, 1.0))
+
+    def test_window_contains_is_the_closed_box(self):
+        win = Window([1.0, 2.0])
+        loc = np.array([[0.0, 0.0], [1.0, 2.0], [-1e-300, 1.0], [0.5, 2.0000000000000004]])
+        assert win.contains(loc).tolist() == [True, True, False, False]
+        with pytest.raises(InputError, match="window dim 2 != pattern dim 1"):
+            win.contains(np.zeros((3, 1)))
 
 
 class TestPairCount:

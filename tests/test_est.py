@@ -17,10 +17,10 @@ from mppstat import (
     Window,
     band_pair_indices,
     band_pair_indices_naive,
-    est,
     builtin,
     buffered_window,
     concat_patterns,
+    core,
     indicator_pair,
     make_mark_function,
     mean_mark,
@@ -446,7 +446,7 @@ class TestBlockedPairTable:
     @settings(max_examples=150, deadline=None)
     def test_equals_per_pattern_sums_and_naive_pairs(self, case):
         patterns, win, band, budget = case
-        with mock.patch.object(est, "_BLOCK_POINTS", budget):
+        with mock.patch.object(core, "_BLOCK_POINTS", budget):
             table = pair_table(patterns, win, band, PRODUCT)
         num, den, count = zip(*(pair_sums(p, win, band, PRODUCT) for p in patterns))
         assert _bits(table.num) == _bits(np.array(num))
@@ -469,7 +469,7 @@ class TestBlockedPairTable:
 
     def test_realization_larger_than_a_block(self):
         rng = np.random.default_rng(4)
-        big = random_pattern(rng, est._BLOCK_POINTS + 300, extent=400.0, buffer=1.5)
+        big = random_pattern(rng, core._BLOCK_POINTS + 300, extent=400.0, buffer=1.5)
         small = [random_pattern(rng, int(rng.integers(0, 200)), extent=400.0, buffer=1.5)
                  for _ in range(30)]
         patterns = small[:10] + [big] + small[10:]

@@ -22,7 +22,7 @@ from mppstat import (
     builtin,
     clt_experiment,
     confidence_interval,
-    convergence_curve,
+    mean_mark,
     sample_batch,
     sample_mixture,
     threshold_excess_mean,
@@ -211,22 +211,12 @@ class TestConfidenceInterval:
 
 
 class TestConvergenceCurve:
-    def test_constant_marks_flat(self):
-        pat = pattern_1d(np.arange(0.0, 50.0), y=np.full(50, 2.5), lo=-2.0, hi=52.0)
-        curve = convergence_curve(pat, BAND, FIRST, [10.0, 20.0, 40.0])
-        assert [v for _, v in curve] == [2.5, 2.5, 2.5]
-
-    def test_extents_must_increase(self):
-        pat = pattern_1d([0.0, 1.0], lo=0.0, hi=2.0)
-        with pytest.raises(InputError, match="increasing"):
-            convergence_curve(pat, BAND, FIRST, [10.0, 5.0])
-
     def test_ergodic_endpoint_near_truth(self):
         spec = MixtureSpec(
             (MixtureClass(1.0, PoissonGround(2.0), IidMarks("normal", (3.0, 1.0))),)
         )
         pats, _ = simulate(spec, 150.0, 40, seed=70)
-        ends = np.array([convergence_curve(p, BAND, FIRST, [30.0, 150.0])[-1][1] for p in pats])
+        ends = np.array([mean_mark(p, Window(150.0), BAND, FIRST).value for p in pats])
         se = np.std(ends, ddof=1) / np.sqrt(ends.size)
         assert abs(np.mean(ends) - 3.0) < 3 * se
 
@@ -240,7 +230,7 @@ class TestConvergenceCurve:
         win = Window(200.0)
         sw = buffered_window(win, BAND)
         for pat, k in sample_mixture(spec, sw, 8, seed=71):
-            end = convergence_curve(pat, BAND, FIRST, [50.0, 200.0])[-1][1]
+            end = mean_mark(pat, Window(200.0), BAND, FIRST).value
             class_mean = 0.0 if k == 0 else 10.0
             assert abs(end - class_mean) < 1.0
             assert abs(end - 5.0) > 3.0  # not the mixture-wide average

@@ -121,3 +121,15 @@ class TestRegistry:
     def test_builtin_rejects_params(self):
         with pytest.raises(InputError):
             resolve({"name": "first", "u": 2.0})
+
+    @pytest.mark.parametrize("descriptor,key", [
+        ({"name": "indicator_pair", "a_low": 2.0}, "a_low"),
+        ({"name": "threshold_excess", "base": "first", "uu": 2.0}, "uu"),
+    ])
+    def test_misspelt_parameter_names_the_key(self, descriptor, key):
+        with pytest.raises(InputError, match=f"unexpected keyword argument '{key}'"):
+            resolve(descriptor)
+
+    def test_mistyped_parameter_is_input_error(self):
+        with pytest.raises(InputError, match="indicator_pair"):
+            resolve({"name": "indicator_pair", "a_lo": "low"})

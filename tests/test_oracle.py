@@ -22,6 +22,7 @@ from mppstat import (
     matern2_retained_intensity,
     mixture_mean_mark,
     monte_carlo_mean_mark,
+    sample_batch,
     threshold_excess_mean,
 )
 
@@ -218,6 +219,41 @@ class TestMonteCarloOracle:
     def test_minimum_replications_enforced(self):
         with pytest.raises(InputError, match="1000"):
             monte_carlo_mean_mark(two_class(), FIRST, 2, BAND, n_mc=100, seed=0)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("target", ["pooled", "classwise"])
+    def test_first_order_equals_a_loop_over_realizations(self, dim, target):
+        # the oracle sums each realization's points in [0, T] over the
+        # whole batch at once; a loop over the realizations is the reference
+        spec = MixtureSpec(
+            (
+                MixtureClass(0.5, PoissonGround(0.3), IidMarks("normal", (1.0, 2.0)),
+                             IidMarks("uniform", (0.0, 3.0))),
+                MixtureClass(0.5, PoissonGround(0.05), IidMarks("uniform", (-1.0, 4.0))),
+            ),
+            dim=dim,
+        )
+        f, win = builtin("first_squared"), Window(np.full(dim, 4.0))
+        value, se = monte_carlo_mean_mark(spec, f, 1, None, n_mc=1000, seed=12, win=win,
+                                          target=target)
+        batch = sample_batch(spec, win.box(), 1000, 12)
+        nums, dens = np.empty(1000), np.empty(1000)
+        for k in range(1000):
+            p = batch.pattern(k)
+            inside = np.all((p.locations >= 0.0) & (p.locations <= win.t), axis=1)
+            y, z = p.y[inside], p.z[inside]
+            nums[k], dens[k] = np.sum(z * f(y, y)), np.sum(z)
+        assert (dens == 0).any()  # some realizations have no point in [0, T]
+        if target == "pooled":
+            expected = np.sum(nums) / np.sum(dens)
+            loo = (np.sum(nums) - nums) / (np.sum(dens) - dens)
+        else:
+            ratios = nums[dens > 0] / dens[dens > 0]
+            expected = np.mean(ratios)
+            loo = (np.sum(ratios) - ratios) / (ratios.size - 1)
+        n = loo.size
+        expected_se = np.sqrt((n - 1) / n * np.sum((loo - np.mean(loo)) ** 2))
+        assert (value, se) == (float(expected), float(expected_se))
 
     def test_hardcore_second_order_via_monte_carlo(self):
         # the analytically intractable case the Monte Carlo oracle exists for

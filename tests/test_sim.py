@@ -472,6 +472,13 @@ class TestJson:
         with pytest.raises(InputError, match="'ground_kind' was unexpected"):
             mixture_from_json(doc)
 
+    def test_misspelt_z_rule_parameter_names_the_key(self):
+        doc = mixture_to_json(two_class_spec())
+        doc["classes"][0]["z_rule"] = {"kind": "iid", "distribution": "uniform",
+                                       "params": [0.0, 1.0], "parms": [0.0, 2.0]}
+        with pytest.raises(InputError, match="unexpected keyword argument 'parms'"):
+            mixture_from_json(doc)
+
     def test_schema_rejects_garbage(self):
         with pytest.raises(InputError, match="invalid mixture spec"):
             mixture_from_json({"classes": []})
