@@ -54,8 +54,24 @@ class UnsupportedSpecError(MppstatError):
     """A closed-form route does not exist for the requested model."""
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
+def _freeze(a) -> np.ndarray:
+    """`a` as a read-only C-ordered float64 array that no one can write to.
+
+    An array that is read-only, and views only read-only memory, is taken
+    as it is.  Anything else is copied, so a caller's writeable array
+    stays writeable and its later writes never reach the copy.
+    """
+    base = getattr(a, "base", None)
+    shared = (isinstance(a, np.ndarray) and not a.flags.writeable
+              and (base is None or isinstance(base, np.ndarray) and not base.flags.writeable))
+    a = (np.asarray if shared else np.array)(a, dtype=np.float64, order="C")
+    a.flags.writeable = False
+    return a
+
+
+def _concat_frozen(parts) -> np.ndarray:
+    """The concatenation of `parts`, read-only, so that a batch takes it without a copy."""
+    a = np.concatenate(parts)
     a.flags.writeable = False
     return a
 
@@ -242,9 +258,7 @@ class PatternBatch:
     classes: np.ndarray | None = None
 
     def __post_init__(self):
-        loc = np.asarray(self.locations, dtype=np.float64)
-        y = np.asarray(self.y, dtype=np.float64)
-        z = np.asarray(self.z, dtype=np.float64)
+        loc, y, z = _freeze(self.locations), _freeze(self.y), _freeze(self.z)
         n = loc.shape[0] if loc.ndim == 2 else -1
         if n < 0 or loc.shape[1] != self.sim_window.dim:
             raise InputError(f"locations must have shape (n, {self.sim_window.dim})")
@@ -256,9 +270,9 @@ class PatternBatch:
                 or any(b < a for a, b in zip(bounds, bounds[1:]))):
             raise InputError("starts must rise from 0 to the number of points")
         _check_points(loc, y, z, self.sim_window, bounds)
-        object.__setattr__(self, "locations", _freeze(loc))
-        object.__setattr__(self, "y", _freeze(y))
-        object.__setattr__(self, "z", _freeze(z))
+        object.__setattr__(self, "locations", loc)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
         starts.flags.writeable = False
         object.__setattr__(self, "starts", starts)
         if self.classes is not None:
@@ -278,9 +292,9 @@ class PatternBatch:
         lo = np.min([p.sim_window.lo for p in patterns], axis=0)
         hi = np.max([p.sim_window.hi for p in patterns], axis=0)
         return PatternBatch(
-            np.concatenate([p.locations for p in patterns]),
-            np.concatenate([p.y for p in patterns]),
-            np.concatenate([p.z for p in patterns]),
+            _concat_frozen([p.locations for p in patterns]),
+            _concat_frozen([p.y for p in patterns]),
+            _concat_frozen([p.z for p in patterns]),
             np.cumsum([0] + [p.n_points for p in patterns]),
             SimWindow(lo, hi),
         )
@@ -399,7 +413,7 @@ def _pairs_sorted_1d(
     n, n_real = x.shape[0], starts.shape[0] - 1
     rid = np.repeat(np.arange(n_real), starts[1:] - starts[:-1])
     if n_real == 1:
-        order = np.argsort(x, kind="stable")
+        order = np.argsort(x)  # a checked realization has no tie
         ss = x[order]
     else:
         # One sorted array for the whole block: each realization is moved

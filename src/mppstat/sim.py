@@ -15,6 +15,7 @@ distinct realizations use independently derived seed streams.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -24,7 +25,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .core import InputError, NumericError, PatternBatch, PointPattern, SimWindow
+from .core import InputError, NumericError, PatternBatch, PointPattern, SimWindow, _concat_frozen
 
 __all__ = [
     "PoissonGround",
@@ -237,8 +238,17 @@ def _sorted_band(locations: np.ndarray, reach: float) -> tuple[np.ndarray, np.nd
 
     b is the largest index gap between sorted points whose first
     coordinates lie within `reach`; an infinite reach gives b = n - 1.
+    The order is that of a stable sort.
     """
-    order = np.argsort(locations[:, 0], kind="stable")
+    x = locations[:, 0]
+    if locations.shape[1] == 1:
+        # without a tie the default sort gives the stable order, faster
+        order = np.argsort(x)
+        xs = x[order]
+        if not (xs[1:] > xs[:-1]).all():
+            order = np.argsort(x, kind="stable")
+    else:
+        order = np.argsort(x, kind="stable")
     pts = locations[order]
     n = pts.shape[0]
     if n == 0:
@@ -330,9 +340,36 @@ def _sample_poisson(intensity: float, window: SimWindow, rng: np.random.Generato
     return window.lo + (window.hi - window.lo) * rng.random((n, window.dim))
 
 
-def _sample_hardcore(spec: HardcoreGround, window: SimWindow, rng: np.random.Generator) -> np.ndarray:
-    from scipy.spatial import cKDTree
+def _thin_1d(x: np.ndarray, births: np.ndarray, d0: float) -> np.ndarray:
+    """Keep mask of the hardcore thinning of 1-D proposals `x` with birth times `births`.
 
+    Of each pair within `d0` the later-born point is dropped, with the
+    kd-tree's test and tie rule: the pair is close when dx * dx <= d0 * d0,
+    and on equal births the point of lower index goes.  After one sort,
+    offset k tests only the pairs (i, i + k) of sorted points that were
+    close at offset k - 1 (a farther pair cannot be closer), and its
+    losers are cleared at once, so memory stays O(n) however many pairs
+    are close.
+    """
+    n = x.shape[0]
+    order = np.argsort(x)  # ties are close pairs in any order
+    xs = x[order]
+    keep = np.ones(n, dtype=bool)
+    d2 = d0 * d0
+    i = np.arange(n - 1)
+    k = 1
+    while i.size:
+        dx = xs[i + k] - xs[i]
+        i = i[dx * dx <= d2]
+        a, b = order[i], order[i + k]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        keep[np.where(births[lo] < births[hi], hi, lo)] = False
+        k += 1
+        i = i[i < n - k]
+    return keep
+
+
+def _sample_hardcore(spec: HardcoreGround, window: SimWindow, rng: np.random.Generator) -> np.ndarray:
     d0 = spec.min_dist
     # Proposals extend d0 beyond the target box so that thinning near the
     # boundary sees the same competition as in the interior.
@@ -348,24 +385,39 @@ def _sample_hardcore(spec: HardcoreGround, window: SimWindow, rng: np.random.Gen
         )
     if props.shape[0] == 0:
         return props
-    tree = cKDTree(props)
-    pairs = tree.query_pairs(d0, output_type="ndarray")
-    keep = np.ones(props.shape[0], dtype=bool)
-    if pairs.size:
-        early = births[pairs[:, 0]] < births[pairs[:, 1]]
-        losers = np.where(early, pairs[:, 1], pairs[:, 0])
-        keep[losers] = False
+    if window.dim == 1:
+        keep = _thin_1d(props[:, 0], births, d0)
+    else:
+        from scipy.spatial import cKDTree
+
+        pairs = cKDTree(props).query_pairs(d0, output_type="ndarray")
+        keep = np.ones(props.shape[0], dtype=bool)
+        if pairs.size:
+            early = births[pairs[:, 0]] < births[pairs[:, 1]]
+            keep[np.where(early, pairs[:, 1], pairs[:, 0])] = False
     retained = props[keep]
     return retained[window.contains(retained)]
 
 
-def _sample_grid(spec: GridGround, window: SimWindow, rng: np.random.Generator) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def _lattice(spacing: float, lo: tuple[float, ...], hi: tuple[float, ...]) -> np.ndarray:
+    """Read-only lattice nodes of `spacing` anchored at `lo`, up to `hi` give or take rounding.
+
+    Built once per (spacing, window): only the jitter differs between
+    realizations.
+    """
     axes = []
-    for lo, hi in zip(window.lo, window.hi):
-        count = int(np.floor((hi - lo) / spec.spacing + 1e-9)) + 1
-        axes.append(lo + spec.spacing * np.arange(count))
+    for a, b in zip(lo, hi):
+        count = int(np.floor((b - a) / spacing + 1e-9)) + 1
+        axes.append(a + spacing * np.arange(count))
     mesh = np.meshgrid(*axes, indexing="ij")
     nodes = np.stack([m.ravel() for m in mesh], axis=1)
+    nodes.flags.writeable = False
+    return nodes
+
+
+def _sample_grid(spec: GridGround, window: SimWindow, rng: np.random.Generator) -> np.ndarray:
+    nodes = _lattice(spec.spacing, tuple(window.lo.tolist()), tuple(window.hi.tolist()))
     if spec.jitter > 0:
         nodes = nodes + rng.uniform(-spec.jitter, spec.jitter, size=nodes.shape)
     # lo + spacing * (count - 1) may round past hi even without jitter
@@ -563,7 +615,7 @@ def sample_batch(
         zs.append(z)
         classes.append(k)
     starts = np.cumsum([0] + [y.size for y in ys])
-    return PatternBatch(np.concatenate(locs), np.concatenate(ys), np.concatenate(zs),
+    return PatternBatch(_concat_frozen(locs), _concat_frozen(ys), _concat_frozen(zs),
                         starts, sim_window, classes)
 
 

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from mppstat import Band, PointPattern, SimWindow
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Grid unit for fixtures that need exact float arithmetic: sums and
 # differences of multiples of 2^-20 below 2^20 are representable exactly.
@@ -65,3 +72,14 @@ def random_band(rng: np.random.Generator, dim: int = 1, max_reach: float = 3.0) 
 
 def sorted_pairs(ii: np.ndarray, jj: np.ndarray) -> list[tuple[int, int]]:
     return sorted(zip(ii.tolist(), jj.tolist()))
+
+
+def scipy_modules_after(code: str, cwd: Path) -> set[str]:
+    """The scipy modules a fresh interpreter has loaded after running `code`."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    probe = "\nimport sys\nprint(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code + probe], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())

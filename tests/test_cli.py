@@ -3,10 +3,7 @@
 import contextlib
 import io
 import json
-import os
 import shutil
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 
@@ -25,6 +22,8 @@ from mppstat.cli import (
     main,
 )
 from mppstat import InputError, core, sim
+
+from helpers import scipy_modules_after
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -532,24 +531,12 @@ class TestMain:
 # cold start: scipy submodules are imported by the code that uses them
 # ---------------------------------------------------------------------------
 
-SRC = Path(__file__).resolve().parent.parent / "src"
 HEAVY_SCIPY = ("scipy.stats", "scipy.integrate", "scipy.spatial", "scipy.linalg")
-
-
-def _modules_after(code: str, cwd: Path) -> set[str]:
-    """The scipy modules a fresh interpreter has loaded after running `code`."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
-    probe = "\nimport sys\nprint(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", code + probe], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.splitlines()[-1].split())
 
 
 class TestColdStart:
     def test_cli_and_config_load_no_heavy_scipy_module(self, tmp_path):
-        loaded = _modules_after(
+        loaded = scipy_modules_after(
             "import mppstat.cli\n"
             f"mppstat.cli.load_config({str(CONFIGS / 'two_class_separation.json')!r})",
             tmp_path)
@@ -571,7 +558,7 @@ class TestColdStart:
                       f"'--out', {str(tmp_path / 'rep')!r}]) == 0",
         }
         for name, call in runs.items():  # report reads what estimate wrote
-            loaded = _modules_after("from mppstat.cli import main\n" + call, tmp_path)
+            loaded = scipy_modules_after("from mppstat.cli import main\n" + call, tmp_path)
             assert loaded == set(), (name, sorted(loaded))
 
 

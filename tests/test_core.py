@@ -172,6 +172,27 @@ class TestBatchOfOne:
         assert pat.locations[:, 0].tolist() == [0.5, 0.25]
 
     @pytest.mark.parametrize("batch", [False, True])
+    def test_caller_arrays_stay_writeable_and_unshared(self, batch):
+        loc, y, z = np.array([[0.25], [0.5]]), np.array([1.0, 2.0]), np.array([1.0, 1.0])
+        lo, hi, t = np.array([0.0]), np.array([1.0]), np.array([1.0])
+        z_view = z.view()  # read-only, but z can still write to it
+        z_view.flags.writeable = False
+        win = SimWindow(lo, hi)
+        pat = (PatternBatch(loc, y, z_view, [0, 2], win) if batch
+               else PointPattern(loc[:, 0], y, z_view, win))
+        window = Window(t)
+        for a in (loc, y, z, lo, hi, t):
+            assert a.flags.writeable
+            a[0] = 0.75
+        assert pat.locations[:, 0].tolist() == [0.25, 0.5]
+        assert pat.y.tolist() == [1.0, 2.0] and pat.z.tolist() == [1.0, 1.0]
+        assert win.lo.tolist() == [0.0] and win.hi.tolist() == [1.0]
+        assert window.t.tolist() == [1.0]
+        assert not any(a.flags.writeable for a in (pat.locations, pat.y, pat.z, win.lo, window.t))
+        # frozen arrays are shared, not copied
+        assert PatternBatch(pat.locations, pat.y, pat.z, [0, 2], win).y is pat.y
+
+    @pytest.mark.parametrize("batch", [False, True])
     @pytest.mark.parametrize("loc,y,z,dim,message", [
         (np.zeros((2, 1, 1)), np.ones(2), np.ones(2), 1, "locations must have shape (n, 1)"),
         (np.zeros((2, 2)), np.ones(2), np.ones(2), 1, "locations must have shape (n, 1)"),

@@ -35,7 +35,9 @@ from mppstat import (
     sample_mixture,
     spec_digest,
 )
-from mppstat.sim import _cholesky_with_jitter, _sample_poisson
+from mppstat.sim import _cholesky_with_jitter, _sample_poisson, _sorted_band, _thin_1d
+
+from helpers import scipy_modules_after
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -92,6 +94,18 @@ class TestPoisson:
         assert abs(r) < 3.0 / np.sqrt(500)
 
 
+def _kd_tree_keep(props, births, d0):
+    """The kd-tree thinning that d > 1 uses: the reference for the 1-D sweep."""
+    from scipy.spatial import cKDTree
+
+    keep = np.ones(props.shape[0], dtype=bool)
+    pairs = cKDTree(props).query_pairs(d0, output_type="ndarray")
+    if pairs.size:
+        early = births[pairs[:, 0]] < births[pairs[:, 1]]
+        keep[np.where(early, pairs[:, 1], pairs[:, 0])] = False
+    return keep
+
+
 class TestHardcore:
     def test_min_distance_hard_assertion(self):
         spec = HardcoreGround(proposal_intensity=4.0, min_dist=0.5)
@@ -121,8 +135,58 @@ class TestHardcore:
         assert abs(np.mean(counts) - expected) < 4 * se
 
     def test_extreme_thinning_warns(self):
-        with pytest.warns(UserWarning, match="retains only"):
-            sample_ground(HardcoreGround(500.0, 5.0), SimWindow.cube(0, 20, 1), seed=0)
+        # 15,000 proposals with about 5,000 neighbours each: the 1-D thinning
+        # holds no pair list, so it stays far below the ~580 MB that the
+        # kd-tree's list of close pairs takes
+        tracemalloc.start()
+        try:
+            with pytest.warns(UserWarning, match="retains only"):
+                sample_ground(HardcoreGround(500.0, 5.0), SimWindow.cube(0, 20, 1), seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+
+    @pytest.mark.parametrize("ground, window", [
+        (HardcoreGround(4.0, 0.2), SimWindow.cube(-1.5, 601.5, 1)),  # the field-1d benchmark
+        (HardcoreGround(40.0, 1.0), SimWindow.cube(0.0, 20.0, 1)),  # ~40 neighbours per side
+    ], ids=["field-1d", "dense"])
+    def test_1d_thinning_equals_the_kd_tree(self, ground, window):
+        d0 = ground.min_dist
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            props = _sample_poisson(ground.proposal_intensity,
+                                    SimWindow(window.lo - d0, window.hi + d0), rng)
+            births = rng.uniform(size=props.shape[0])
+            keep = _kd_tree_keep(props, births, d0)
+            assert np.array_equal(_thin_1d(props[:, 0], births, d0), keep), seed
+            retained = props[keep]
+            expected = retained[window.contains(retained)]
+            assert sample_ground(ground, window, seed).tobytes() == expected.tobytes(), seed
+
+    def test_pairs_within_ulps_of_min_dist_match_the_kd_tree(self):
+        # two proposals about d0 apart, at 0 and at a random place, the second
+        # moved -3..3 ulps; on equal births the tree drops the first point,
+        # so it is kept exactly when the pair is not close
+        rng = np.random.default_rng(0)
+        births = np.array([0.5, 0.5])
+        kept = []
+        for d0 in (0.2, 0.3, 5.0, *rng.uniform(0.05, 5.0, 200)):
+            for x1 in (0.0, rng.uniform(-700.0, 700.0)):
+                x2 = x1 + d0
+                for k in range(-3, 4):
+                    props = np.array([[x1], [x2 + k * np.spacing(x2)]])
+                    keep = _kd_tree_keep(props, births, d0)
+                    assert _thin_1d(props[:, 0], births, d0).tolist() == keep.tolist(), (d0, x1, k)
+                    kept.append(keep[0])
+        assert 0 < sum(kept) < len(kept)
+
+    def test_1d_hardcore_loads_no_scipy_spatial(self, tmp_path):
+        loaded = scipy_modules_after(
+            "from mppstat import HardcoreGround, SimWindow, sample_ground\n"
+            "sample_ground(HardcoreGround(4.0, 0.2), SimWindow.cube(0, 100, 1), seed=1)",
+            tmp_path)
+        assert "scipy.spatial" not in loaded
 
 
 class TestGrid:
@@ -273,6 +337,17 @@ class TestBandedField:
         assert ab.shape[1] == locs.shape[0] > 100
         assert ab.shape[0] - 1 <= math.floor(reach / delta) + 1
         assert np.array_equal(locs[order, 0], np.sort(locs[:, 0]))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_sorted_band_order_is_stable_with_ties(self, dim):
+        rng = np.random.default_rng(3)
+        locs = rng.uniform(0.0, 5.0, size=(300, dim))
+        locs[:, 0] = np.floor(locs[:, 0] * 4.0) / 4.0  # 20 distinct first coordinates
+        order, pts, b = _sorted_band(locs, 1.0)
+        assert np.array_equal(order, np.argsort(locs[:, 0], kind="stable"))
+        assert pts.tobytes() == locs[order].tobytes()
+        assert b == np.max(np.searchsorted(pts[:, 0], pts[:, 0] + 1.0, side="right")
+                           - 1 - np.arange(300))
 
     def test_no_dense_matrix_allocated(self):
         # an n x n float64 array would be 8 n^2 bytes; the banded paths
