@@ -20,7 +20,6 @@ from .core import (
     band_pair_indices,
     band_pair_indices_naive,
     buffered_window,
-    pair_distance,
     read_pattern_csv,
     translate,
     write_pattern_csv,

@@ -28,7 +28,6 @@ __all__ = [
     "PatternBatch",
     "Window",
     "Band",
-    "pair_distance",
     "band_pair_indices",
     "band_pair_indices_naive",
     "translate",
@@ -350,15 +349,6 @@ def _row_displacements(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return (b - a).ravel()
     diff = b - a
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
-
-
-def pair_distance(t1: Sequence[float], t2: Sequence[float]) -> float:
-    """Displacement from t1 to t2: t2 - t1 for d=1, ||t2 - t1|| for d>1."""
-    a = np.atleast_2d(np.asarray(t1, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(t2, dtype=np.float64))
-    if a.shape != b.shape or a.shape[0] != 1:
-        raise InputError(f"locations must share one dimension, got {a.shape} and {b.shape}")
-    return float(_row_displacements(a, b)[0])
 
 
 def band_pair_indices_naive(

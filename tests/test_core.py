@@ -21,7 +21,6 @@ from mppstat import (
     core,
     mean_mark,
     neighbor_counts,
-    pair_distance,
     pair_sums,
     pair_table,
     read_pattern_csv,
@@ -33,21 +32,6 @@ from helpers import DYADIC, pattern_1d, random_band, random_pattern, sorted_pair
 
 FIRST = builtin("first")
 ONE = builtin("const_one")
-
-
-class TestPairDistance:
-    def test_signed_difference_d1(self):
-        assert pair_distance([0.5], [0.0]) == -0.5
-
-    def test_euclidean_d2(self):
-        assert pair_distance([0.0, 0.0], [3.0, 4.0]) == 5.0
-
-    def test_identity(self):
-        assert pair_distance([2.0], [2.0]) == 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InputError):
-            pair_distance([0.0], [1.0, 2.0])
 
 
 class TestValidation:
