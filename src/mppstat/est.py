@@ -42,7 +42,6 @@ __all__ = [
     "EstimateResult",
     "pair_sums",
     "mean_mark",
-    "mean_mark_cond",
     "mean_mark_kernel",
     "PairTable",
     "pair_table",
@@ -85,35 +84,6 @@ def mean_mark(pattern: PointPattern, win: Window, band: Band, f: MarkFunction) -
     reach so that neighborhoods of [0, T] are complete.
     """
     num, den, count = pair_sums(pattern, win, band, f)
-    if den == 0.0:
-        return _undefined(band, count)
-    return EstimateResult(num / den, True, count, band, {"numerator": num, "denominator": den})
-
-
-def mean_mark_cond(
-    pattern: PointPattern,
-    win: Window,
-    band: Band,
-    f: MarkFunction,
-    f_cond: MarkFunction,
-) -> EstimateResult:
-    """Mean of f over pairs, reweighted by a non-negative conditioning function.
-
-    value = sum z1 f*f_cond / sum z1 f_cond.  With f_cond == 1 this equals
-    :func:`mean_mark` exactly; an indicator f_cond restricts the pair
-    population to mark events.
-    """
-    ii, jj = band_pair_indices(pattern, win, band)
-    count = int(ii.size)
-    if count == 0:
-        return _undefined(band, count)
-    y1, y2 = pattern.y[ii], pattern.y[jj]
-    cond = np.asarray(f_cond(y1, y2), dtype=np.float64)
-    if np.any(cond < 0):
-        raise InputError(f"conditioning function {f_cond.name!r} must be non-negative")
-    z1 = pattern.z[ii]
-    num = float(np.sum(z1 * np.asarray(f(y1, y2), dtype=np.float64) * cond))
-    den = float(np.sum(z1 * cond))
     if den == 0.0:
         return _undefined(band, count)
     return EstimateResult(num / den, True, count, band, {"numerator": num, "denominator": den})

@@ -1,4 +1,4 @@
-"""Estimator family: single-realization, conditional, kernel, multi-realization."""
+"""Estimator family: single-realization, kernel, multi-realization."""
 
 import tracemalloc
 import warnings
@@ -21,11 +21,9 @@ from mppstat import (
     buffered_window,
     concat_patterns,
     core,
-    indicator_pair,
     make_mark_function,
     mean_mark,
     mean_mark_avg,
-    mean_mark_cond,
     mean_mark_kernel,
     mean_mark_pooled,
     mean_mark_weighted,
@@ -77,31 +75,6 @@ class TestMeanMark:
         pat = pattern_1d([0.0, 0.5], z=[0.0, 0.0], lo=0.0, hi=1.0)
         res = mean_mark(pat, Window(1.0), BAND, FIRST)
         assert not res.defined
-
-
-class TestMeanMarkCond:
-    def test_vacuous_conditioning_matches_exactly(self, core_pattern):
-        plain = mean_mark(core_pattern, WIN3, BAND, FIRST)
-        cond = mean_mark_cond(core_pattern, WIN3, BAND, FIRST, ONE)
-        assert cond.value == plain.value
-
-    def test_conditioning_that_selects_nothing(self, core_pattern):
-        none = indicator_pair(100.0, 200.0, -np.inf, np.inf)
-        assert not mean_mark_cond(core_pattern, WIN3, BAND, FIRST, none).defined
-
-    def test_two_mark_fixture(self):
-        # marks {2, 4}, both ordered pairs in band; conditioning on y1 > 3
-        # keeps only the pair starting at the mark 4
-        pat = pattern_1d([0.0, 1.0], y=[2.0, 4.0], lo=0.0, hi=1.0)
-        band = Band(-1.5, 1.5)
-        cond = make_mark_function(lambda y1, y2: (y1 > 3.0).astype(float), "y1>3")
-        res = mean_mark_cond(pat, Window(1.0), band, FIRST, cond)
-        assert res.value == 4.0
-
-    def test_negative_conditioning_rejected(self, core_pattern):
-        neg = make_mark_function(lambda y1, y2: -np.ones_like(y1), "neg")
-        with pytest.raises(InputError, match="non-negative"):
-            mean_mark_cond(core_pattern, WIN3, BAND, FIRST, neg)
 
 
 class TestMeanMarkKernel:
