@@ -58,7 +58,6 @@ from .est import (
     concat_patterns,
     mean_mark,
     mean_mark_avg,
-    mean_mark_kernel,
     mean_mark_pooled,
     mean_mark_weighted,
     pair_sums,

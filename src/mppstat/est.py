@@ -16,7 +16,6 @@ the per-realization work.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -29,9 +28,7 @@ from .core import (
     PointPattern,
     SimWindow,
     Window,
-    band_pair_indices,
     _pair_values,
-    _row_displacements,
     _sweep,
 )
 from .markfn import MarkFunction, builtin as _builtin
@@ -42,14 +39,12 @@ __all__ = [
     "EstimateResult",
     "pair_sums",
     "mean_mark",
-    "mean_mark_kernel",
     "PairTable",
     "pair_table",
     "mean_mark_avg",
     "mean_mark_weighted",
     "mean_mark_pooled",
     "concat_patterns",
-    "KERNELS",
 ]
 
 
@@ -87,61 +82,6 @@ def mean_mark(pattern: PointPattern, win: Window, band: Band, f: MarkFunction) -
     if den == 0.0:
         return _undefined(band, count)
     return EstimateResult(num / den, True, count, band, {"numerator": num, "denominator": den})
-
-
-KERNELS = ("rectangular", "epanechnikov", "gaussian")
-
-
-def mean_mark_kernel(
-    pattern: PointPattern,
-    win: Window,
-    r: float,
-    f: MarkFunction,
-    kernel: str = "rectangular",
-    bandwidth: float = None,
-) -> EstimateResult:
-    """Kernel-smoothed mean mark at a target displacement r.
-
-    value = sum z1 f(y1,y2) K((r - d)/h) / sum z1 K((r - d)/h) over ordered
-    pairs, with d the pair displacement.  Kernels are unnormalized, which
-    leaves the ratio unchanged.  The rectangular kernel is evaluated by an
-    exact band query on [r-h, r+h], so it reproduces :func:`mean_mark` on
-    that band bit for bit.  The gaussian kernel has full support: every
-    pair contributes, however far from r (which is also its hazard).
-    """
-    if kernel not in KERNELS:
-        raise InputError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
-    if bandwidth is None or not np.isfinite(bandwidth) or bandwidth <= 0:
-        raise InputError(f"bandwidth must be finite and > 0, got {bandwidth}")
-    h = float(bandwidth)
-    signed = pattern.dim == 1
-    if kernel == "gaussian":
-        lo = -math.inf if signed else 0.0
-        query = Band(lo, math.inf, signed=signed)
-    else:
-        lo = r - h
-        if not signed:
-            lo = max(lo, 0.0)
-        query = Band(lo, r + h, signed=signed)
-    ii, jj = band_pair_indices(pattern, win, query)
-    count = int(ii.size)
-    meta = {"kernel": kernel, "bandwidth": h, "r": float(r)}
-    if count == 0:
-        return _undefined(query, count, **meta)
-    if kernel == "rectangular":
-        w = np.ones(count)
-    else:
-        d = _row_displacements(pattern.locations[ii], pattern.locations[jj])
-        u = (r - d) / h
-        w = np.exp(-0.5 * u * u) if kernel == "gaussian" else np.maximum(1.0 - u * u, 0.0)
-    vals = np.asarray(f(pattern.y[ii], pattern.y[jj]), dtype=np.float64)
-    z1 = pattern.z[ii]
-    num = float(np.sum(z1 * vals * w))
-    den = float(np.sum(z1 * w))
-    if den == 0.0:
-        return _undefined(query, count, **meta)
-    meta["denominator"] = den
-    return EstimateResult(num / den, True, count, query, meta)
 
 
 @dataclass(frozen=True)

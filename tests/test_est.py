@@ -1,4 +1,4 @@
-"""Estimator family: single-realization, kernel, multi-realization."""
+"""Estimator family: single-realization and multi-realization."""
 
 import tracemalloc
 import warnings
@@ -24,7 +24,6 @@ from mppstat import (
     make_mark_function,
     mean_mark,
     mean_mark_avg,
-    mean_mark_kernel,
     mean_mark_pooled,
     mean_mark_weighted,
     pair_sums,
@@ -75,56 +74,6 @@ class TestMeanMark:
         pat = pattern_1d([0.0, 0.5], z=[0.0, 0.0], lo=0.0, hi=1.0)
         res = mean_mark(pat, Window(1.0), BAND, FIRST)
         assert not res.defined
-
-
-class TestMeanMarkKernel:
-    def test_rectangular_equals_band_estimate_on_fixture(self, core_pattern):
-        res = mean_mark_kernel(core_pattern, WIN3, r=0.5, f=FIRST,
-                               kernel="rectangular", bandwidth=0.1)
-        assert res.value == 2.0
-
-    def test_rectangular_equals_band_estimate_exactly(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            pat = random_pattern(rng, 40, extent=6.0, positive_marks=True)
-            win = Window(6.0)
-            r = float(rng.uniform(-1.5, 1.5))
-            h = float(rng.uniform(0.1, 1.0))
-            via_kernel = mean_mark_kernel(pat, win, r, FIRST, "rectangular", h)
-            via_band = mean_mark(pat, win, Band(r - h, r + h), FIRST)
-            if via_band.defined:
-                assert via_kernel.value == via_band.value
-            else:
-                assert not via_kernel.defined
-
-    def test_gaussian_single_pair_recovers_f(self):
-        # lone qualifying pair: the kernel weight cancels in the ratio
-        pat = pattern_1d([0.2, 1.0], y=[3.0, 7.0], lo=0.0, hi=1.5)
-        res = mean_mark_kernel(pat, Window(0.5), r=5.0, f=FIRST,
-                               kernel="gaussian", bandwidth=1.0)
-        assert res.value == pytest.approx(3.0, rel=1e-12)
-
-    def test_rectangular_saturation(self):
-        rng = np.random.default_rng(13)
-        pat = random_pattern(rng, 30, extent=4.0, positive_marks=True)
-        win = Window(4.0)
-        sat = mean_mark_kernel(pat, win, r=0.0, f=FIRST, kernel="rectangular",
-                               bandwidth=100.0)
-        full = mean_mark(pat, win, Band(-100.0, 100.0), FIRST)
-        assert sat.value == full.value
-
-    def test_epanechnikov_stays_within_mark_range(self):
-        rng = np.random.default_rng(15)
-        pat = random_pattern(rng, 60, extent=6.0, positive_marks=True)
-        res = mean_mark_kernel(pat, Window(6.0), r=1.0, f=FIRST,
-                               kernel="epanechnikov", bandwidth=0.8)
-        assert pat.y.min() <= res.value <= pat.y.max()
-
-    def test_bad_kernel_and_bandwidth(self, core_pattern):
-        with pytest.raises(InputError, match="kernel"):
-            mean_mark_kernel(core_pattern, WIN3, 0.5, FIRST, "triangular", 0.1)
-        with pytest.raises(InputError, match="bandwidth"):
-            mean_mark_kernel(core_pattern, WIN3, 0.5, FIRST, "gaussian", 0.0)
 
 
 class TestMeanMarkAvg:
@@ -283,25 +232,6 @@ class TestConcat:
         lonely = pattern_1d([0.0], lo=0.0, hi=3.0)
         with pytest.raises(InputError, match="no weighted pairs"):
             concat_patterns([lonely], WIN3, BAND, [1.0])
-
-
-class TestKernelD2:
-    def test_rectangular_equals_band_estimate_in_plane(self):
-        rng = np.random.default_rng(55)
-        pat = random_pattern(rng, 60, dim=2, extent=5.0, positive_marks=True)
-        win = Window(np.full(2, 5.0))
-        kern = mean_mark_kernel(pat, win, r=1.0, f=FIRST, kernel="rectangular",
-                                bandwidth=0.5)
-        band = mean_mark(pat, win, Band(0.5, 1.5, signed=False), FIRST)
-        assert kern.value == band.value
-
-    def test_negative_part_of_support_clipped(self):
-        rng = np.random.default_rng(56)
-        pat = random_pattern(rng, 40, dim=2, extent=5.0, positive_marks=True)
-        win = Window(np.full(2, 5.0))
-        res = mean_mark_kernel(pat, win, r=0.2, f=FIRST, kernel="rectangular",
-                               bandwidth=1.0)
-        assert res.band.lo == 0.0
 
 
 class TestEstInvariants:

@@ -111,20 +111,3 @@ def test_blue_weights_scale_invariant_and_normalized(seed, scale):
     w_scaled = blue_weights(sigma * scale)
     assert np.allclose(w, w_scaled, rtol=1e-12)
     assert abs(w.sum() - 1.0) <= 8 * np.finfo(float).eps
-
-
-@given(seed=seeds, r=st.floats(-1.5, 1.5, allow_nan=False),
-       h=st.floats(0.05, 1.0, allow_nan=False))
-@settings(max_examples=60, deadline=None)
-def test_rectangular_kernel_is_a_band_query(seed, r, h):
-    from mppstat import mean_mark_kernel
-
-    rng = np.random.default_rng(seed)
-    pat = random_pattern(rng, 40, extent=6.0, positive_marks=True)
-    win = Window(6.0)
-    kern = mean_mark_kernel(pat, win, r, FIRST, "rectangular", h)
-    band = mean_mark(pat, win, Band(r - h, r + h), FIRST)
-    if band.defined:
-        assert kern.value == band.value
-    else:
-        assert not kern.defined
