@@ -65,7 +65,6 @@ from .est import (
 )
 from .weights import (
     WeightStrategy,
-    blue_weights,
     compute_weights,
     mean_mark_conditional_variance,
     neighbor_counts,

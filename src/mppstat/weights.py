@@ -20,9 +20,6 @@ point and per-point neighbor counts the ``alpha``, ``count`` and ``rfvar``
 strategies read directly.
 Callers with weights of their own pass them to
 :func:`~mppstat.est.mean_mark_weighted`.
-
-Also provides the best-linear-unbiased (inverse covariance) weights for
-averaging correlated observations with a common mean.
 """
 
 from __future__ import annotations
@@ -43,7 +40,6 @@ __all__ = [
     "WeightStrategy",
     "compute_weights",
     "mean_mark_conditional_variance",
-    "blue_weights",
     "neighbor_counts",
 ]
 
@@ -165,27 +161,3 @@ def compute_weights(strategy: WeightStrategy, table: PairTable) -> np.ndarray:
         else:
             out[k] = 1.0 / v
     return out
-
-
-def blue_weights(cov_matrix: np.ndarray) -> np.ndarray:
-    """Minimum-variance unbiased weights for averaging correlated observations.
-
-    Solves for w proportional to Sigma^{-1} 1 and renormalizes so the
-    weights sum to one; this minimizes w' Sigma w subject to sum(w) = 1.
-    The matrix must be symmetric positive definite.
-    """
-    import scipy.linalg
-
-    sigma = np.asarray(cov_matrix, dtype=np.float64)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        raise InputError(f"covariance matrix must be square, got shape {sigma.shape}")
-    if not np.all(np.isfinite(sigma)):
-        raise InputError("covariance matrix must be finite")
-    if not np.allclose(sigma, sigma.T, rtol=1e-12, atol=0.0):
-        raise InputError("covariance matrix must be symmetric")
-    try:
-        factor = scipy.linalg.cho_factor(sigma, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise InputError(f"covariance matrix is not positive definite: {exc}") from exc
-    w = scipy.linalg.cho_solve(factor, np.ones(sigma.shape[0]))
-    return w / np.sum(w)

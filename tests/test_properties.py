@@ -9,7 +9,6 @@ from mppstat import (
     Window,
     band_pair_indices,
     band_pair_indices_naive,
-    blue_weights,
     builtin,
     mean_mark,
     pair_sums,
@@ -99,15 +98,3 @@ def test_threshold_identity(seed, u):
                                y * fam.indicator(y), rtol=1e-12, atol=1e-12)
     ind = fam.indicator(y)
     np.testing.assert_array_equal(ind * ind, ind)
-
-
-@given(seed=seeds, scale=st.floats(1e-3, 1e3, allow_nan=False))
-@settings(max_examples=40, deadline=None)
-def test_blue_weights_scale_invariant_and_normalized(seed, scale):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(4, 4))
-    sigma = a @ a.T + 4 * np.eye(4)
-    w = blue_weights(sigma)
-    w_scaled = blue_weights(sigma * scale)
-    assert np.allclose(w, w_scaled, rtol=1e-12)
-    assert abs(w.sum() - 1.0) <= 8 * np.finfo(float).eps

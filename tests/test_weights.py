@@ -1,4 +1,4 @@
-"""Weight strategies, conditional variance of the estimator, and BLUE weights."""
+"""Weight strategies and the conditional variance of the estimator."""
 
 import tracemalloc
 import warnings
@@ -16,7 +16,6 @@ from mppstat import (
     WeightStrategy,
     Window,
     band_pair_indices,
-    blue_weights,
     builtin,
     compute_weights,
     covariance_model,
@@ -205,55 +204,3 @@ class TestConditionalVariance:
         finally:
             tracemalloc.stop()
         assert peak < 20 * locs.nbytes
-
-
-class TestBlueWeights:
-    def test_identity(self):
-        assert blue_weights(np.eye(3)).tolist() == pytest.approx([1 / 3] * 3)
-
-    def test_inverse_variance(self):
-        w = blue_weights(np.diag([1.0, 4.0]))
-        assert w == pytest.approx([0.8, 0.2])
-
-    def test_equicorrelated_uniform(self):
-        for rho in (-0.2, 0.0, 0.35, 0.9):
-            n = 4
-            sigma = np.full((n, n), rho) + (1 - rho) * np.eye(n)
-            assert blue_weights(sigma) == pytest.approx([0.25] * n)
-
-    def test_weights_sum_to_one(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(5, 5))
-        sigma = a @ a.T + 5 * np.eye(5)
-        w = blue_weights(sigma)
-        assert abs(w.sum() - 1.0) <= 4 * np.finfo(float).eps
-
-    def test_minimizes_quadratic_form(self):
-        rng = np.random.default_rng(5)
-        for trial in range(10):
-            a = rng.normal(size=(5, 5))
-            sigma = a @ a.T + 5 * np.eye(5)
-            w = blue_weights(sigma)
-            base = w @ sigma @ w
-            for _ in range(100):
-                d = rng.normal(size=5)
-                d -= d.mean()  # stay on the sum-to-one hyperplane
-                d *= 1e-3 / np.linalg.norm(d)
-                assert (w + d) @ sigma @ (w + d) >= base - 1e-15
-
-    def test_scaling_invariance(self):
-        rng = np.random.default_rng(9)
-        a = rng.normal(size=(6, 6))
-        sigma = a @ a.T + 6 * np.eye(6)
-        w1 = blue_weights(sigma)
-        w2 = blue_weights(sigma * 137.0)
-        assert w2 == pytest.approx(w1, rel=1e-12)
-
-    def test_non_positive_definite_reports_minor(self):
-        bad = np.array([[1.0, 2.0], [2.0, 1.0]])
-        with pytest.raises(InputError, match="minor"):
-            blue_weights(bad)
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(InputError, match="symmetric"):
-            blue_weights(np.array([[1.0, 0.5], [0.2, 1.0]]))
