@@ -42,7 +42,6 @@ from .sim import (
     MixtureSpec,
     PoissonGround,
     banded_covariance,
-    covariance_model,
     matern2_retained_intensity,
     mixture_from_json,
     mixture_to_json,

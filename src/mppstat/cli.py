@@ -161,7 +161,7 @@ def _strategy(name: str, args) -> WeightStrategy:
         variance, cov_range = (float(v) for v in params.split(","))
     except ValueError as exc:
         raise InputError(f"--cov-params must be VAR,RANGE, got {params!r}") from exc
-    return WeightStrategy("rfvar", cov=sim.covariance_model(model, variance, cov_range))
+    return WeightStrategy("rfvar", cov=sim.Covariance(model, variance, cov_range))
 
 
 def _weights_digest(w) -> str:

@@ -36,7 +36,6 @@ __all__ = [
     "MixtureClass",
     "MixtureSpec",
     "Covariance",
-    "covariance_model",
     "banded_covariance",
     "unit_ball_volume",
     "matern2_retained_intensity",
@@ -189,7 +188,7 @@ class GaussianFieldMarks:
             raise InputError(f"unknown covariance shape {self.shape!r}")
 
     def covariance(self) -> Covariance:
-        return covariance_model(self.shape, self.variance, self.cov_range)
+        return Covariance(self.shape, self.variance, self.cov_range)
 
 
 MarkSpec = Union[IidMarks, GaussianFieldMarks]
@@ -226,11 +225,6 @@ class Covariance:
         return np.where(
             h <= self.cov_range, self.variance * np.exp(-3.0 * h / self.cov_range), 0.0
         )
-
-
-def covariance_model(shape: str, variance: float, cov_range: float) -> Covariance:
-    """The finite-range covariance model `shape` (see :class:`Covariance`)."""
-    return Covariance(shape, variance, cov_range)
 
 
 def _sorted_band(locations: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray, int]:

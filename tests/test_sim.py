@@ -10,6 +10,7 @@ import pytest
 
 from mppstat import (
     Band,
+    Covariance,
     GaussianFieldMarks,
     GridGround,
     HardcoreGround,
@@ -24,7 +25,6 @@ from mppstat import (
     Window,
     banded_covariance,
     buffered_window,
-    covariance_model,
     matern2_retained_intensity,
     mean_mark_conditional_variance,
     mixture_from_json,
@@ -229,11 +229,11 @@ class TestMarks:
         assert np.all(z == 1.0)
 
     def test_field_generating_covariance_is_zero_beyond_range(self):
-        cov = covariance_model("spherical", 2.0, 0.7)
+        cov = Covariance("spherical", 2.0, 0.7)
         assert cov(0.0) == 2.0
         assert cov(0.7) == 0.0
         assert cov(5.0) == 0.0
-        tr = covariance_model("trunc_exp", 1.0, 1.0)
+        tr = Covariance("trunc_exp", 1.0, 1.0)
         assert tr(0.0) == 1.0
         assert tr(1.0) == pytest.approx(np.exp(-3.0))
         assert tr(1.0001) == 0.0
@@ -267,7 +267,7 @@ class TestMarks:
         assert r == pytest.approx(expected, abs=0.06)
 
     def test_coincident_distance_gives_full_variance(self):
-        cov = covariance_model("spherical", 3.5, 1.0)
+        cov = Covariance("spherical", 3.5, 1.0)
         assert cov(0.0) == 3.5
 
     def test_near_duplicate_locations_saved_by_jitter(self):
@@ -333,7 +333,7 @@ class TestBandedField:
     def test_band_width_bounded_by_hardcore_distance(self):
         delta, reach = 0.2, 1.0
         locs = sample_ground(HardcoreGround(4.0, delta), SimWindow.cube(0.0, 200.0, 1), seed=3)
-        order, ab = banded_covariance(locs, covariance_model("spherical", 1.0, reach), reach)
+        order, ab = banded_covariance(locs, Covariance("spherical", 1.0, reach), reach)
         assert ab.shape[1] == locs.shape[0] > 100
         assert ab.shape[0] - 1 <= math.floor(reach / delta) + 1
         assert np.array_equal(locs[order, 0], np.sort(locs[:, 0]))

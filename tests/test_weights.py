@@ -8,6 +8,7 @@ import pytest
 
 from mppstat import (
     Band,
+    Covariance,
     GaussianFieldMarks,
     InputError,
     PointPattern,
@@ -18,7 +19,6 @@ from mppstat import (
     band_pair_indices,
     builtin,
     compute_weights,
-    covariance_model,
     mean_mark_conditional_variance,
     neighbor_counts,
     pair_table,
@@ -61,7 +61,7 @@ class TestComputeWeights:
         assert w.tolist() == [1.0]  # 2 in-window points / volume 2
 
     def test_rfvar_reciprocal_and_zero_fallback(self):
-        cov = covariance_model("spherical", 1.0, 0.5)
+        cov = Covariance("spherical", 1.0, 0.5)
         strat = WeightStrategy("rfvar", cov=cov)
         good = pattern_1d([0.0, 1.0], lo=0, hi=2)
         lonely = pattern_1d([0.0], lo=0, hi=2)
@@ -80,7 +80,7 @@ class TestComputeWeights:
                 for _ in range(40)]
         win = Window(np.full(dim, 6.0))
         band = Band(-1.5, -0.5) if dim == 1 else Band.absolute(0.5, 1.5)
-        cov = covariance_model("spherical", 1.0, 0.8)
+        cov = Covariance("spherical", 1.0, 0.8)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # realizations without pairs
             w = compute_weights(WeightStrategy("rfvar", cov=cov), pair_table(pats, win, band, FIRST))
@@ -110,7 +110,7 @@ class TestConditionalVariance:
     def test_single_point_with_neighbors(self):
         # one in-window point with k neighbors: variance equals cov(0)
         pat = pattern_1d([0.0, 1.0, 1.2, 1.4], lo=0.0, hi=2.0)
-        cov = covariance_model("spherical", 2.0, 0.5)
+        cov = Covariance("spherical", 2.0, 0.5)
         v = mean_mark_conditional_variance(pat, Window(0.5), Band(0.5, 1.5), cov)
         counts = neighbor_counts(pat, Window(0.5), Band(0.5, 1.5))
         assert counts.tolist() == [3, 0, 0, 0]
@@ -120,7 +120,7 @@ class TestConditionalVariance:
         # two in-window points, one neighbor each, covariance zero between
         # them: (cov(0) + cov(0)) / (1 + 1)^2 = cov(0) / 2
         pat = pattern_1d([0.0, 1.0, 10.0, 11.0], lo=0.0, hi=12.0)
-        cov = covariance_model("spherical", 3.0, 0.5)
+        cov = Covariance("spherical", 3.0, 0.5)
         v = mean_mark_conditional_variance(pat, Window(12.0), Band(0.5, 1.5), cov)
         assert v == pytest.approx(1.5)
 
@@ -135,7 +135,7 @@ class TestConditionalVariance:
 
     def test_no_pairs_undefined(self):
         pat = pattern_1d([0.0], lo=0.0, hi=1.0)
-        cov = covariance_model("spherical", 1.0, 0.5)
+        cov = Covariance("spherical", 1.0, 0.5)
         assert np.isnan(
             mean_mark_conditional_variance(pat, Window(1.0), Band(0.5, 1.5), cov)
         )
@@ -156,7 +156,7 @@ class TestConditionalVariance:
         rng = np.random.default_rng(17 + dim)
         pat = random_pattern(rng, 150 if dim == 1 else 250, dim=dim, extent=12.0, buffer=1.5)
         win, band = Window(np.full(dim, 12.0)), Band(0.3, 1.5, signed=(dim == 1))
-        model = covariance_model("spherical", 2.0, 0.8)
+        model = Covariance("spherical", 2.0, 0.8)
         cov = (lambda h: model(h)) if closure else model  # a closure carries no range
         v = mean_mark_conditional_variance(pat, win, band, cov)
         counts = neighbor_counts(pat, win, band).astype(float)
@@ -193,7 +193,7 @@ class TestConditionalVariance:
         assert locs.shape[0] > 90_000
         n = locs.shape[0]
         pat = PointPattern(locs, np.zeros(n), np.ones(n), sw)
-        cov = covariance_model("spherical", 1.0, 1.0)
+        cov = Covariance("spherical", 1.0, 1.0)
         tracemalloc.start()
         try:
             with pytest.raises(InputError, match="above the budget of 1e\\+09"):

@@ -25,6 +25,7 @@ import pytest
 
 from mppstat import (
     Band,
+    Covariance,
     GaussianFieldMarks,
     GridGround,
     IidMarks,
@@ -35,7 +36,6 @@ from mppstat import (
     Window,
     buffered_window,
     builtin,
-    covariance_model,
     compute_weights,
     mean_mark_weighted,
     pair_table,
@@ -61,7 +61,7 @@ STRATEGIES = {
     "equal": WeightStrategy("equal"),
     "pairs": WeightStrategy("alpha"),
     "counts": WeightStrategy("count"),
-    "rfvar": WeightStrategy("rfvar", cov=covariance_model("spherical", 1.0, 0.4)),
+    "rfvar": WeightStrategy("rfvar", cov=Covariance("spherical", 1.0, 0.4)),
 }
 
 
