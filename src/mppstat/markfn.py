@@ -209,5 +209,8 @@ def resolve(descriptor: dict) -> MarkFunction:
         raise InputError(f"unknown mark function {name!r}")
     try:
         return _FAMILIES[name](**params)
-    except TypeError as exc:
+    except InputError:
+        raise
+    except (TypeError, ValueError) as exc:
+        # a misspelt parameter, or one of the wrong type (a list where a number belongs)
         raise InputError(f"mark function {name!r}: {exc}") from exc

@@ -370,6 +370,21 @@ class TestMain:
         assert "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("entry", [
+        {"name": "threshold_excess", "u": [1, 2]},
+        {"name": "indicator_pair", "a_lo": [1, 2]},
+    ], ids=["threshold_excess", "indicator_pair"])
+    def test_list_valued_mark_parameter_exit_2(self, tmp_path, capsys, entry):
+        cfg_path = small_config(tmp_path, n_realizations=2, n_replicates=1)
+        doc = json.loads(cfg_path.read_text())
+        doc["f"] = entry
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["estimate", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: mark function {entry['name']!r}")
+        assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("command", ["simulate", "estimate"])
     def test_infinite_mark_parameter_exit_2(self, tmp_path, capsys, command):
         cfg_path = small_config(tmp_path, n_realizations=2, n_replicates=1)

@@ -133,3 +133,12 @@ class TestRegistry:
     def test_mistyped_parameter_is_input_error(self):
         with pytest.raises(InputError, match="indicator_pair"):
             resolve({"name": "indicator_pair", "a_lo": "low"})
+
+    @pytest.mark.parametrize("descriptor", [
+        {"name": "indicator_pair", "a_lo": [1, 2]},
+        {"name": "threshold_excess", "u": [1, 2]},
+    ], ids=["indicator_pair", "threshold_excess"])
+    def test_list_valued_parameter_is_input_error(self, descriptor):
+        # numpy raises ValueError on the truth value of an array
+        with pytest.raises(InputError, match=descriptor["name"]):
+            resolve(descriptor)
