@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -418,6 +419,7 @@ def cmd_infer_clt(config: dict, out_dir: Path) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mppstat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

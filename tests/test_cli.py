@@ -15,6 +15,7 @@ import mppstat
 from mppstat.cli import (
     CONFIG_SCHEMA,
     ESTIMATE_HEADER,
+    _build_parser,
     cmd_estimate,
     cmd_report,
     cmd_simulate,
@@ -526,6 +527,15 @@ class TestMain:
         assert lines[0] == "seed_index,alpha_star,conditional_pairs,statistic"
         assert lines[-1].startswith("# summary,s_hat=")
         assert len(lines) == 62  # header + 60 seeds + summary
+
+    def test_parser_is_built_once_and_keeps_no_state(self):
+        parser = _build_parser()
+        assert _build_parser() is parser
+        first = parser.parse_args(["estimate", "--config", "c.json", "--weights", "rfvar",
+                                   "--cov-model", "spherical", "--cov-params", "1,0.5"])
+        again = parser.parse_args(["estimate", "--config", "c.json"])
+        assert first.weights == "rfvar"
+        assert (again.weights, again.cov_model, again.cov_params) == (None, None, None)
 
     @pytest.mark.parametrize("command", ["simulate", "estimate"])
     @pytest.mark.parametrize("overrides, message", [
