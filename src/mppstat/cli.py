@@ -90,7 +90,18 @@ def load_config(path) -> dict:
     error = sim._schema_error(doc, CONFIG_SCHEMA)
     if error is not None:
         raise InputError(f"invalid config {path}: {error.message}")
+    _integral_floats_to_int(doc, CONFIG_SCHEMA)
     return doc
+
+
+def _integral_floats_to_int(doc: dict, schema: dict) -> None:
+    """Make each `integer` field of a valid `doc` an int: JSON Schema counts 3.0 as one."""
+    for key, sub in schema["properties"].items():
+        value = doc.get(key)
+        if sub.get("type") == "integer" and isinstance(value, float):
+            doc[key] = int(value)
+        elif sub.get("type") == "object" and isinstance(value, dict) and "properties" in sub:
+            _integral_floats_to_int(value, sub)
 
 
 def _window(config) -> Window:

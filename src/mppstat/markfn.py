@@ -201,6 +201,8 @@ def resolve(descriptor: dict) -> MarkFunction:
         raise InputError("mark function descriptor needs a 'name' key")
     params = {k: v for k, v in descriptor.items() if k != "name"}
     name = descriptor["name"]
+    if not isinstance(name, str):
+        raise InputError(f"mark function name must be a string, got {name!r}")
     if name in _BUILTINS:
         if params:
             raise InputError(f"built-in mark function {name!r} takes no parameters")

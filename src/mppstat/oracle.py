@@ -25,6 +25,7 @@ import numpy as np
 from .core import (
     Band,
     InputError,
+    NumericError,
     UnsupportedSpecError,
     Window,
     buffered_window,
@@ -187,8 +188,11 @@ def mixture_mean_mark(
     its (pair) intensity times its mean weight mark; this is the target of
     the pooled estimators.
     """
-    means = np.array([_mark_mean_f(c.marks, f, order) for c in spec.classes])
-    weights = _class_weights(spec, order, band)
+    try:
+        means = np.array([_mark_mean_f(c.marks, f, order) for c in spec.classes])
+        weights = _class_weights(spec, order, band)
+    except OverflowError as exc:  # a float power past the float range, e.g. intensity**2
+        raise NumericError(f"closed-form mixture mean mark overflows: {exc}") from exc
     total = float(np.sum(weights))
     if not 0 < total < math.inf:
         raise InputError(f"mixture has total (pair) intensity {total} on this band")
@@ -202,7 +206,10 @@ def class_averaged_mean_mark(spec: MixtureSpec, f: MarkFunction, order: int) -> 
     the analytic classes supported here the per-class means do not vary
     over bands, so none is taken.
     """
-    means = np.array([_mark_mean_f(c.marks, f, order) for c in spec.classes])
+    try:
+        means = np.array([_mark_mean_f(c.marks, f, order) for c in spec.classes])
+    except OverflowError as exc:
+        raise NumericError(f"closed-form class-averaged mean mark overflows: {exc}") from exc
     probs = spec.probabilities()
     return float(np.sum(probs * means))
 

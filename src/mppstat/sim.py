@@ -19,6 +19,7 @@ import functools
 import hashlib
 import json
 import math
+import operator
 import warnings
 from dataclasses import asdict, dataclass
 from typing import Callable, Union
@@ -363,11 +364,19 @@ def _thin_1d(x: np.ndarray, births: np.ndarray, d0: float) -> np.ndarray:
     return keep
 
 
+@functools.lru_cache(maxsize=8)
+def _proposal_window(d0: float, lo: tuple[float, ...], hi: tuple[float, ...]) -> SimWindow:
+    """The target box `lo`..`hi` grown by `d0` on every side, built once per (d0, box).
+
+    Proposals extend d0 beyond the target box so that thinning near the
+    boundary sees the same competition as in the interior.
+    """
+    return SimWindow(np.array(lo) - d0, np.array(hi) + d0)
+
+
 def _sample_hardcore(spec: HardcoreGround, window: SimWindow, rng: np.random.Generator) -> np.ndarray:
     d0 = spec.min_dist
-    # Proposals extend d0 beyond the target box so that thinning near the
-    # boundary sees the same competition as in the interior.
-    proposal_win = SimWindow(window.lo - d0, window.hi + d0)
+    proposal_win = _proposal_window(d0, tuple(window.lo.tolist()), tuple(window.hi.tolist()))
     props = _sample_poisson(spec.proposal_intensity, proposal_win, rng)
     births = rng.uniform(size=props.shape[0])
     lam_ret = matern2_retained_intensity(spec.proposal_intensity, d0, window.dim)
@@ -704,6 +713,55 @@ def mixture_to_json(spec: MixtureSpec) -> dict:
     }
 
 
+# The Python types json.load produces for each JSON Schema type name, taken
+# strictly: a bool is no number, and an integral float such as 3.0, which
+# JSON Schema counts as an integer, is left to jsonschema.
+_EXACT_TYPES = {"object": (dict,), "array": (list,), "string": (str,),
+                "number": (int, float), "integer": (int,)}
+# NaN compares false with every bound, so a NaN value is left to jsonschema too
+_BOUNDS = {"minimum": operator.ge, "exclusiveMinimum": operator.gt,
+           "exclusiveMaximum": operator.lt}
+_LENGTHS = {"minItems": operator.ge, "maxItems": operator.le}
+
+
+def _conforms(doc, schema: dict) -> bool:
+    """True only if `doc` certainly satisfies `schema`; False means "ask jsonschema".
+
+    Knows just the keywords of MIXTURE_SCHEMA and CONFIG_SCHEMA.  As in
+    JSON Schema, an array, object or numeric keyword holds for any value
+    of another type.  Any other keyword, or a value of a type json.load
+    does not produce, answers False.
+    """
+    kind = type(doc)
+    if kind not in (dict, list, str, int, float, bool, type(None)):
+        return False
+    for key, arg in schema.items():
+        if key == "type":
+            names = [arg] if isinstance(arg, str) else arg
+            ok = any(kind in _EXACT_TYPES.get(name, ()) for name in names)
+        elif key == "enum":
+            ok = kind is str and doc in arg
+        elif key in _BOUNDS:
+            ok = kind not in (int, float) or _BOUNDS[key](doc, arg)
+        elif key in _LENGTHS:
+            ok = kind is not list or _LENGTHS[key](len(doc), arg)
+        elif key == "items":
+            ok = kind is not list or all(_conforms(item, arg) for item in doc)
+        elif key == "required":
+            ok = kind is not dict or all(name in doc for name in arg)
+        elif key == "properties":
+            ok = kind is not dict or all(
+                _conforms(doc[name], sub) for name, sub in arg.items() if name in doc)
+        elif key == "additionalProperties":
+            ok = arg is False and (
+                kind is not dict or all(name in schema.get("properties", ()) for name in doc))
+        else:
+            ok = False
+        if not ok:
+            return False
+    return True
+
+
 _VALIDATORS: dict[int, object] = {}
 
 
@@ -711,8 +769,12 @@ def _schema_error(doc, schema: dict):
     """The error `jsonschema.validate(doc, schema)` would raise, or None.
 
     `schema` must be a module constant: its validator is built, and the
-    schema checked against its metaschema, on first use only.
+    schema checked against its metaschema, on first use only.  A document
+    that :func:`_conforms` is settled without importing jsonschema, which
+    remains the only judge, and author of the message, of every rejection.
     """
+    if _conforms(doc, schema):
+        return None
     import jsonschema
 
     validator = _VALIDATORS.get(id(schema))

@@ -74,11 +74,12 @@ def sorted_pairs(ii: np.ndarray, jj: np.ndarray) -> list[tuple[int, int]]:
     return sorted(zip(ii.tolist(), jj.tolist()))
 
 
-def scipy_modules_after(code: str, cwd: Path) -> set[str]:
-    """The scipy modules a fresh interpreter has loaded after running `code`."""
+def modules_after(code: str, cwd: Path, package: str) -> set[str]:
+    """The modules of `package` a fresh interpreter has loaded after running `code`."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
-    probe = "\nimport sys\nprint(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    probe = ("\nimport sys\nprint(' '.join(m for m in sys.modules "
+             f"if m.split('.')[0] == {package!r}))")
     proc = subprocess.run([sys.executable, "-c", code + probe], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,7 @@
 """Command-line workflows: determinism, exit codes, file formats."""
 
 import contextlib
+import copy
 import io
 import json
 import shutil
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import mppstat
 from mppstat.cli import (
@@ -24,7 +25,7 @@ from mppstat.cli import (
 )
 from mppstat import InputError, core, sim
 
-from helpers import scipy_modules_after
+from helpers import modules_after
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -94,6 +95,7 @@ class TestConfig:
         assert str(got.value) == f"invalid config {path}: {expected.value.message}"
 
     def test_schema_checked_once_per_process(self, tmp_path, monkeypatch):
+        # a valid config builds no validator, so an invalid one is loaded
         import jsonschema
 
         cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
@@ -106,11 +108,31 @@ class TestConfig:
 
         monkeypatch.setattr(cls, "check_schema", staticmethod(counting_check))
         monkeypatch.setattr(sim, "_VALIDATORS", {})
-        path = small_config(tmp_path)
-        load_config(path)
+        path = small_config(tmp_path, n_realizations=0)
+        with pytest.raises(InputError, match="invalid config"):
+            load_config(path)
         assert checked == [True]
-        load_config(path)
+        with pytest.raises(InputError, match="invalid config"):
+            load_config(path)
         assert checked == [True]
+
+    def test_integral_floats_in_integer_fields_run_as_ints(self, tmp_path):
+        outputs = {}
+        for name, overrides in {"int": dict(n_realizations=3, n_replicates=2, seed=5),
+                                "float": dict(n_realizations=3.0, n_replicates=2.0,
+                                              seed=5.0)}.items():
+            (tmp_path / name).mkdir()
+            cfg_path = small_config(tmp_path / name, **overrides)
+            for command in ("simulate", "estimate"):
+                out = tmp_path / name / command
+                assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+            simulated = sorted((tmp_path / name / "simulate").iterdir())
+            outputs[name] = ([(p.name, p.read_text()) for p in simulated],
+                             _strip_runtime(tmp_path / name / "estimate" / "results.csv"))
+        assert outputs["float"] == outputs["int"]
+        clt = load_config(small_config(tmp_path, clt={"n_seeds": 30.0, "group_size": 31.0}))
+        assert clt["clt"] == {"n_seeds": 30, "group_size": 31}
+        assert all(type(v) is int for v in clt["clt"].values())
 
     def test_missing_file_is_input_error(self, tmp_path):
         with pytest.raises(InputError):
@@ -128,6 +150,61 @@ class TestConfig:
             cfg.update(window=10.0, n_realizations=5, n_replicates=1)
             out = tmp_path / path.stem / "results.csv"
             assert cmd_estimate(cfg, out) == 0, path.name
+
+
+# ---------------------------------------------------------------------------
+# schema fast path: sim._conforms accepts nothing that jsonschema rejects
+# ---------------------------------------------------------------------------
+
+_SHIPPED = {path.stem: json.loads(path.read_text()) for path in sorted(CONFIGS.glob("*.json"))}
+_POOL = [True, 0, 1, 29, 30, 3.0, float("nan"), float("inf"), "", "avg", [], [1, 2, 3], {}]
+
+
+def _paths(doc, path=()):
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _paths(value, path + (key,))
+
+
+def _property_names(schema) -> set[str]:
+    names = set()
+    for key, sub in schema.get("properties", {}).items():
+        names |= {key} | _property_names(sub)
+    return names | (_property_names(schema["items"]) if "items" in schema else set())
+
+
+@given(data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_conforms_never_accepts_what_jsonschema_rejects(data):
+    import jsonschema
+
+    doc = copy.deepcopy(_SHIPPED[data.draw(st.sampled_from(sorted(_SHIPPED)))])
+    schema = data.draw(st.sampled_from([CONFIG_SCHEMA, sim.MIXTURE_SCHEMA]))
+    if schema is sim.MIXTURE_SCHEMA:
+        doc = doc["spec"]
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    op = data.draw(st.sampled_from(["replace", "delete", "add"]))
+    value = copy.deepcopy(data.draw(st.sampled_from(_POOL)))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    target = parent[path[-1]] if path else doc
+    if op == "replace" and not path:
+        doc = value
+    elif op == "replace":
+        parent[path[-1]] = value
+    elif op == "delete":
+        assume(path)
+        del parent[path[-1]]
+    elif isinstance(target, dict):
+        names = sorted(_property_names(schema) | {"extra"})
+        target[data.draw(st.sampled_from(names))] = value
+    else:
+        assume(isinstance(target, list))
+        target.insert(data.draw(st.integers(0, len(target))), value)
+    if sim._conforms(doc, schema):
+        assert jsonschema.validators.validator_for(schema)(schema).is_valid(doc), (path, op, value)
 
 
 class TestSimulate:
@@ -386,6 +463,26 @@ class TestMain:
         assert "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("name", [["first"], {}], ids=["list", "object"])
+    def test_non_string_mark_function_name_exit_2(self, tmp_path, capsys, name):
+        cfg_path = small_config(tmp_path, n_realizations=2, n_replicates=1, f={"name": name})
+        assert main(["estimate", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: mark function name must be a string")
+        assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
+    def test_oracle_overflow_exit_2(self, tmp_path, capsys):
+        cfg_path = small_config(tmp_path, n_realizations=2, n_replicates=1)
+        doc = json.loads(cfg_path.read_text())
+        for cls in doc["spec"]["classes"]:
+            cls["ground"]["intensity"] = 1e300  # intensity**2 overflows
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["estimate", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot sample a Poisson ground")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["simulate", "estimate"])
     def test_infinite_mark_parameter_exit_2(self, tmp_path, capsys, command):
         cfg_path = small_config(tmp_path, n_realizations=2, n_replicates=1)
@@ -560,11 +657,20 @@ HEAVY_SCIPY = ("scipy.stats", "scipy.integrate", "scipy.spatial", "scipy.linalg"
 
 
 class TestColdStart:
+    def test_valid_configs_and_specs_load_no_jsonschema(self, tmp_path):
+        loaded = modules_after(
+            "import mppstat.cli\n"
+            f"for path in {sorted(map(str, CONFIGS.glob('*.json')))!r}:\n"
+            "    config = mppstat.cli.load_config(path)\n"
+            "    mppstat.sim.mixture_from_json(config['spec'])",
+            tmp_path, "jsonschema")
+        assert loaded == set()
+
     def test_cli_and_config_load_no_heavy_scipy_module(self, tmp_path):
-        loaded = scipy_modules_after(
+        loaded = modules_after(
             "import mppstat.cli\n"
             f"mppstat.cli.load_config({str(CONFIGS / 'two_class_separation.json')!r})",
-            tmp_path)
+            tmp_path, "scipy")
         assert loaded.isdisjoint(HEAVY_SCIPY)
 
     def test_help_report_and_iid_estimate_load_no_scipy(self, tmp_path):
@@ -583,7 +689,7 @@ class TestColdStart:
                       f"'--out', {str(tmp_path / 'rep')!r}]) == 0",
         }
         for name, call in runs.items():  # report reads what estimate wrote
-            loaded = scipy_modules_after("from mppstat.cli import main\n" + call, tmp_path)
+            loaded = modules_after("from mppstat.cli import main\n" + call, tmp_path, "scipy")
             assert loaded == set(), (name, sorted(loaded))
 
 

@@ -118,6 +118,11 @@ class TestRegistry:
         with pytest.raises(InputError, match="unknown mark function"):
             resolve({"name": "definitely-not-registered"})
 
+    @pytest.mark.parametrize("name", [["first"], {}, 3, None])
+    def test_non_string_name_is_input_error(self, name):
+        with pytest.raises(InputError, match="name must be a string"):
+            resolve({"name": name})
+
     def test_builtin_rejects_params(self):
         with pytest.raises(InputError):
             resolve({"name": "first", "u": 2.0})

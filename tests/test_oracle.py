@@ -13,6 +13,7 @@ from mppstat import (
     InputError,
     MixtureClass,
     MixtureSpec,
+    NumericError,
     PoissonGround,
     UnsupportedSpecError,
     Window,
@@ -112,6 +113,14 @@ class TestClosedForms:
             (MixtureClass(1.0, PoissonGround(2.0), IidMarks("normal", (3.0, 2.0))),)
         )
         assert mixture_mean_mark(spec, builtin("first_squared"), 2, BAND) == pytest.approx(13.0)
+
+
+    def test_overflow_is_numeric_error(self):
+        with pytest.raises(NumericError, match="overflows"):
+            mixture_mean_mark(two_class(lam_a=1e300), FIRST, 2, BAND)  # 1e300**2
+        spec = MixtureSpec((MixtureClass(1.0, PoissonGround(1.0), IidMarks("constant", (1e200,))),))
+        with pytest.raises(NumericError, match="overflows"):
+            class_averaged_mean_mark(spec, builtin("first_squared"), 1)
 
 
 class TestGridPairIntensity:

@@ -37,7 +37,7 @@ from mppstat import (
 )
 from mppstat.sim import _cholesky_with_jitter, _sample_poisson, _sorted_band, _thin_1d
 
-from helpers import scipy_modules_after
+from helpers import modules_after
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -182,10 +182,10 @@ class TestHardcore:
         assert 0 < sum(kept) < len(kept)
 
     def test_1d_hardcore_loads_no_scipy_spatial(self, tmp_path):
-        loaded = scipy_modules_after(
+        loaded = modules_after(
             "from mppstat import HardcoreGround, SimWindow, sample_ground\n"
             "sample_ground(HardcoreGround(4.0, 0.2), SimWindow.cube(0, 100, 1), seed=1)",
-            tmp_path)
+            tmp_path, "scipy")
         assert "scipy.spatial" not in loaded
 
 
