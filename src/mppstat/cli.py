@@ -85,11 +85,11 @@ def load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"cannot read config {path}: {exc}") from exc
     error = sim._schema_error(doc, CONFIG_SCHEMA)
     if error is not None:
-        raise InputError(f"invalid config {path}: {error.message}")
+        raise InputError(f"invalid config {path}: {error}")
     _integral_floats_to_int(doc, CONFIG_SCHEMA)
     return doc
 
@@ -200,7 +200,7 @@ def _load_pattern_dir(pattern_dir: Path):
     try:
         with open(manifest_path, "r", encoding="ascii") as fh:
             manifest = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"cannot read {manifest_path}: {exc}") from exc
     files = manifest.get("files") if isinstance(manifest, dict) else None
     if not isinstance(files, list) or not all(isinstance(name, str) for name in files):

@@ -75,6 +75,13 @@ def _concat_frozen(parts) -> np.ndarray:
     return a
 
 
+def _reject_bools(params: dict, owner: str) -> None:
+    """Refuse a JSON true or false as a parameter, or in a list one: Python reads it as 1 or 0."""
+    for name, value in params.items():
+        if any(isinstance(v, bool) for v in (value if isinstance(value, list) else [value])):
+            raise InputError(f"{owner}: parameter {name!r} must not be a bool, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Data model
 # ---------------------------------------------------------------------------

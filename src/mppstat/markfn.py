@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import InputError
+from .core import InputError, _reject_bools
 
 __all__ = [
     "MarkFunction",
@@ -209,6 +209,7 @@ def resolve(descriptor: dict) -> MarkFunction:
         return builtin(name)
     if name not in _FAMILIES:
         raise InputError(f"unknown mark function {name!r}")
+    _reject_bools(params, f"mark function {name!r}")
     try:
         return _FAMILIES[name](**params)
     except InputError:

@@ -19,6 +19,7 @@ import functools
 import hashlib
 import json
 import math
+import numbers
 import operator
 import warnings
 from dataclasses import asdict, dataclass
@@ -26,7 +27,9 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .core import InputError, NumericError, PatternBatch, PointPattern, SimWindow, _concat_frozen
+from .core import (
+    InputError, NumericError, PatternBatch, PointPattern, SimWindow, _concat_frozen, _reject_bools,
+)
 
 __all__ = [
     "PoissonGround",
@@ -679,6 +682,7 @@ def _spec_from_json(d: dict, kinds: dict, what: str):
     kind = params.pop("kind", None)
     if kind not in kinds:
         raise InputError(f"unknown {what} {kind!r}")
+    _reject_bools(params, f"{what} {kind!r}")
     return kinds[kind](**params)
 
 
@@ -713,82 +717,66 @@ def mixture_to_json(spec: MixtureSpec) -> dict:
     }
 
 
-# The Python types json.load produces for each JSON Schema type name, taken
-# strictly: a bool is no number, and an integral float such as 3.0, which
-# JSON Schema counts as an integer, is left to jsonschema.
-_EXACT_TYPES = {"object": (dict,), "array": (list,), "string": (str,),
-                "number": (int, float), "integer": (int,)}
-# NaN compares false with every bound, so a NaN value is left to jsonschema too
-_BOUNDS = {"minimum": operator.ge, "exclusiveMinimum": operator.gt,
-           "exclusiveMaximum": operator.lt}
-_LENGTHS = {"minItems": operator.ge, "maxItems": operator.le}
+# The Python types of the JSON Schema type names the schemas use
+_TYPES = {"object": dict, "array": list, "string": str, "number": numbers.Number, "integer": int}
+# each bound by the comparison that breaks it, so a NaN breaks none
+_BOUNDS = {
+    "minimum": (operator.lt, "{!r} is less than the minimum of {!r}"),
+    "exclusiveMinimum": (operator.le, "{!r} is less than or equal to the minimum of {!r}"),
+    "exclusiveMaximum": (operator.ge, "{!r} is greater than or equal to the maximum of {!r}"),
+}
 
 
-def _conforms(doc, schema: dict) -> bool:
-    """True only if `doc` certainly satisfies `schema`; False means "ask jsonschema".
+def _has_type(doc, name: str) -> bool:
+    """JSON Schema's reading: a bool is none of these types, and 3.0 is an integer."""
+    if name == "integer" and isinstance(doc, float):
+        return doc.is_integer()
+    return isinstance(doc, _TYPES[name]) and not isinstance(doc, bool)
 
-    Knows just the keywords of MIXTURE_SCHEMA and CONFIG_SCHEMA.  As in
-    JSON Schema, an array, object or numeric keyword holds for any value
-    of another type.  Any other keyword, or a value of a type json.load
-    does not produce, answers False.
+
+def _schema_error(doc, schema: dict) -> str | None:
+    """The first way `doc` breaks `schema`, worded as jsonschema words it, or None.
+
+    Knows just the keywords of MIXTURE_SCHEMA and CONFIG_SCHEMA, as JSON Schema
+    means them: an array, object or numeric keyword holds for a value of another
+    type.  A node is checked before its children, in a recursion as deep as `schema`.
     """
-    kind = type(doc)
-    if kind not in (dict, list, str, int, float, bool, type(None)):
-        return False
     for key, arg in schema.items():
         if key == "type":
             names = [arg] if isinstance(arg, str) else arg
-            ok = any(kind in _EXACT_TYPES.get(name, ()) for name in names)
-        elif key == "enum":
-            ok = kind is str and doc in arg
-        elif key in _BOUNDS:
-            ok = kind not in (int, float) or _BOUNDS[key](doc, arg)
-        elif key in _LENGTHS:
-            ok = kind is not list or _LENGTHS[key](len(doc), arg)
-        elif key == "items":
-            ok = kind is not list or all(_conforms(item, arg) for item in doc)
-        elif key == "required":
-            ok = kind is not dict or all(name in doc for name in arg)
-        elif key == "properties":
-            ok = kind is not dict or all(
-                _conforms(doc[name], sub) for name, sub in arg.items() if name in doc)
-        elif key == "additionalProperties":
-            ok = arg is False and (
-                kind is not dict or all(name in schema.get("properties", ()) for name in doc))
-        else:
-            ok = False
-        if not ok:
-            return False
-    return True
-
-
-_VALIDATORS: dict[int, object] = {}
-
-
-def _schema_error(doc, schema: dict):
-    """The error `jsonschema.validate(doc, schema)` would raise, or None.
-
-    `schema` must be a module constant: its validator is built, and the
-    schema checked against its metaschema, on first use only.  A document
-    that :func:`_conforms` is settled without importing jsonschema, which
-    remains the only judge, and author of the message, of every rejection.
-    """
-    if _conforms(doc, schema):
-        return None
-    import jsonschema
-
-    validator = _VALIDATORS.get(id(schema))
-    if validator is None:
-        cls = jsonschema.validators.validator_for(schema)
-        cls.check_schema(schema)
-        validator = _VALIDATORS[id(schema)] = cls(schema)
-    return jsonschema.exceptions.best_match(validator.iter_errors(doc))
+            if not any(_has_type(doc, name) for name in names):
+                return f"{doc!r} is not of type {', '.join(map(repr, names))}"
+        elif key == "enum" and doc not in arg:
+            return f"{doc!r} is not one of {arg!r}"
+        elif key in _BOUNDS and _has_type(doc, "number") and _BOUNDS[key][0](doc, arg):
+            return _BOUNDS[key][1].format(doc, arg)
+        elif key == "minItems" and isinstance(doc, list) and len(doc) < arg:
+            return f"{doc!r} {'should be non-empty' if arg == 1 else 'is too short'}"
+        elif key == "maxItems" and isinstance(doc, list) and len(doc) > arg:
+            return f"{doc!r} {'is expected to be empty' if arg == 0 else 'is too long'}"
+        elif key == "required" and isinstance(doc, dict) and not all(n in doc for n in arg):
+            return f"{next(n for n in arg if n not in doc)!r} is a required property"
+        elif key == "additionalProperties" and arg is False and isinstance(doc, dict):
+            extras = sorted(doc.keys() - schema.get("properties", {}).keys(), key=str)
+            if extras:
+                return "Additional properties are not allowed ({} {} unexpected)".format(
+                    ", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were")
+    children = ()
+    if isinstance(doc, list) and "items" in schema:
+        children = [(item, schema["items"]) for item in doc]
+    elif isinstance(doc, dict) and "properties" in schema:
+        children = [(doc[name], sub) for name, sub in schema["properties"].items() if name in doc]
+    for child, sub in children:
+        error = _schema_error(child, sub)
+        if error is not None:
+            return error
+    return None
 
 
 def mixture_from_json(doc: dict) -> MixtureSpec:
     error = _schema_error(doc, MIXTURE_SCHEMA)
     if error is not None:
-        raise InputError(f"invalid mixture spec: {error.message}")
+        raise InputError(f"invalid mixture spec: {error}")
     try:
         classes = tuple(
             MixtureClass(
@@ -804,7 +792,8 @@ def mixture_from_json(doc: dict) -> MixtureSpec:
     except (KeyError, TypeError, ValueError) as exc:
         # a missing, unknown or mistyped parameter of a ground, mark or z_rule entry
         raise InputError(f"invalid mixture spec: {type(exc).__name__}: {exc}") from exc
-    return MixtureSpec(classes=classes, dim=doc.get("dim", 1))
+    # an integral float is an integer to the schema; the spec and its digest take an int
+    return MixtureSpec(classes=classes, dim=int(doc.get("dim", 1)))
 
 
 def spec_digest(spec: MixtureSpec) -> str:

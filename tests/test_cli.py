@@ -68,6 +68,27 @@ def small_config(tmp_path, **overrides) -> Path:
     return path
 
 
+# one invalid config per kind of fault: a short array, a missing key, most
+# keywords broken at once, and a document of the wrong type
+INVALID_CONFIGS = [
+    {"spec": {"classes": []}},
+    {"spec": {"classes": [{"p": 1.0}]}, "window": 1.0, "bands": [[0, 1]], "f": {"name": "first"},
+     "estimators": [{"name": "avg"}], "n_realizations": 1, "seed": 0},
+    {"spec": {"classes": []}, "window": "wide", "bands": [[0, 1, 2]], "f": {},
+     "estimators": [{"name": "median"}], "n_realizations": 0, "seed": -1},
+    [],
+]
+
+
+def jsonschema_messages(doc, schema) -> set[str]:
+    """Every message jsonschema, the reference validator, gives for `doc`."""
+    import jsonschema
+
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return {error.message for error in cls(schema).iter_errors(doc)}
+
+
 class TestConfig:
     def test_schema_violation(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -75,46 +96,15 @@ class TestConfig:
         with pytest.raises(InputError, match="invalid config"):
             load_config(path)
 
-    @pytest.mark.parametrize("doc", [
-        {"spec": {"classes": []}},
-        {"spec": {"classes": [{"p": 1.0}]}, "window": 1.0, "bands": [[0, 1]], "f": {"name": "first"},
-         "estimators": [{"name": "avg"}], "n_realizations": 1, "seed": 0},
-        {"spec": {"classes": []}, "window": "wide", "bands": [[0, 1, 2]], "f": {},
-         "estimators": [{"name": "median"}], "n_realizations": 0, "seed": -1},
-        [],
-    ])
+    @pytest.mark.parametrize("doc", INVALID_CONFIGS)
     def test_schema_error_text_matches_jsonschema(self, tmp_path, doc):
-        import jsonschema
-
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(jsonschema.ValidationError) as expected:
-            jsonschema.validate(doc, CONFIG_SCHEMA)
         with pytest.raises(InputError) as got:
             load_config(path)
-        assert str(got.value) == f"invalid config {path}: {expected.value.message}"
-
-    def test_schema_checked_once_per_process(self, tmp_path, monkeypatch):
-        # a valid config builds no validator, so an invalid one is loaded
-        import jsonschema
-
-        cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
-        original = cls.check_schema
-        checked = []
-
-        def counting_check(schema, *args, **kwargs):
-            checked.append(schema is CONFIG_SCHEMA)
-            return original(schema, *args, **kwargs)
-
-        monkeypatch.setattr(cls, "check_schema", staticmethod(counting_check))
-        monkeypatch.setattr(sim, "_VALIDATORS", {})
-        path = small_config(tmp_path, n_realizations=0)
-        with pytest.raises(InputError, match="invalid config"):
-            load_config(path)
-        assert checked == [True]
-        with pytest.raises(InputError, match="invalid config"):
-            load_config(path)
-        assert checked == [True]
+        prefix = f"invalid config {path}: "
+        assert str(got.value).startswith(prefix)
+        assert str(got.value)[len(prefix):] in jsonschema_messages(doc, CONFIG_SCHEMA)
 
     def test_integral_floats_in_integer_fields_run_as_ints(self, tmp_path):
         outputs = {}
@@ -153,11 +143,12 @@ class TestConfig:
 
 
 # ---------------------------------------------------------------------------
-# schema fast path: sim._conforms accepts nothing that jsonschema rejects
+# config and spec validation: sim._schema_error judges as jsonschema does
 # ---------------------------------------------------------------------------
 
 _SHIPPED = {path.stem: json.loads(path.read_text()) for path in sorted(CONFIGS.glob("*.json"))}
-_POOL = [True, 0, 1, 29, 30, 3.0, float("nan"), float("inf"), "", "avg", [], [1, 2, 3], {}]
+_POOL = [None, True, False, 0, 1, 29, 30, 2.5, 3.0, float("nan"), float("inf"), float("-inf"),
+         "", "avg", [], [1, 2, 3], {}]
 
 
 def _paths(doc, path=()):
@@ -176,9 +167,7 @@ def _property_names(schema) -> set[str]:
 
 @given(data=st.data())
 @settings(max_examples=400, deadline=None)
-def test_conforms_never_accepts_what_jsonschema_rejects(data):
-    import jsonschema
-
+def test_validator_agrees_with_jsonschema(data):
     doc = copy.deepcopy(_SHIPPED[data.draw(st.sampled_from(sorted(_SHIPPED)))])
     schema = data.draw(st.sampled_from([CONFIG_SCHEMA, sim.MIXTURE_SCHEMA]))
     if schema is sim.MIXTURE_SCHEMA:
@@ -203,8 +192,33 @@ def test_conforms_never_accepts_what_jsonschema_rejects(data):
     else:
         assume(isinstance(target, list))
         target.insert(data.draw(st.integers(0, len(target))), value)
-    if sim._conforms(doc, schema):
-        assert jsonschema.validators.validator_for(schema)(schema).is_valid(doc), (path, op, value)
+    expected = jsonschema_messages(doc, schema)
+    error = sim._schema_error(doc, schema)
+    assert (error is None) == (not expected), (path, op, value, error)
+    assert error is None or error in expected, (path, op, value, error)
+
+
+def _schema_nodes(schema):
+    yield schema
+    subs = list(schema.get("properties", {}).values())
+    if "items" in schema:
+        subs.append(schema["items"])
+    for sub in subs:
+        yield from _schema_nodes(sub)
+
+
+# the keywords sim._schema_error reads, all but the bounds of sim._BOUNDS
+_HANDLED = {"type", "enum", "minItems", "maxItems", "items", "required", "properties",
+            "additionalProperties", *sim._BOUNDS}
+
+
+@pytest.mark.parametrize("schema", [CONFIG_SCHEMA, sim.MIXTURE_SCHEMA], ids=["config", "spec"])
+def test_schemas_use_only_keywords_the_validator_handles(schema):
+    for node in _schema_nodes(schema):
+        assert set(node) <= _HANDLED, sorted(set(node) - _HANDLED)
+        assert node.get("additionalProperties", False) is False
+        names = node.get("type", [])
+        assert set([names] if isinstance(names, str) else names) <= set(sim._TYPES), names
 
 
 class TestSimulate:
@@ -448,6 +462,26 @@ class TestMain:
         assert "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("where,entry,key", [
+        ("ground", {"kind": "poisson", "intensity": True}, "intensity"),
+        ("f", {"name": "threshold_excess", "u": True}, "u"),
+        ("f", {"name": "indicator_pair", "a_lo": False}, "a_lo"),
+        ("marks", {"kind": "iid", "distribution": "normal", "params": [0.0, True]}, "params"),
+    ], ids=["poisson", "threshold_excess", "indicator_pair", "iid"])
+    def test_bool_parameter_exit_2(self, tmp_path, capsys, where, entry, key):
+        cfg_path = small_config(tmp_path, n_realizations=2, n_replicates=1)
+        doc = json.loads(cfg_path.read_text())
+        if where == "f":
+            doc["f"] = entry
+        else:
+            doc["spec"]["classes"][1][where] = entry
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["estimate", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"parameter '{key}' must not be a bool" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("entry", [
         {"name": "threshold_excess", "u": [1, 2]},
         {"name": "indicator_pair", "a_lo": [1, 2]},
@@ -525,7 +559,8 @@ class TestMain:
     @pytest.mark.parametrize("case", ["dim_header", "window_no_colon", "window_not_number",
                                       "cov_params", "manifest_no_files", "report_columns",
                                       "report_value", "report_oracle_mu",
-                                      "report_oracle_mu_tilde", "report_short_row"])
+                                      "report_oracle_mu_tilde", "report_short_row",
+                                      "config_deep_nesting", "manifest_deep_nesting"])
     def test_malformed_input_exit_2_without_traceback(self, tmp_path, capsys, case):
         cfg_path = small_config(tmp_path, n_realizations=2, n_replicates=1)
         sim_dir = tmp_path / "sim"
@@ -543,6 +578,10 @@ class TestMain:
             lines[1] = "# window=a:b"
         elif case == "cov_params":
             argv += ["--weights", "rfvar", "--cov-model", "spherical", "--cov-params", "1"]
+        elif case.endswith("deep_nesting"):
+            # deeper than json.load can recurse
+            path = cfg_path if case.startswith("config") else sim_dir / "manifest.json"
+            path.write_text("[" * 100_000 + "]" * 100_000)
         elif case.startswith("report"):
             results = tmp_path / "results.csv"
             row = {"report_value": "avg,0.5,1.5,0,xx,3,0,,1,0.1,1.0,1.0",
@@ -665,6 +704,27 @@ class TestColdStart:
             "    mppstat.sim.mixture_from_json(config['spec'])",
             tmp_path, "jsonschema")
         assert loaded == set()
+
+    def test_configs_judged_with_jsonschema_unimportable(self, tmp_path):
+        invalid = []
+        for i, doc in enumerate(INVALID_CONFIGS):
+            invalid.append(str(tmp_path / f"invalid_{i}.json"))
+            Path(invalid[-1]).write_text(json.dumps(doc))
+        # modules_after asserts that the child exits 0, so every assert in it held
+        modules_after(
+            "import sys\n"
+            "sys.modules['jsonschema'] = None  # any import of it raises ImportError\n"
+            "from mppstat import InputError, cli, sim\n"
+            f"for path in {sorted(map(str, CONFIGS.glob('*.json')))!r}:\n"
+            "    sim.mixture_from_json(cli.load_config(path)['spec'])\n"
+            f"for path in {invalid!r}:\n"
+            "    try:\n"
+            "        cli.load_config(path)\n"
+            "    except InputError as exc:\n"
+            "        assert str(exc).startswith(f'invalid config {path}: '), exc\n"
+            "    else:\n"
+            "        raise AssertionError(path)",
+            tmp_path, "mppstat")
 
     def test_cli_and_config_load_no_heavy_scipy_module(self, tmp_path):
         loaded = modules_after(

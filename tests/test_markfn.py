@@ -135,6 +135,16 @@ class TestRegistry:
         with pytest.raises(InputError, match=f"unexpected keyword argument '{key}'"):
             resolve(descriptor)
 
+    @pytest.mark.parametrize("descriptor,key", [
+        ({"name": "threshold_excess", "u": True}, "u"),
+        ({"name": "indicator_pair", "a_lo": False}, "a_lo"),
+        ({"name": "threshold_excess", "base": True}, "base"),
+    ], ids=["threshold_excess", "indicator_pair", "base"])
+    def test_bool_parameter_is_input_error(self, descriptor, key):
+        # JSON's true and false are not the numbers 1 and 0
+        with pytest.raises(InputError, match=f"parameter '{key}' must not be a bool"):
+            resolve(descriptor)
+
     def test_mistyped_parameter_is_input_error(self):
         with pytest.raises(InputError, match="indicator_pair"):
             resolve({"name": "indicator_pair", "a_lo": "low"})

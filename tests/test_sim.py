@@ -554,6 +554,25 @@ class TestJson:
         with pytest.raises(InputError, match="unexpected keyword argument 'parms'"):
             mixture_from_json(doc)
 
+    def test_integral_float_dim_is_an_int(self):
+        doc = mixture_to_json(two_class_spec())
+        spec = mixture_from_json({**doc, "dim": 1.0})
+        assert type(spec.dim) is int
+        assert spec_digest(spec) == spec_digest(mixture_from_json({**doc, "dim": 1}))
+
+    @pytest.mark.parametrize("where,entry,key", [
+        ("ground", {"kind": "poisson", "intensity": True}, "intensity"),
+        ("marks", {"kind": "gaussian_field", "mean": False, "variance": 1.0, "cov_range": 0.4},
+         "mean"),
+        ("marks", {"kind": "iid", "distribution": "normal", "params": [0.0, True]}, "params"),
+        ("z_rule", {"kind": "iid", "distribution": "constant", "params": [False]}, "params"),
+    ], ids=["poisson", "gaussian_field", "iid", "z_rule"])
+    def test_bool_parameter_names_the_key(self, where, entry, key):
+        doc = mixture_to_json(two_class_spec())
+        doc["classes"][0][where] = entry
+        with pytest.raises(InputError, match=f"parameter '{key}' must not be a bool"):
+            mixture_from_json(doc)
+
     def test_schema_rejects_garbage(self):
         with pytest.raises(InputError, match="invalid mixture spec"):
             mixture_from_json({"classes": []})
