@@ -82,6 +82,15 @@ def _reject_bools(params: dict, owner: str) -> None:
             raise InputError(f"{owner}: parameter {name!r} must not be a bool, got {value!r}")
 
 
+def _floats(params: dict, owner: str) -> dict:
+    """`params` with every value a float, refusing a bool as :func:`_reject_bools` does.
+
+    Specs store their numbers this way, so 1 and 1.0 make one spec (and one digest).
+    """
+    _reject_bools(params, owner)
+    return {name: float(value) for name, value in params.items()}
+
+
 # ---------------------------------------------------------------------------
 # Data model
 # ---------------------------------------------------------------------------
@@ -231,17 +240,25 @@ def _check_points(loc, y, z, win: SimWindow, starts) -> None:
         raise InputError("weight marks z must be finite and >= 0")
     if (loc.min(axis=0) < win.lo).any() or (loc.max(axis=0) > win.hi).any():
         raise InputError("all locations must lie inside sim_window")
+    starts = np.asarray(starts)
+    if loc.shape[1] == 1:
+        # one sort per block: shifted values that never tie hold no duplicate,
+        # and a block with a tie is checked one realization at a time
+        x = loc[:, 0]
+        for k0, k1 in _blocks(starts[1:] - starts[:-1]):
+            a, b = starts[k0], starts[k1]
+            if b - a > 1 and not _ascending(np.sort(_block_keys(x[a:b], starts[k0:k1 + 1] - a))):
+                for c, d in zip(starts[k0:k1], starts[k0 + 1:k1 + 1]):
+                    srt = np.sort(x[c:d])
+                    if (srt[1:] == srt[:-1]).any():
+                        raise InputError("pattern is not simple: duplicate locations")
+        return
     for a, b in zip(starts[:-1], starts[1:]):
         if b - a < 2:
             continue
-        if loc.shape[1] == 1:
-            srt = np.sort(loc[a:b, 0])
-            dup = srt[1:] == srt[:-1]
-        else:
-            pts = loc[a:b]
-            srt = pts[np.lexsort(pts.T[::-1])]
-            dup = np.all(srt[1:] == srt[:-1], axis=1)
-        if dup.any():
+        pts = loc[a:b]
+        srt = pts[np.lexsort(pts.T[::-1])]
+        if np.all(srt[1:] == srt[:-1], axis=1).any():
             raise InputError("pattern is not simple: duplicate locations")
 
 
@@ -392,6 +409,40 @@ def _pairs_naive(loc: np.ndarray, t1_ok: np.ndarray, band: Band) -> tuple[np.nda
     return np.concatenate(out_i), np.concatenate(out_j)
 
 
+def _block_keys(x: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Sort keys of a block of 1-D realizations: by realization, then by x.
+
+    Realization k owns the points ``x[starts[k]:starts[k+1]]``.  Each is
+    moved to start a unit gap after the end of the one before; a single
+    realization keeps its x.  Sorted keys that are :func:`_ascending`
+    sort each realization in its stable order; a tie or an overflow of
+    the shift voids them.
+    """
+    n_real = starts.shape[0] - 1
+    if n_real == 1:
+        return x
+    nonempty = starts[1:] > starts[:-1]
+    first = starts[:-1][nonempty]
+    lo, extent = np.zeros(n_real), np.ones(n_real)
+    lo[nonempty] = np.minimum.reduceat(x, first)
+    with np.errstate(over="ignore", invalid="ignore"):
+        extent[nonempty] += np.maximum.reduceat(x, first) - lo[nonempty]
+        base = np.concatenate(([0.0], np.cumsum(extent[:-1])))
+        return x + np.repeat(base - lo, starts[1:] - starts[:-1])
+
+
+def _block_order(x: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, sorted keys) of one sort of the :func:`_block_keys` of a block."""
+    keys = _block_keys(x, starts)
+    order = np.argsort(keys)
+    return order, keys[order]
+
+
+def _ascending(ss: np.ndarray) -> bool:
+    """Whether the non-empty sorted keys of :func:`_block_order` are finite and never tie."""
+    return bool(np.isfinite(ss[-1]) and (ss[1:] > ss[:-1]).all())
+
+
 def _pairs_sorted_1d(
     x: np.ndarray, starts: np.ndarray, t1_ok: np.ndarray, band: Band
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -409,27 +460,11 @@ def _pairs_sorted_1d(
         return empty, empty
     n, n_real = x.shape[0], starts.shape[0] - 1
     rid = np.repeat(np.arange(n_real), starts[1:] - starts[:-1])
-    if n_real == 1:
-        order = np.argsort(x)  # a checked realization has no tie
-        ss = x[order]
-    else:
-        # One sorted array for the whole block: each realization is moved
-        # to start a unit gap after the end of the one before.
-        nonempty = starts[1:] > starts[:-1]
-        first = starts[:-1][nonempty]
-        lo, extent = np.zeros(n_real), np.ones(n_real)
-        lo[nonempty] = np.minimum.reduceat(x, first)
-        with np.errstate(over="ignore", invalid="ignore"):
-            extent[nonempty] += np.maximum.reduceat(x, first) - lo[nonempty]
-            base = np.concatenate(([0.0], np.cumsum(extent[:-1])))
-            s = x + (base - lo)[rid]
-        order = np.argsort(s)
-        ss = s[order]
-        # Strictly increasing shifted values sort the block by realization,
-        # then by x, which is the stable per-realization order; a tie or
-        # an overflow of the shift falls back to one sweep per realization.
-        if not (np.isfinite(ss[-1]) and np.all(ss[1:] > ss[:-1])):
-            return _pairs_each_1d(x, starts, t1_ok, band)
+    order, ss = _block_order(x, starts)
+    # a checked realization has no tie; in a block of several, a tie of the
+    # shifted values falls back to one sweep per realization
+    if n_real > 1 and not _ascending(ss):
+        return _pairs_each_1d(x, starts, t1_ok, band)
     # candidates of point i never leave its realization's segment
     left, right = starts[rid[ii0]], starts[rid[ii0] + 1]
     if np.isfinite(band.lo) and np.isfinite(band.hi):

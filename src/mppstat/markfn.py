@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import InputError, _reject_bools
+from .core import InputError, _floats, _reject_bools
 
 __all__ = [
     "MarkFunction",
@@ -121,6 +121,8 @@ def indicator_pair(
     Infinite endpoints are allowed; [-inf, inf] on both marks gives the
     constant-one function.
     """
+    a_lo, a_hi, b_lo, b_hi = _floats(
+        {"a_lo": a_lo, "a_hi": a_hi, "b_lo": b_lo, "b_hi": b_hi}, "indicator_pair").values()
     if np.isnan(a_lo) or np.isnan(a_hi) or np.isnan(b_lo) or np.isnan(b_hi):
         raise InputError("interval endpoints must not be NaN")
     if a_lo > a_hi or b_lo > b_hi:
@@ -151,11 +153,11 @@ class ThresholdFamily:
     u: float
 
     def __post_init__(self):
+        object.__setattr__(self, "u", _floats({"u": self.u}, "threshold_family")["u"])
         if self.base.arity != FIRST_ONLY:
             raise InputError("threshold families require a first-only base function")
         if not np.isfinite(self.u) or self.u < 0:
             raise InputError(f"threshold u must be finite and >= 0, got {self.u}")
-        object.__setattr__(self, "u", float(self.u))
 
     def excess(self, y) -> np.ndarray:
         v = self.base.first(y)

@@ -15,6 +15,7 @@ distinct realizations use independently derived seed streams.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import hashlib
 import json
@@ -28,7 +29,8 @@ from typing import Callable, Union
 import numpy as np
 
 from .core import (
-    InputError, NumericError, PatternBatch, PointPattern, SimWindow, _concat_frozen, _reject_bools,
+    InputError, NumericError, PatternBatch, PointPattern, SimWindow, _ascending, _block_order,
+    _blocks, _concat_frozen, _floats, _reject_bools,
 )
 
 __all__ = [
@@ -60,6 +62,12 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _store_floats(spec, *names: str) -> None:
+    """Store the fields `names` of the frozen `spec` as floats; a bool is an InputError."""
+    for name, value in _floats({n: getattr(spec, n) for n in names}, type(spec).__name__).items():
+        object.__setattr__(spec, name, value)
+
+
 # ---------------------------------------------------------------------------
 # Ground specifications
 # ---------------------------------------------------------------------------
@@ -72,6 +80,7 @@ class PoissonGround:
     intensity: float
 
     def __post_init__(self):
+        _store_floats(self, "intensity")
         if not np.isfinite(self.intensity) or self.intensity <= 0:
             raise InputError(f"poisson intensity must be > 0, got {self.intensity}")
 
@@ -84,6 +93,7 @@ class HardcoreGround:
     min_dist: float
 
     def __post_init__(self):
+        _store_floats(self, "proposal_intensity", "min_dist")
         if not np.isfinite(self.proposal_intensity) or self.proposal_intensity <= 0:
             raise InputError("proposal intensity must be > 0")
         if not np.isfinite(self.min_dist) or self.min_dist <= 0:
@@ -103,6 +113,7 @@ class GridGround:
     jitter: float = 0.0
 
     def __post_init__(self):
+        _store_floats(self, "spacing", "jitter")
         if not np.isfinite(self.spacing) or self.spacing <= 0:
             raise InputError(f"grid spacing must be > 0, got {self.spacing}")
         if not np.isfinite(self.jitter) or self.jitter < 0:
@@ -112,6 +123,9 @@ class GridGround:
 
 
 GroundSpec = Union[PoissonGround, HardcoreGround, GridGround]
+
+# A sampler's draw: its first argument is the realization's generator
+_Draw = Callable[..., np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +152,7 @@ class IidMarks:
                 f"unknown iid distribution {self.distribution!r}; "
                 f"expected one of {_IID_DISTRIBUTIONS}"
             )
+        _reject_bools({"params": list(self.params)}, type(self).__name__)
         p = tuple(float(v) for v in self.params)
         object.__setattr__(self, "params", p)
         if self.distribution == "normal":
@@ -184,6 +199,7 @@ class GaussianFieldMarks:
     shape: str = "spherical"
 
     def __post_init__(self):
+        _store_floats(self, "mean", "variance", "cov_range")
         if not np.isfinite(self.variance) or self.variance <= 0:
             raise InputError("field variance must be > 0")
         if not np.isfinite(self.cov_range) or self.cov_range <= 0:
@@ -216,6 +232,7 @@ class Covariance:
     cov_range: float
 
     def __post_init__(self):
+        _store_floats(self, "variance", "cov_range")
         if self.variance <= 0 or self.cov_range <= 0:
             raise InputError("variance and range must be > 0")
         if self.shape not in ("spherical", "trunc_exp"):
@@ -234,9 +251,8 @@ class Covariance:
 def _sorted_band(locations: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray, int]:
     """(order, points sorted by first coordinate, band width b) for a covariance of `reach`.
 
-    b is the largest index gap between sorted points whose first
-    coordinates lie within `reach`; an infinite reach gives b = n - 1.
-    The order is that of a stable sort.
+    b is the :func:`_band_width` of the sorted first coordinates.  The
+    order is that of a stable sort.
     """
     x = locations[:, 0]
     if locations.shape[1] == 1:
@@ -248,17 +264,27 @@ def _sorted_band(locations: np.ndarray, reach: float) -> tuple[np.ndarray, np.nd
     else:
         order = np.argsort(x, kind="stable")
     pts = locations[order]
-    n = pts.shape[0]
+    return order, pts, _band_width(pts[:, 0], reach)
+
+
+def _reach_end(xs: np.ndarray, reach) -> np.ndarray:
+    """xs + reach, widened by a few ulps so that a pair at exactly `reach` (where
+    trunc_exp is still non-zero) is never lost to rounding of xs + reach."""
+    return xs + reach + 8.0 * np.spacing(np.abs(xs) + reach + 1.0)
+
+
+def _band_width(xs: np.ndarray, reach: float) -> int:
+    """The largest index gap between points of the sorted `xs` within `reach`.
+
+    An infinite reach gives b = n - 1.
+    """
+    n = xs.shape[0]
     if n == 0:
-        return order, pts, 0
+        return 0
     if not np.isfinite(reach):
-        return order, pts, n - 1
-    xs = pts[:, 0]
-    # Widened by a few ulps so that a pair at exactly `reach` (where
-    # trunc_exp is still non-zero) is never lost to rounding of xs + reach.
-    pad = 8.0 * np.spacing(np.abs(xs) + reach + 1.0)
-    last = np.searchsorted(xs, xs + reach + pad, side="right") - 1
-    return order, pts, int(np.max(last - np.arange(n)))
+        return n - 1
+    last = np.searchsorted(xs, _reach_end(xs, reach), side="right") - 1
+    return int(np.max(last - np.arange(n)))
 
 
 # Largest n * b^2 (n points, band width b) a covariance band may have: the
@@ -325,17 +351,24 @@ def matern2_retained_intensity(proposal_intensity: float, min_dist: float, dim: 
 # ---------------------------------------------------------------------------
 
 
-def _sample_poisson(intensity: float, window: SimWindow, rng: np.random.Generator) -> np.ndarray:
+def _poisson_sampler(intensity: float, window: SimWindow) -> _Draw:
+    """The draw of a Poisson ground on `window`, with its expected count computed once."""
     expected = intensity * window.volume
-    try:
-        n = int(rng.poisson(expected))
-    except ValueError as exc:  # lam too large (or infinite) for the generator
-        raise InputError(
-            f"cannot sample a Poisson ground with {expected:.3g} expected points "
-            f"(intensity {intensity:.3g} on a window of volume {window.volume:.3g})"
-        ) from exc
-    # the same bits as rng.uniform(lo, hi, size), with less per-call overhead
-    return window.lo + (window.hi - window.lo) * rng.random((n, window.dim))
+    with np.errstate(over="ignore"):  # then the volume is infinite, and the draw refuses it
+        lo, extent = window.lo, window.hi - window.lo
+
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        try:
+            n = int(rng.poisson(expected))
+        except ValueError as exc:  # lam too large (or infinite) for the generator
+            raise InputError(
+                f"cannot sample a Poisson ground with {expected:.3g} expected points "
+                f"(intensity {intensity:.3g} on a window of volume {window.volume:.3g})"
+            ) from exc
+        # the same bits as rng.uniform(lo, hi, size), with less per-call overhead
+        return lo + extent * rng.random((n, window.dim))
+
+    return draw
 
 
 def _thin_1d(x: np.ndarray, births: np.ndarray, d0: float) -> np.ndarray:
@@ -377,32 +410,39 @@ def _proposal_window(d0: float, lo: tuple[float, ...], hi: tuple[float, ...]) ->
     return SimWindow(np.array(lo) - d0, np.array(hi) + d0)
 
 
-def _sample_hardcore(spec: HardcoreGround, window: SimWindow, rng: np.random.Generator) -> np.ndarray:
+def _hardcore_sampler(spec: HardcoreGround, window: SimWindow) -> _Draw:
     d0 = spec.min_dist
-    proposal_win = _proposal_window(d0, tuple(window.lo.tolist()), tuple(window.hi.tolist()))
-    props = _sample_poisson(spec.proposal_intensity, proposal_win, rng)
-    births = rng.uniform(size=props.shape[0])
+    proposals = _poisson_sampler(
+        spec.proposal_intensity,
+        _proposal_window(d0, tuple(window.lo.tolist()), tuple(window.hi.tolist())))
     lam_ret = matern2_retained_intensity(spec.proposal_intensity, d0, window.dim)
-    if lam_ret < 0.01 * spec.proposal_intensity:
-        warnings.warn(
-            f"hardcore distance {d0} retains only {lam_ret:.3g} of "
-            f"{spec.proposal_intensity:.3g} proposal intensity",
-            stacklevel=3,
-        )
-    if props.shape[0] == 0:
-        return props
-    if window.dim == 1:
-        keep = _thin_1d(props[:, 0], births, d0)
-    else:
-        from scipy.spatial import cKDTree
+    sparse = lam_ret < 0.01 * spec.proposal_intensity
 
-        pairs = cKDTree(props).query_pairs(d0, output_type="ndarray")
-        keep = np.ones(props.shape[0], dtype=bool)
-        if pairs.size:
-            early = births[pairs[:, 0]] < births[pairs[:, 1]]
-            keep[np.where(early, pairs[:, 1], pairs[:, 0])] = False
-    retained = props[keep]
-    return retained[window.contains(retained)]
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        props = proposals(rng)
+        births = rng.uniform(size=props.shape[0])
+        if sparse:
+            warnings.warn(
+                f"hardcore distance {d0} retains only {lam_ret:.3g} of "
+                f"{spec.proposal_intensity:.3g} proposal intensity",
+                stacklevel=3,
+            )
+        if props.shape[0] == 0:
+            return props
+        if window.dim == 1:
+            keep = _thin_1d(props[:, 0], births, d0)
+        else:
+            from scipy.spatial import cKDTree
+
+            pairs = cKDTree(props).query_pairs(d0, output_type="ndarray")
+            keep = np.ones(props.shape[0], dtype=bool)
+            if pairs.size:
+                early = births[pairs[:, 0]] < births[pairs[:, 1]]
+                keep[np.where(early, pairs[:, 1], pairs[:, 0])] = False
+        retained = props[keep]
+        return retained[window.contains(retained)]
+
+    return draw
 
 
 @functools.lru_cache(maxsize=8)
@@ -422,26 +462,35 @@ def _lattice(spacing: float, lo: tuple[float, ...], hi: tuple[float, ...]) -> np
     return nodes
 
 
-def _sample_grid(spec: GridGround, window: SimWindow, rng: np.random.Generator) -> np.ndarray:
+def _grid_sampler(spec: GridGround, window: SimWindow) -> _Draw:
     nodes = _lattice(spec.spacing, tuple(window.lo.tolist()), tuple(window.hi.tolist()))
-    if spec.jitter > 0:
-        nodes = nodes + rng.uniform(-spec.jitter, spec.jitter, size=nodes.shape)
-    # lo + spacing * (count - 1) may round past hi even without jitter
-    return nodes[window.contains(nodes)]
+
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        pts = nodes
+        if spec.jitter > 0:
+            pts = nodes + rng.uniform(-spec.jitter, spec.jitter, size=nodes.shape)
+        # lo + spacing * (count - 1) may round past hi even without jitter
+        return pts[window.contains(pts)]
+
+    return draw
+
+
+def _ground_sampler(spec: GroundSpec, window: SimWindow) -> _Draw:
+    """The draw of `spec`'s locations on `window`; what draws nothing is done once, here."""
+    if np.any(window.hi <= window.lo):
+        raise InputError("simulation window must be non-degenerate")
+    if isinstance(spec, PoissonGround):
+        return _poisson_sampler(spec.intensity, window)
+    if isinstance(spec, HardcoreGround):
+        return _hardcore_sampler(spec, window)
+    if isinstance(spec, GridGround):
+        return _grid_sampler(spec, window)
+    raise InputError(f"unknown ground spec {spec!r}")
 
 
 def sample_ground(spec: GroundSpec, sim_window: SimWindow, seed) -> np.ndarray:
     """Sample point locations on `sim_window`; deterministic given the seed."""
-    if np.any(sim_window.hi <= sim_window.lo):
-        raise InputError("simulation window must be non-degenerate")
-    rng = _rng(seed)
-    if isinstance(spec, PoissonGround):
-        return _sample_poisson(spec.intensity, sim_window, rng)
-    if isinstance(spec, HardcoreGround):
-        return _sample_hardcore(spec, sim_window, rng)
-    if isinstance(spec, GridGround):
-        return _sample_grid(spec, sim_window, rng)
-    raise InputError(f"unknown ground spec {spec!r}")
+    return _ground_sampler(spec, sim_window)(_rng(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -471,24 +520,23 @@ def _cholesky_with_jitter(ab: np.ndarray, scale: float) -> np.ndarray:
     )
 
 
-def _sample_field(
-    spec: GaussianFieldMarks, locations: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """mean + L xi with L the banded Cholesky factor of the sorted covariance.
+def _field(spec: GaussianFieldMarks, xi: np.ndarray, order: np.ndarray, pts: np.ndarray,
+           b: int) -> np.ndarray:
+    """mean + L xi with L the banded Cholesky factor of the covariance of `pts`.
 
-    xi[i] stays paired with point i.  When no two points are within the
-    range (band width b = 0) L is the diagonal sqrt(C(0)), so the draw is
-    mean + sqrt(C(0)) * xi, computed without building the band or calling
-    LAPACK; it is bit for bit what the factor gives.  Otherwise the cost
-    is O(n b^2) time and O(n b) memory, and a field with n b^2 above
-    FIELD_BAND_BUDGET is rejected before anything of that size is built.
+    `pts` are the locations sorted by first coordinate (``locations[order]``),
+    b is their band width, and xi[i] stays paired with point i.  When no
+    two points are within the range (b = 0) L is the diagonal sqrt(C(0)),
+    so the draw is mean + sqrt(C(0)) * xi, computed without building the
+    band or calling LAPACK; it is bit for bit what the factor gives.
+    Otherwise the cost is O(n b^2) time and O(n b) memory, and a field
+    with n b^2 above FIELD_BAND_BUDGET is rejected before anything of that
+    size is built.
     """
-    n = locations.shape[0]
-    xi = rng.standard_normal(n)
     cov = spec.covariance()
-    order, pts, b = _sorted_band(locations, spec.cov_range)
     if b == 0:
         return spec.mean + np.sqrt(cov(0.0)) * xi
+    n = xi.shape[0]
     chol = _cholesky_with_jitter(_band_matrix(pts, b, cov), spec.variance)
     v = xi[order]
     out = chol[0] * v
@@ -497,6 +545,45 @@ def _sample_field(
     y = np.empty(n)
     y[order] = spec.mean + out
     return y
+
+
+def _standard_normals(rng: np.random.Generator, loc: np.ndarray) -> np.ndarray:
+    """The field's normals xi, one per point: all that a field draws."""
+    return rng.standard_normal(loc.shape[0])
+
+
+def _y_sampler(spec: MarkSpec) -> _Draw:
+    """The draw ``(rng, locations) -> y`` of the marks `spec`."""
+    if isinstance(spec, IidMarks):
+        if spec.distribution == "normal":
+            mean, sd = spec.params
+            return lambda rng, loc: rng.normal(mean, sd, size=loc.shape[0])
+        if spec.distribution == "uniform":
+            a, b = spec.params
+            return lambda rng, loc: rng.uniform(a, b, size=loc.shape[0])
+        return lambda rng, loc: np.full(loc.shape[0], spec.params[0])
+    if isinstance(spec, GaussianFieldMarks):
+        return lambda rng, loc: _field(spec, _standard_normals(rng, loc),
+                                       *_sorted_band(loc, spec.cov_range))
+    raise InputError(f"unknown mark spec {spec!r}")
+
+
+def _z_sampler(z_rule: ZRule) -> _Draw:
+    """The draw ``(rng, locations, y) -> z`` of the weight marks of `z_rule`."""
+    if z_rule == "const_one":
+        return lambda rng, loc, y: np.ones(loc.shape[0])
+    if isinstance(z_rule, IidMarks):
+        draw = _y_sampler(z_rule)
+
+        def iid(rng, loc, y):
+            z = draw(rng, loc)
+            if np.any(z < 0):
+                raise InputError("z_rule produced negative weight marks")
+            return z
+        return iid
+    if callable(z_rule):
+        return lambda rng, loc, y: np.asarray(z_rule(loc, y, rng), dtype=np.float64)
+    raise InputError(f"unknown z_rule {z_rule!r}")
 
 
 def sample_marks(
@@ -513,30 +600,8 @@ def sample_marks(
     locations = np.asarray(locations, dtype=np.float64)
     if locations.ndim == 1:
         locations = locations.reshape(-1, 1)
-    n = locations.shape[0]
-    if isinstance(spec, IidMarks):
-        if spec.distribution == "normal":
-            y = rng.normal(spec.params[0], spec.params[1], size=n)
-        elif spec.distribution == "uniform":
-            y = rng.uniform(spec.params[0], spec.params[1], size=n)
-        else:
-            y = np.full(n, spec.params[0])
-    elif isinstance(spec, GaussianFieldMarks):
-        y = _sample_field(spec, locations, rng)
-    else:
-        raise InputError(f"unknown mark spec {spec!r}")
-
-    if z_rule == "const_one":
-        z = np.ones(n)
-    elif isinstance(z_rule, IidMarks):
-        z, _ = sample_marks(locations, z_rule, rng)
-        if np.any(z < 0):
-            raise InputError("z_rule produced negative weight marks")
-    elif callable(z_rule):
-        z = np.asarray(z_rule(locations, y, rng), dtype=np.float64)
-    else:
-        raise InputError(f"unknown z_rule {z_rule!r}")
-    return y, z
+    y = _y_sampler(spec)(rng, locations)
+    return y, _z_sampler(z_rule)(rng, locations, y)
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +619,7 @@ class MixtureClass:
     z_rule: ZRule = "const_one"
 
     def __post_init__(self):
+        _store_floats(self, "p")
         if not np.isfinite(self.p) or self.p <= 0:
             raise InputError(f"class probability must be > 0, got {self.p}")
 
@@ -587,6 +653,93 @@ class MixtureSpec:
         return np.array([c.p for c in self.classes])
 
 
+# NumPy's SeedSequence hash (numpy/random/bit_generator.pyx, after NEP 19):
+# entropy words are hashed into a pool of 4 words, mixed, and read out.
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+@functools.lru_cache(maxsize=8)
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """Read-only column of init * mult^k mod 2^32, k = 0..count: the hash multipliers in order."""
+    c = [init]
+    for _ in range(count):
+        c.append(c[-1] * mult & _MASK32)
+    column = np.array(c, dtype=np.uint32)[:, None]
+    column.flags.writeable = False
+    return column
+
+
+def _stream_words(entropy: tuple[int, ...], n: int) -> np.ndarray:
+    """Row i is ``SeedSequence(entropy + (i,)).generate_state(4, np.uint64)``, for i < n.
+
+    The hash runs once for all n streams, in uint32 arithmetic on one
+    column per stream.  Each int of `entropy` gives its little-endian
+    32-bit words (0 gives one word); i < 2^32 gives one.
+    """
+    words = [v >> s & _MASK32 for v in entropy for s in range(0, max(v.bit_length(), 1), 32)]
+    rows = np.zeros((max(len(words) + 1, _POOL), n), dtype=np.uint32)
+    rows[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    rows[len(words)] = np.arange(n, dtype=np.uint32)
+    # the rounds below take one hash per pool word and row
+    a = _hash_constants(_INIT_A, _MULT_A, _POOL * rows.shape[0])
+    used = 0
+
+    def hashmix(v, m):  # the next m hashes, one per row of the result
+        nonlocal used
+        v = (v ^ a[used:used + m]) * a[used + 1:used + m + 1]
+        used += m
+        return v ^ v >> 16
+
+    def mix(x, y):
+        r = _MIX_L * x - _MIX_R * y
+        return r ^ r >> 16
+
+    pool = hashmix(rows[:_POOL], _POOL)
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], _POOL - 1))
+    for extra in rows[_POOL:]:
+        pool = mix(pool, hashmix(extra, _POOL))
+    # generate_state: 8 uint32 words cycling over the pool, read as 4 little-endian uint64
+    b = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
+    state = (pool[list(range(_POOL)) * 2] ^ b[:-1]) * b[1:]
+    state ^= state >> 16
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _words_class():
+    """A seed sequence that hands PCG64 precomputed words, defined on first use.
+
+    Defining it needs numpy.random, which importing this module does not load.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class _Words(ISeedSequence):
+        """The ``generate_state(4, np.uint64)`` of a seed sequence, computed beforehand."""
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return _Words
+
+
+def _entropy(seed) -> tuple[int, ...]:
+    """`seed`, an int >= 0 or a tuple (or list) of them, as a tuple of ints."""
+    parts = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
+    if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 0
+               for v in parts):
+        raise InputError(f"seed must be an integer >= 0 or a tuple of them, got {seed!r}")
+    return tuple(int(v) for v in parts)
+
+
 def sample_batch(
     spec: MixtureSpec, sim_window: SimWindow, n_realizations: int, seed
 ) -> PatternBatch:
@@ -595,25 +748,38 @@ def sample_batch(
     For each realization a class is drawn with its probability, then the
     class's ground and marks are sampled.  The realized class indices are
     kept in ``batch.classes`` for oracle validation; estimators must not
-    look at them.  Realization i uses the seed stream (seed, i) (`seed`
-    may be an int or a tuple of ints), so outputs are bit-exact
-    reproducible and realizations never share generator state.  The
-    batch is checked once, with the messages of :class:`PointPattern`.
+    look at them.  `seed` is an int >= 0 or a tuple of them, and
+    realization i draws from its own stream ``SeedSequence(seed + (i,))``
+    (seed as a tuple), so outputs are bit-exact reproducible and
+    realizations never share generator state.  The streams' seed words
+    are computed for the whole batch at once, and each realization's
+    loop does only its draws.  A d = 1 Gaussian field whose z_rule does
+    not read y draws its normals in the loop and is finished for the
+    batch: one sort per block finds the realizations without two points
+    in range, which take mean + sqrt(C(0)) * xi together.  The batch is
+    checked once, with the messages of :class:`PointPattern`.
     """
     if n_realizations < 1:
         raise InputError("n_realizations must be >= 1")
     if sim_window.dim != spec.dim:
         raise InputError(f"window dim {sim_window.dim} != spec dim {spec.dim}")
-    entropy = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
-    cum = np.cumsum(spec.probabilities())
+    entropy = _entropy(seed)
+    cum = np.cumsum(spec.probabilities()).tolist()
+    last = spec.n_classes - 1
+    grounds = [_ground_sampler(c.ground, sim_window) for c in spec.classes]
+    weights = [_z_sampler(c.z_rule) for c in spec.classes]
+    fields = [c.marks if spec.dim == 1 and isinstance(c.marks, GaussianFieldMarks)
+              and not callable(c.z_rule) else None for c in spec.classes]
+    marks = [_y_sampler(c.marks) if f is None else _standard_normals
+             for c, f in zip(spec.classes, fields)]
+    words, generator, pcg64 = _words_class(), np.random.Generator, np.random.PCG64
     locs, ys, zs, classes = [], [], [], []
-    for i in range(n_realizations):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy + (i,)))
-        k = int(np.searchsorted(cum, rng.random(), side="right"))
-        k = min(k, spec.n_classes - 1)
-        cls = spec.classes[k]
-        loc = sample_ground(cls.ground, sim_window, rng)
-        y, z = sample_marks(loc, cls.marks, rng, z_rule=cls.z_rule)
+    for row in _stream_words(entropy, n_realizations):
+        rng = generator(pcg64(words(row)))
+        k = min(bisect.bisect_right(cum, rng.random()), last)
+        loc = grounds[k](rng)
+        y = marks[k](rng, loc)
+        z = weights[k](rng, loc, y)
         if y.shape != (loc.shape[0],) or z.shape != y.shape:
             raise InputError("y and z must be 1-d with one entry per point")
         locs.append(loc)
@@ -621,8 +787,60 @@ def sample_batch(
         zs.append(z)
         classes.append(k)
     starts = np.cumsum([0] + [y.size for y in ys])
-    return PatternBatch(_concat_frozen(locs), _concat_frozen(ys), _concat_frozen(zs),
-                        starts, sim_window, classes)
+    y = np.concatenate(ys)
+    if any(fields):
+        _finish_fields_1d(fields, np.array(classes), locs, y, starts)
+    y.flags.writeable = False
+    return PatternBatch(_concat_frozen(locs), y, _concat_frozen(zs), starts, sim_window, classes)
+
+
+def _finish_fields_1d(fields: list, classes: np.ndarray, locs: list, y: np.ndarray,
+                      starts: np.ndarray) -> None:
+    """Turn the normals xi in `y` of each d = 1 field realization into its marks, in place.
+
+    Realization r of class k has a field when ``fields[k]`` is its spec;
+    its points are ``locs[r]`` and its rows ``starts[r]:starts[r+1]``.
+    One sort per block of up to ``_BLOCK_POINTS`` points tells the
+    realizations with b = 0 (no two points within the range), which are
+    set to mean + sqrt(C(0)) * xi in one operation per class.  The others
+    build their band from the block's order.  A block whose shifted
+    values tie draws each of its fields as :func:`sample_marks` does.
+    """
+    sizes = starts[1:] - starts[:-1]
+    drawn = np.flatnonzero([fields[k] is not None for k in classes.tolist()])
+    diagonal = np.zeros(classes.size, dtype=bool)
+    for k0, k1 in _blocks(sizes[drawn]):
+        rs = drawn[k0:k1]
+        specs = [fields[k] for k in classes[rs].tolist()]
+        local = np.concatenate(([0], np.cumsum(sizes[rs])))
+        if local[-1] == 0:
+            continue
+        if rs.size > 1:
+            x = np.concatenate([locs[r][:, 0] for r in rs])
+            order, keys = _block_order(x, local)
+            if _ascending(keys):
+                xs = x[order]
+                reach = np.repeat([spec.cov_range for spec in specs], sizes[rs])
+                rid = np.repeat(np.arange(rs.size), sizes[rs])
+                close = (xs[1:] <= _reach_end(xs, reach)[:-1]) & (rid[1:] == rid[:-1])
+                banded = np.zeros(rs.size, dtype=bool)
+                banded[rid[1:][close]] = True
+                diagonal[rs[~banded]] = True
+                for j in np.flatnonzero(banded).tolist():
+                    r, spec = rs[j], specs[j]
+                    seg = order[local[j]:local[j + 1]] - local[j]
+                    pts = locs[r][seg]
+                    a, b = starts[r], starts[r + 1]
+                    y[a:b] = _field(spec, y[a:b], seg, pts, _band_width(pts[:, 0], spec.cov_range))
+                continue
+        # a realization that is a block of its own, or a block whose shifted values tie
+        for r, spec in zip(rs, specs):
+            a, b = starts[r], starts[r + 1]
+            y[a:b] = _field(spec, y[a:b], *_sorted_band(locs[r], spec.cov_range))
+    for k, spec in enumerate(fields):
+        if spec is not None:
+            rows = np.repeat(diagonal & (classes == k), sizes)
+            y[rows] = spec.mean + np.sqrt(spec.covariance()(0.0)) * y[rows]
 
 
 def sample_mixture(
@@ -682,7 +900,6 @@ def _spec_from_json(d: dict, kinds: dict, what: str):
     kind = params.pop("kind", None)
     if kind not in kinds:
         raise InputError(f"unknown {what} {kind!r}")
-    _reject_bools(params, f"{what} {kind!r}")
     return kinds[kind](**params)
 
 

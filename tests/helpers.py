@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mppstat import Band, PointPattern, SimWindow
+from mppstat import Band, PatternBatch, PointPattern, SimWindow, sample_ground, sample_marks
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -84,3 +84,36 @@ def modules_after(code: str, cwd: Path, package: str) -> set[str]:
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())
+
+
+def reference_batch(spec, window: SimWindow, n: int, seed) -> PatternBatch:
+    """The mixture sampled one realization at a time, as sample_batch did before it batched.
+
+    Realization i gets ``default_rng(SeedSequence(seed + (i,)))`` (seed as a
+    tuple), draws its class, then its ground and marks with the
+    per-realization samplers; a field sorts its own points.
+    """
+    entropy = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
+    cum = np.cumsum(spec.probabilities())
+    locs, ys, zs, classes = [], [], [], []
+    for i in range(n):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy + (i,)))
+        k = min(int(np.searchsorted(cum, rng.random(), side="right")), spec.n_classes - 1)
+        cls = spec.classes[k]
+        loc = sample_ground(cls.ground, window, rng)
+        y, z = sample_marks(loc, cls.marks, rng, z_rule=cls.z_rule)
+        locs.append(loc)
+        ys.append(y)
+        zs.append(z)
+        classes.append(k)
+    starts = np.cumsum([0] + [y.size for y in ys])
+    return PatternBatch(np.concatenate(locs), np.concatenate(ys), np.concatenate(zs), starts,
+                        window, classes)
+
+
+def assert_same_batch(batch: PatternBatch, expected: PatternBatch) -> None:
+    """Equal bit for bit: every column, the realization bounds and the classes."""
+    for column in ("locations", "y", "z", "starts", "classes"):
+        got, want = getattr(batch, column), getattr(expected, column)
+        assert got.dtype == want.dtype and got.shape == want.shape, column
+        assert got.tobytes() == want.tobytes(), column

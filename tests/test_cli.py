@@ -726,6 +726,11 @@ class TestColdStart:
             "        raise AssertionError(path)",
             tmp_path, "mppstat")
 
+    def test_cli_import_loads_no_numpy_random(self, tmp_path):
+        # the sampler's seed sequence class is defined on first use
+        loaded = modules_after("import mppstat.cli", tmp_path, "numpy")
+        assert not {m for m in loaded if m.split(".")[:2] == ["numpy", "random"]}
+
     def test_cli_and_config_load_no_heavy_scipy_module(self, tmp_path):
         loaded = modules_after(
             "import mppstat.cli\n"

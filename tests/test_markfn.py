@@ -94,6 +94,23 @@ class TestIndicatorPair:
         with pytest.raises(InputError, match="inverted"):
             indicator_pair(1.0, 0.0, 0.0, 1.0)
 
+    def test_int_and_float_endpoints_make_one_function(self):
+        assert indicator_pair(0, 1, b_hi=2).name == indicator_pair(0.0, 1.0, b_hi=2.0).name
+
+    def test_bool_endpoint_is_input_error(self):
+        with pytest.raises(InputError, match="parameter 'a_lo' must not be a bool"):
+            indicator_pair(a_lo=False)
+
+
+class TestNumbersFromPython:
+    def test_bool_threshold_is_input_error(self):
+        with pytest.raises(InputError, match="parameter 'u' must not be a bool"):
+            threshold_family(builtin("first"), True)
+
+    def test_int_threshold_is_a_float(self):
+        fam = threshold_family(builtin("first"), 1)
+        assert type(fam.u) is float and fam.excess_fn().name == "excess[first,u=1.0]"
+
 
 class TestArity:
     def test_probe_catches_false_first_only(self):

@@ -1,5 +1,6 @@
 """Generators: determinism, hard constraints, and distributional sanity."""
 
+import hashlib
 import json
 import math
 import tracemalloc
@@ -35,9 +36,12 @@ from mppstat import (
     sample_mixture,
     spec_digest,
 )
-from mppstat.sim import _cholesky_with_jitter, _sample_poisson, _sorted_band, _thin_1d
+from mppstat.core import _ascending, _block_order
+from mppstat.sim import (
+    _cholesky_with_jitter, _poisson_sampler, _sorted_band, _stream_words, _thin_1d,
+)
 
-from helpers import modules_after
+from helpers import assert_same_batch, modules_after, reference_batch
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -155,8 +159,8 @@ class TestHardcore:
         d0 = ground.min_dist
         for seed in range(200):
             rng = np.random.default_rng(seed)
-            props = _sample_poisson(ground.proposal_intensity,
-                                    SimWindow(window.lo - d0, window.hi + d0), rng)
+            props = _poisson_sampler(ground.proposal_intensity,
+                                     SimWindow(window.lo - d0, window.hi + d0))(rng)
             births = rng.uniform(size=props.shape[0])
             keep = _kd_tree_keep(props, births, d0)
             assert np.array_equal(_thin_1d(props[:, 0], births, d0), keep), seed
@@ -447,21 +451,6 @@ class TestMixture:
             )
 
 
-def _realizations_one_by_one(spec, window, n, seed):
-    """The per-realization loop that sampled mixtures before the batch existed."""
-    entropy = tuple(seed) if isinstance(seed, tuple) else (seed,)
-    cum = np.cumsum(spec.probabilities())
-    out = []
-    for i in range(n):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy + (i,)))
-        k = min(int(np.searchsorted(cum, rng.random(), side="right")), spec.n_classes - 1)
-        cls = spec.classes[k]
-        locs = sample_ground(cls.ground, window, rng)
-        y, z = sample_marks(locs, cls.marks, rng, z_rule=cls.z_rule)
-        out.append((PointPattern(locs, y, z, window), k))
-    return out
-
-
 def _shipped_cases():
     for path in sorted(CONFIGS.glob("*.json")):
         cfg = json.loads(path.read_text())
@@ -490,15 +479,11 @@ def _ground_cases():
 class TestBatch:
     @pytest.mark.parametrize("spec,window", [*_shipped_cases(), *_ground_cases()])
     def test_batch_equals_realizations_sampled_one_by_one(self, spec, window):
-        old = _realizations_one_by_one(spec, window, 12, (5, 1))
-        batch = sample_batch(spec, window, 12, (5, 1))
-        assert batch.starts.tolist() == np.cumsum([0] + [p.n_points for p, _ in old]).tolist()
-        assert batch.classes.tolist() == [k for _, k in old]
-        for column in ("locations", "y", "z"):
-            flat = np.concatenate([getattr(p, column) for p, _ in old])
-            assert getattr(batch, column).tobytes() == flat.tobytes()
-        for (p, k), (q, j) in zip(sample_mixture(spec, window, 12, (5, 1)), old):
-            assert k == j
+        old = reference_batch(spec, window, 12, (5, 1))
+        assert_same_batch(sample_batch(spec, window, 12, (5, 1)), old)
+        for k, (p, j) in enumerate(sample_mixture(spec, window, 12, (5, 1))):
+            q = old.pattern(k)
+            assert j == old.classes[k]
             for column in ("locations", "y", "z"):
                 assert getattr(p, column).tobytes() == getattr(q, column).tobytes()
 
@@ -509,8 +494,173 @@ class TestBatch:
             rng = np.random.default_rng(seed)
             n = int(rng.poisson(2.0 * window.volume))
             expected = rng.uniform(window.lo, window.hi, size=(n, dim))
-            drawn = _sample_poisson(2.0, window, np.random.default_rng(seed))
+            drawn = _poisson_sampler(2.0, window)(np.random.default_rng(seed))
             assert drawn.tobytes() == expected.tobytes()
+
+
+_GROUNDS = {"poisson": PoissonGround(2.0), "hardcore": HardcoreGround(3.0, 0.3),
+            "grid": GridGround(0.7), "jittered-grid": GridGround(0.7, 0.2)}
+_MARKS = {"normal": IidMarks("normal", (1.0, 2.0)), "uniform": IidMarks("uniform", (-1.0, 3.0)),
+          "constant": IidMarks("constant", (2.5,)), "field": GaussianFieldMarks(1.0, 2.0, 0.8)}
+_Z_RULES = {"const_one": "const_one", "iid": IidMarks("uniform", (0.5, 1.5)),
+            "callable": lambda loc, y, rng: np.abs(y) + rng.uniform(size=y.shape)}
+
+
+def _kind_cases():
+    for dim in (1, 2):
+        window = SimWindow.cube(-1.5, 6.5 if dim == 2 else 30.0, dim)
+        for g, ground in _GROUNDS.items():
+            for m, marks in _MARKS.items():
+                for r, z_rule in _Z_RULES.items():
+                    spec = MixtureSpec((MixtureClass(1.0, ground, marks, z_rule=z_rule),), dim=dim)
+                    yield pytest.param(spec, window, id=f"{g}-{m}-{r}-d{dim}")
+
+
+def _single_field_class(ground, cov_range, p=1.0):
+    return MixtureClass(p, ground, GaussianFieldMarks(0.0, 1.0, cov_range))
+
+
+# sha256 of each shipped config's sample_batch(spec, window, n_realizations,
+# (seed, 0)), the batch of estimate's replicate 0, as sampled one realization
+# at a time
+_SHIPPED_BATCH_SHA256 = {
+    "clt_grid_field": "9cb0d48a2496e7c1cd422a3312f8660d9327fccf79b2b58e328abced30c33f7c",
+    "ergodic_coincidence": "8b97798011ceec7b635138e5aefd82ae35378c2c8a7c189034add3dbf1bb5ed9",
+    "two_class_separation": "9166f64600cba9833ed7a2756a3299d7d61ba1aa45de1126e4d02a85c3d7bbb5",
+    "vwap_two_regimes": "2a24cd608860a9bea7bd108837657e932a5c291ddf3d61461202395ab07bb128",
+}
+
+
+class TestBatchStreams:
+    """sample_batch against the per-realization sampler, bit for bit."""
+
+    @pytest.mark.parametrize("spec,window", _kind_cases())
+    def test_every_ground_mark_and_z_rule_kind(self, spec, window):
+        assert_same_batch(sample_batch(spec, window, 8, (3, 2)),
+                          reference_batch(spec, window, 8, (3, 2)))
+
+    def test_fields_of_several_ranges_in_one_block(self):
+        spec = MixtureSpec((
+            # the first two are mostly b = 0
+            MixtureClass(0.3, PoissonGround(1.0), GaussianFieldMarks(-1.0, 0.5, 0.3)),
+            MixtureClass(0.3, PoissonGround(0.5), GaussianFieldMarks(2.0, 3.0, 0.1)),
+            MixtureClass(0.2, HardcoreGround(3.0, 0.2),
+                         GaussianFieldMarks(0.0, 1.0, 2.0, "trunc_exp")),
+            MixtureClass(0.2, PoissonGround(2.0), IidMarks("normal", (0.0, 1.0))),
+        ))
+        window = SimWindow.cube(-2.0, 40.0, 1)
+        assert_same_batch(sample_batch(spec, window, 40, 4), reference_batch(spec, window, 40, 4))
+
+    @pytest.mark.parametrize("intensity", [0.05, 1e-4])
+    def test_empty_realizations(self, intensity):
+        spec = MixtureSpec((_single_field_class(PoissonGround(intensity), 0.5, p=0.5),
+                            MixtureClass(0.5, PoissonGround(intensity),
+                                         IidMarks("normal", (0.0, 1.0)),
+                                         z_rule=IidMarks("uniform", (0.0, 1.0)))))
+        window = SimWindow.cube(0.0, 10.0, 1)
+        batch = sample_batch(spec, window, 30, 8)
+        assert (batch.starts[1:] == batch.starts[:-1]).any()
+        assert_same_batch(batch, reference_batch(spec, window, 30, 8))
+
+    def test_cholesky_jitter_in_a_sorted_block(self, monkeypatch):
+        import scipy.linalg
+
+        # points 4e-16 apart are near-duplicates within range 1: their factor
+        # needs jitter; the other class's points keep the block's shifted values apart
+        spec = MixtureSpec((_single_field_class(GridGround(4e-16), 1.0, p=0.3),
+                            _single_field_class(GridGround(1e-15), 1e-17, p=0.7)))
+        window = SimWindow.cube(0.0, 39 * 4e-16, 1)
+        failed = []
+        factor = scipy.linalg.cholesky_banded
+
+        def counting(*args, **kwargs):
+            try:
+                return factor(*args, **kwargs)
+            except np.linalg.LinAlgError:
+                failed.append(1)
+                raise
+
+        monkeypatch.setattr(scipy.linalg, "cholesky_banded", counting)
+        batch = sample_batch(spec, window, 4, 11)
+        assert failed and _ascending(_block_order(batch.locations[:, 0], batch.starts)[1])
+        assert_same_batch(batch, reference_batch(spec, window, 4, 11))
+
+    def test_tied_shifted_values_fall_back_to_each_realization(self):
+        # about 1e-17 apart, the points of every realization after the first
+        # tie once shifted by about 1
+        spec = MixtureSpec((_single_field_class(PoissonGround(1e17), 5e-18, p=0.5),
+                            _single_field_class(GridGround(1e-17), 3e-17, p=0.5)))
+        window = SimWindow.cube(0.0, 1e-15, 1)
+        batch = sample_batch(spec, window, 6, 2)
+        assert not _ascending(_block_order(batch.locations[:, 0], batch.starts)[1])
+        assert_same_batch(batch, reference_batch(spec, window, 6, 2))
+
+    @pytest.mark.parametrize("seed",
+                             [0, 7, (5, 1), [5, 1], 2**32 + 3, (2**64 + 1, 4), (1, 2, 3, 4)],
+                             ids=["zero", "int", "tuple", "list", "2^32", "2^64", "five-words"])
+    def test_seed_kinds(self, seed):
+        spec = MixtureSpec((_single_field_class(HardcoreGround(3.0, 0.3), 0.8, p=0.5),
+                            MixtureClass(0.5, PoissonGround(2.0), IidMarks("normal", (0.0, 1.0)))))
+        assert_same_batch(sample_batch(spec, WIN1, 6, seed), reference_batch(spec, WIN1, 6, seed))
+
+    def test_numpy_integer_seed_is_its_int(self):
+        spec = two_class_spec()
+        assert_same_batch(sample_batch(spec, WIN1, 4, (np.int64(5), np.uint32(2))),
+                          sample_batch(spec, WIN1, 4, (5, 2)))
+
+    @pytest.mark.parametrize("entropy", [(), (0,), (7,), (2**32 - 1,), (2**32,), (5, 1),
+                                         (2**64 + 1, 4), (1, 2, 3, 4), (2**100, 3, 9)])
+    def test_stream_words_are_the_seed_sequence_state(self, entropy):
+        words = _stream_words(entropy, 300)
+        assert words.dtype == np.uint64 and words.shape == (300, 4)
+        for i in range(300):
+            state = np.random.SeedSequence(entropy + (i,)).generate_state(4, np.uint64)
+            assert words[i].tolist() == state.tolist(), i
+
+    @pytest.mark.parametrize("seed", [True, False, -1, 1.5, "3", None, (1, True), (1, -2),
+                                      (1, 2.0), np.float64(2.0), np.bool_(True)])
+    def test_seed_that_is_no_non_negative_integer_is_input_error(self, seed):
+        with pytest.raises(InputError, match="seed must be an integer >= 0"):
+            sample_batch(two_class_spec(), WIN1, 2, seed)
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+    def test_shipped_batch_is_pinned(self, path):
+        cfg = json.loads(path.read_text())
+        spec = mixture_from_json(cfg["spec"])
+        window = buffered_window(Window(cfg["window"]), [Band(*b) for b in cfg["bands"]])
+        batch = sample_batch(spec, window, cfg["n_realizations"], (cfg["seed"], 0))
+        digest = hashlib.sha256()
+        for column in (batch.locations, batch.y, batch.z, batch.starts, batch.classes):
+            digest.update(column.tobytes())
+        assert digest.hexdigest() == _SHIPPED_BATCH_SHA256[path.stem]
+
+
+class TestSpecNumbers:
+    def test_int_and_float_spell_one_spec(self):
+        def spec(p, ground, marks):
+            return MixtureSpec((MixtureClass(p, ground, marks, z_rule=IidMarks("constant", (1,))),))
+
+        ints = spec(1, HardcoreGround(4, 1), GaussianFieldMarks(0, 1, 2))
+        floats = spec(1.0, HardcoreGround(4.0, 1.0), GaussianFieldMarks(0.0, 1.0, 2.0))
+        assert spec_digest(ints) == spec_digest(floats)
+        assert spec_digest(spec(1, PoissonGround(1), IidMarks("normal", (0, 1)))) == spec_digest(
+            spec(1.0, PoissonGround(1.0), IidMarks("normal", (0.0, 1.0))))
+        assert mixture_to_json(spec(1, GridGround(1, 0), IidMarks("uniform", (0, 2)))) == (
+            mixture_to_json(spec(1.0, GridGround(1.0, 0.0), IidMarks("uniform", (0.0, 2.0)))))
+        assert type(Covariance("spherical", 1, 2).cov_range) is float
+
+    @pytest.mark.parametrize("build,key", [
+        (lambda: PoissonGround(True), "intensity"),
+        (lambda: HardcoreGround(4.0, True), "min_dist"),
+        (lambda: GridGround(1.0, False), "jitter"),
+        (lambda: IidMarks("normal", (0.0, True)), "params"),
+        (lambda: GaussianFieldMarks(False, 1.0, 1.0), "mean"),
+        (lambda: Covariance("spherical", True, 1.0), "variance"),
+        (lambda: MixtureClass(True, PoissonGround(1.0), IidMarks("constant", (1.0,))), "p"),
+    ], ids=["poisson", "hardcore", "grid", "iid", "gaussian_field", "covariance", "class"])
+    def test_bool_number_is_input_error(self, build, key):
+        with pytest.raises(InputError, match=f"parameter '{key}' must not be a bool"):
+            build()
 
 
 class TestJson:
