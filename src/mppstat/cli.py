@@ -177,7 +177,7 @@ def _strategy(name: str, args) -> WeightStrategy:
 
 
 def _weights_digest(w) -> str:
-    blob = ",".join(f"{v:.17g}" for v in np.asarray(w, dtype=float))
+    blob = ",".join(map("{:.17g}".format, np.asarray(w, dtype=float).tolist()))
     return hashlib.sha256(blob.encode("ascii")).hexdigest()[:12]
 
 
@@ -234,8 +234,8 @@ def cmd_estimate(config: dict, out_path: Path, args=None, pattern_dir: Path | No
             batch = sim.sample_batch(spec, sim_win, config["n_realizations"], (seed, r))
         rows = []
         any_undefined = False
-        for band in bands:
-            table = est.pair_table(batch, win, band, f)
+        # one sweep of the batch tabulates every band
+        for band, table in zip(bands, est._pair_tables(batch, win, bands, f)):
             for est_cfg, strategy in zip(estimators, strategies):
                 name = est_cfg["name"]
                 t0 = time.perf_counter()

@@ -13,7 +13,7 @@ functions of their inputs, so values can be shared freely across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -223,36 +223,27 @@ class Band:
         return (v >= self.lo) & (v <= self.hi)
 
 
-def _check_points(loc, y, z, win: SimWindow, starts) -> None:
+def _check_points(loc, y, z, win: SimWindow, starts):
     """The invariants of a pattern, for realizations ``loc[starts[k]:starts[k+1]]``.
 
     Locations and y finite, z finite and >= 0, every location in `win`,
-    and no location twice in one realization.
+    and no location twice in one realization.  In d = 1 the duplicate
+    check is :func:`_sort_blocks`, whose sorted blocks are returned for
+    the batch to keep; in d > 1 the return value is None.
     """
-    if not loc.shape[0]:
-        return
-    if not np.isfinite(loc).all():
-        raise InputError("locations must be finite")
-    if not np.isfinite(y).all():
-        raise InputError("marks y must be finite")
-    # NaN fails both comparisons
-    if not (z.min() >= 0.0 and z.max() < np.inf):
-        raise InputError("weight marks z must be finite and >= 0")
-    if (loc.min(axis=0) < win.lo).any() or (loc.max(axis=0) > win.hi).any():
-        raise InputError("all locations must lie inside sim_window")
+    if loc.shape[0]:
+        if not np.isfinite(loc).all():
+            raise InputError("locations must be finite")
+        if not np.isfinite(y).all():
+            raise InputError("marks y must be finite")
+        # NaN fails both comparisons
+        if not (z.min() >= 0.0 and z.max() < np.inf):
+            raise InputError("weight marks z must be finite and >= 0")
+        if (loc.min(axis=0) < win.lo).any() or (loc.max(axis=0) > win.hi).any():
+            raise InputError("all locations must lie inside sim_window")
     starts = np.asarray(starts)
     if loc.shape[1] == 1:
-        # one sort per block: shifted values that never tie hold no duplicate,
-        # and a block with a tie is checked one realization at a time
-        x = loc[:, 0]
-        for k0, k1 in _blocks(starts[1:] - starts[:-1]):
-            a, b = starts[k0], starts[k1]
-            if b - a > 1 and not _ascending(np.sort(_block_keys(x[a:b], starts[k0:k1 + 1] - a))):
-                for c, d in zip(starts[k0:k1], starts[k0 + 1:k1 + 1]):
-                    srt = np.sort(x[c:d])
-                    if (srt[1:] == srt[:-1]).any():
-                        raise InputError("pattern is not simple: duplicate locations")
-        return
+        return _sort_blocks(loc[:, 0], starts)
     for a, b in zip(starts[:-1], starts[1:]):
         if b - a < 2:
             continue
@@ -260,6 +251,31 @@ def _check_points(loc, y, z, win: SimWindow, starts) -> None:
         srt = pts[np.lexsort(pts.T[::-1])]
         if np.all(srt[1:] == srt[:-1], axis=1).any():
             raise InputError("pattern is not simple: duplicate locations")
+    return None
+
+
+def _sort_blocks(x: np.ndarray, starts: np.ndarray) -> tuple:
+    """``(k0, k1, kept)`` for each block of the 1-D sweep: realizations k0..k1-1.
+
+    `kept` is the block's :func:`_block_order` as read-only arrays, or
+    None when its shifted keys tie.  Shifted keys that never tie hold no
+    duplicate; a block with a tie is checked, and later swept, one
+    realization at a time.  Raises InputError on a duplicate location.
+    """
+    out = []
+    for k0, k1 in _blocks(starts[1:] - starts[:-1]):
+        a, b = starts[k0], starts[k1]
+        order, ss = _block_order(x[a:b], starts[k0:k1 + 1] - a)
+        if b - a > 1 and not _ascending(ss):
+            for c, d in zip(starts[k0:k1], starts[k0 + 1:k1 + 1]):
+                srt = np.sort(x[c:d])
+                if (srt[1:] == srt[:-1]).any():
+                    raise InputError("pattern is not simple: duplicate locations")
+            out.append((k0, k1, None))
+            continue
+        order.flags.writeable = ss.flags.writeable = False
+        out.append((k0, k1, (order, ss)))
+    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,6 +287,11 @@ class PatternBatch:
     mixture class, or is None when it is unknown.  Every realization
     satisfies the :class:`PointPattern` invariants, checked once for the
     whole batch; a :class:`PointPattern` is the batch of one realization.
+
+    In d = 1 the check sorts each block of the pair sweep once, and the
+    batch keeps that order (``_sorted_blocks``, see :func:`_sort_blocks`)
+    as read-only arrays, so no sweep of the batch, in any band, sorts
+    again.  A batch never changes after construction.
     """
 
     locations: np.ndarray
@@ -279,6 +300,7 @@ class PatternBatch:
     starts: np.ndarray
     sim_window: SimWindow
     classes: np.ndarray | None = None
+    _sorted_blocks: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         loc, y, z = _freeze(self.locations), _freeze(self.y), _freeze(self.z)
@@ -292,7 +314,8 @@ class PatternBatch:
         if (len(bounds) < 2 or bounds[0] != 0 or bounds[-1] != n
                 or any(b < a for a, b in zip(bounds, bounds[1:]))):
             raise InputError("starts must rise from 0 to the number of points")
-        _check_points(loc, y, z, self.sim_window, bounds)
+        object.__setattr__(self, "_sorted_blocks",
+                           _check_points(loc, y, z, self.sim_window, bounds))
         object.__setattr__(self, "locations", loc)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "z", z)
@@ -443,62 +466,62 @@ def _ascending(ss: np.ndarray) -> bool:
     return bool(np.isfinite(ss[-1]) and (ss[1:] > ss[:-1]).all())
 
 
-def _pairs_sorted_1d(
-    x: np.ndarray, starts: np.ndarray, t1_ok: np.ndarray, band: Band
-) -> tuple[np.ndarray, np.ndarray]:
-    """Qualifying ordered pairs of a block of 1-D realizations, in one sorted sweep.
+def _pairs_sorted_1d(x: np.ndarray, starts: np.ndarray, t1_ok: np.ndarray, kept,
+                     bands: Sequence[Band]):
+    """Qualifying ordered pairs of a block of 1-D realizations in each band, from one order.
 
-    Realization k owns the points ``x[starts[k]:starts[k+1]]`` and `t1_ok`
-    flags the points that may be first of a pair.  Pairs never cross
-    realizations.  They come with i ascending and, for each i, j in the
-    order of a stable sort of its realization by x: the pairs and the
-    order of a sweep over that realization alone.
+    Realization k owns the points ``x[starts[k]:starts[k+1]]``, `t1_ok`
+    flags the points that may be first of a pair, and `kept` is the
+    block's :func:`_block_order`, whose shifted keys never tie.  Yields
+    (ii, jj) for each band in turn.  Pairs never cross realizations.
+    They come with i ascending and, for each i, j in the order of a
+    stable sort of its realization by x: the pairs and the order of a
+    sweep over that realization alone, in that band alone.
     """
     empty = np.empty(0, dtype=np.int64)
     ii0 = np.nonzero(t1_ok)[0]
     if ii0.size == 0:
-        return empty, empty
-    n, n_real = x.shape[0], starts.shape[0] - 1
-    rid = np.repeat(np.arange(n_real), starts[1:] - starts[:-1])
-    order, ss = _block_order(x, starts)
-    # a checked realization has no tie; in a block of several, a tie of the
-    # shifted values falls back to one sweep per realization
-    if n_real > 1 and not _ascending(ss):
-        return _pairs_each_1d(x, starts, t1_ok, band)
+        for _ in bands:
+            yield empty, empty
+        return
+    order, ss = kept
+    n = x.shape[0]
+    rid = np.repeat(np.arange(starts.shape[0] - 1), starts[1:] - starts[:-1])
     # candidates of point i never leave its realization's segment
-    left, right = starts[rid[ii0]], starts[rid[ii0] + 1]
-    if np.isfinite(band.lo) and np.isfinite(band.hi):
+    first, stop = starts[rid[ii0]], starts[rid[ii0] + 1]
+    finite = [band.max_abs for band in bands if np.isfinite(band.lo) and np.isfinite(band.hi)]
+    if finite:
         rank = np.empty(n, dtype=np.int64)
         rank[order] = np.arange(n)
         pos = rank[ii0]
         # Candidate ranges are widened by a few ulps so that the exact
         # membership test below never loses a pair to rounding of the
         # shifted coordinates or of s + lo (a realization's shift is one
-        # constant, so its own rounding moves no difference).  The search
-        # runs over all points in sorted order, which is faster than in
-        # index order, and is read back for the points i.
-        pad = 8.0 * np.spacing(np.abs(ss) + 2.0 * band.max_abs + 1.0)
-        left = np.maximum(left, np.searchsorted(ss, ss + band.lo - pad, side="left")[pos])
-        right = np.minimum(right, np.searchsorted(ss, ss + band.hi + pad, side="right")[pos])
-    counts = np.maximum(right - left, 0)
-    total = int(counts.sum())
-    if total == 0:
-        return empty, empty
-    ii = np.repeat(ii0, counts)
-    offset = np.concatenate(([0], np.cumsum(counts)[:-1])) - left
-    jj = order[np.arange(total) - np.repeat(offset, counts)]
-    keep = band.contains(x[jj] - x[ii]) & (ii != jj)
-    return ii[keep], jj[keep]
+        # constant, so its own rounding moves no difference).  The pad of
+        # the widest band serves every band: a wider range only adds
+        # candidates that the test drops.  The search runs over all points
+        # in sorted order, which is faster than in index order, and is
+        # read back for the points i.
+        pad = 8.0 * np.spacing(np.abs(ss) + 2.0 * max(finite) + 1.0)
 
+    def pairs(band: Band) -> tuple[np.ndarray, np.ndarray]:
+        left, right = first, stop
+        if np.isfinite(band.lo) and np.isfinite(band.hi):
+            left = np.maximum(left, np.searchsorted(ss, ss + band.lo - pad, side="left")[pos])
+            right = np.minimum(right, np.searchsorted(ss, ss + band.hi + pad, side="right")[pos])
+        counts = np.maximum(right - left, 0)
+        total = int(counts.sum())
+        if total == 0:
+            return empty, empty
+        ii = np.repeat(ii0, counts)
+        offset = np.concatenate(([0], np.cumsum(counts)[:-1])) - left
+        jj = order[np.arange(total) - np.repeat(offset, counts)]
+        keep = band.contains(x[jj] - x[ii]) & (ii != jj)
+        return ii[keep], jj[keep]
 
-def _pairs_each_1d(x, starts, t1_ok, band) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_pairs_sorted_1d` one realization at a time, with the same output."""
-    ii, jj = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for a, b in zip(starts[:-1], starts[1:]):
-        i, j = _pairs_sorted_1d(x[a:b], np.array([0, b - a]), t1_ok[a:b], band)
-        ii.append(i + a)
-        jj.append(j + a)
-    return np.concatenate(ii), np.concatenate(jj)
+    # a band's candidates are freed when pairs() returns
+    for band in bands:
+        yield pairs(band)
 
 
 def _pairs_tree(loc: np.ndarray, t1_ok: np.ndarray, band: Band) -> tuple[np.ndarray, np.ndarray]:
@@ -542,36 +565,48 @@ def _blocks(n_points: np.ndarray):
     yield first, len(n_points)
 
 
-def _sweep(batch: PatternBatch, win: Window, band: Band):
-    """Enumerate each realization's band pairs once, a block of realizations at a time.
+def _sweep(batch: PatternBatch, win: Window, bands: Sequence[Band]):
+    """Enumerate each realization's pairs in every band once, a block of realizations at a time.
 
-    Yields ``(k0, k1, ends, t1_ok, ii, jj)`` for consecutive realizations
-    k0..k1-1, whose points are rows ``batch.starts[k0]:batch.starts[k1]``
-    (the block).  `t1_ok` flags the block's points in [0, T], and ii, jj
-    index the block's points, grouped by realization: realization k0 + r
-    owns pairs ``ends[r]:ends[r+1]``, in the order of a sweep over it
-    alone.  In d = 1 blocks hold up to ``_BLOCK_POINTS`` points; in
-    d > 1 each realization is its own block.  The window and the band
-    are checked against the batch's dimension before the first block.
+    Yields ``(q, k0, k1, ends, t1_ok, ii, jj)``: the pairs in ``bands[q]``
+    of consecutive realizations k0..k1-1, whose points are rows
+    ``batch.starts[k0]:batch.starts[k1]`` (the block).  `t1_ok` flags
+    the block's points in [0, T], and ii, jj index the block's points,
+    grouped by realization: realization k0 + r owns pairs
+    ``ends[r]:ends[r+1]``, in the order of a sweep over it alone.  A
+    block yields its bands in turn before the next block, and does the
+    work that no band changes once.  In d = 1 the blocks, of up to
+    ``_BLOCK_POINTS`` points, and their sorted order are those the batch
+    kept when it was checked, so one sort per block serves every band
+    (each realization of a block whose shifted keys tie is a block of
+    its own, sorted once per sweep); in d > 1 each realization is its
+    own block.  The window and the bands are checked against the batch's
+    dimension before the first block.
     """
     t1_ok = win.contains(batch.locations)
-    band.require_dim(batch.dim)
+    for band in bands:
+        band.require_dim(batch.dim)
     starts = batch.starts
     if batch.dim == 1:
-        blocks = _blocks(starts[1:] - starts[:-1])
-    else:
-        blocks = ((k, k + 1) for k in range(batch.n_realizations))
-    for k0, k1 in blocks:
-        a, b = starts[k0], starts[k1]
-        local = starts[k0:k1 + 1] - a
-        if batch.dim == 1:
-            ii, jj = _pairs_sorted_1d(batch.locations[a:b, 0], local, t1_ok[a:b], band)
-            ends = np.searchsorted(ii, local)
-        else:
+        x = batch.locations[:, 0]
+        for k0, k1, kept in batch._sorted_blocks:
+            # a block whose shifted keys tie sweeps each realization on its own
+            for r0, r1 in [(k0, k1)] if kept else [(k, k + 1) for k in range(k0, k1)]:
+                a, b = starts[r0], starts[r1]
+                local = starts[r0:r1 + 1] - a
+                sweep = _pairs_sorted_1d(x[a:b], local, t1_ok[a:b],
+                                         kept or _block_order(x[a:b], local), bands)
+                for q in range(len(bands)):
+                    ii, jj = next(sweep)
+                    yield q, r0, r1, np.searchsorted(ii, local), t1_ok[a:b], ii, jj
+                    del ii, jj  # a block's pairs in one band are freed before the next is swept
+        return
+    for k in range(batch.n_realizations):
+        a, b = starts[k], starts[k + 1]
+        for q, band in enumerate(bands):
             ii, jj = _pairs_tree(batch.locations[a:b], t1_ok[a:b], band)
-            ends = np.array([0, ii.size])
-        yield k0, k1, ends, t1_ok[a:b], ii, jj
-        del ii, jj, ends  # a block's pairs are freed before the next block is swept
+            yield q, k, k + 1, np.array([0, ii.size]), t1_ok[a:b], ii, jj
+            del ii, jj
 
 
 def band_pair_indices(
@@ -585,7 +620,7 @@ def band_pair_indices(
     closed-band predicate as the naive double loop, so the returned pair
     set is identical to it.
     """
-    return next(_sweep(pattern, win, band))[-2:]
+    return next(_sweep(pattern, win, [band]))[-2:]
 
 
 def _pair_values(f, loc, y, z, ii, jj) -> np.ndarray:

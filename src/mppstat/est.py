@@ -130,7 +130,7 @@ def _as_batch(realizations: PatternBatch | Sequence[PointPattern]) -> PatternBat
 
 def _slice_sums(values: np.ndarray, ends: np.ndarray) -> list[float]:
     """Sum of each slice ``values[ends[r]:ends[r+1]]``, as numpy sums over the slice alone."""
-    return [values[a:b].sum() for a, b in zip(ends[:-1].tolist(), ends[1:].tolist())]
+    return [np.add.reduce(values[a:b]) for a, b in zip(ends[:-1].tolist(), ends[1:].tolist())]
 
 
 def pair_table(
@@ -143,20 +143,35 @@ def pair_table(
     :class:`~mppstat.core.PointPattern` included) or a sequence of
     patterns.  Each realization's sums are numpy sums over its own pairs
     in the order of a sweep over it alone, so the table is bit for bit
-    the one the realizations give one at a time.
+    the one the realizations give one at a time.  This is the one-band
+    case of :func:`_pair_tables`, which tabulates several bands from one
+    sweep and gives each band the same table.
+    """
+    return _pair_tables(realizations, win, [band], f)[0]
+
+
+def _pair_tables(
+    realizations: PatternBatch | Sequence[PointPattern], win: Window, bands: Sequence[Band],
+    f: MarkFunction,
+) -> list[PairTable]:
+    """One :func:`pair_table` per band, all from one sweep of the realizations.
+
+    The tables share their `n_window` column, which no band changes.
     """
     batch = _as_batch(realizations)
-    n = batch.n_realizations
-    num, den = np.zeros(n), np.zeros(n)
-    count, n_window = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    n, starts = batch.n_realizations, batch.starts
+    n_window = np.zeros(n, dtype=np.int64)
     # int32: one column entry per point of the batch, and no point has 2^31 neighbors
-    neighbors = np.zeros(batch.starts[-1], dtype=np.int32)
-    for k0, k1, ends, t1_ok, ii, jj in _sweep(batch, win, band):
-        a, b = batch.starts[k0], batch.starts[k1]
-        in_win = np.concatenate(([0], np.cumsum(t1_ok)))[batch.starts[k0:k1 + 1] - a]
-        n_window[k0:k1] = in_win[1:] - in_win[:-1]
+    cols = [(np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.int64),
+             np.zeros(starts[-1], dtype=np.int32)) for _ in bands]
+    for q, k0, k1, ends, t1_ok, ii, jj in _sweep(batch, win, bands):
+        a, b = starts[k0], starts[k1]
+        if q == 0:
+            in_win = np.concatenate(([0], np.cumsum(t1_ok)))[starts[k0:k1 + 1] - a]
+            n_window[k0:k1] = in_win[1:] - in_win[:-1]
         if ii.size == 0:
             continue
+        num, den, count, neighbors = cols[q]
         neighbors[a:b] = np.bincount(ii, minlength=b - a)
         vals = _pair_values(f, batch.locations[a:b], batch.y[a:b], batch.z[a:b], ii, jj)
         z1 = batch.z[a:b][ii]
@@ -164,7 +179,8 @@ def pair_table(
         num[k0:k1] = _slice_sums(z1 * vals, ends)
         den[k0:k1] = _slice_sums(z1, ends)
         del ii, jj, vals, z1, ends
-    return PairTable(batch, win, band, num, den, count, n_window, neighbors)
+    return [PairTable(batch, win, band, num, den, count, n_window, neighbors)
+            for band, (num, den, count, neighbors) in zip(bands, cols)]
 
 
 def pair_sums(

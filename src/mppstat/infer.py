@@ -36,7 +36,7 @@ def threshold_sums(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-realization (sum of excess(y1), sum of indicator(y1)) over qualifying pairs.
 
-    Both columns reduce the pairs of one blocked sweep
+    Both columns reduce the pairs of one blocked sweep in the one band
     (:func:`~mppstat.est.pair_table`'s), each realization's sums being
     numpy sums over its own pairs in the order of a sweep over it alone.
     """
@@ -44,7 +44,7 @@ def threshold_sums(
     if batch.dim != 1:
         raise InputError("inference is defined for d=1 patterns only")
     s, d = np.zeros(batch.n_realizations), np.zeros(batch.n_realizations)
-    for k0, k1, ends, _, ii, _ in _sweep(batch, win, band):
+    for _, k0, k1, ends, _, ii, _ in _sweep(batch, win, [band]):
         y1 = batch.y[batch.starts[k0]:batch.starts[k1]][ii]
         s[k0:k1] = _slice_sums(family.excess(y1), ends)
         d[k0:k1] = _slice_sums(family.indicator(y1), ends)

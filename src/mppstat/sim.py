@@ -269,8 +269,12 @@ def _sorted_band(locations: np.ndarray, reach: float) -> tuple[np.ndarray, np.nd
 
 def _reach_end(xs: np.ndarray, reach) -> np.ndarray:
     """xs + reach, widened by a few ulps so that a pair at exactly `reach` (where
-    trunc_exp is still non-zero) is never lost to rounding of xs + reach."""
-    return xs + reach + 8.0 * np.spacing(np.abs(xs) + reach + 1.0)
+    trunc_exp is still non-zero) is never lost to rounding of xs + reach.
+
+    The pad is relative to ``|xs| + reach``, so scaling the points and the
+    reach by a power of two scales every end alike and keeps the band width.
+    """
+    return xs + reach + 8.0 * np.spacing(np.abs(xs) + reach)
 
 
 def _band_width(xs: np.ndarray, reach: float) -> int:

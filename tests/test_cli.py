@@ -17,6 +17,7 @@ from mppstat.cli import (
     CONFIG_SCHEMA,
     ESTIMATE_HEADER,
     _build_parser,
+    _weights_digest,
     cmd_estimate,
     cmd_report,
     cmd_simulate,
@@ -251,6 +252,11 @@ class TestSimulate:
 
 
 class TestEstimate:
+    def test_weights_digest_is_pinned(self):
+        # 17 significant digits of each weight, signed zero, nan and inf included
+        w = [0.25, -0.0, 0.0, float("nan"), float("inf"), -float("inf"), 1e-310, 1 / 3, 2.0**60]
+        assert _weights_digest(w) == _weights_digest(np.array(w)) == "7097843adb06"
+
     def test_rows_and_columns(self, tmp_path):
         cfg = load_config(small_config(tmp_path))
         out = tmp_path / "results.csv"
@@ -308,16 +314,17 @@ class TestEstimate:
 
     def test_one_enumeration_per_realization_and_band(self, tmp_path, monkeypatch):
         # every estimator and weighting, rfvar included, shares one pair
-        # table per band, whose sweep covers each realization once inside a
-        # block; infer clt sweeps its one band once.  No command enumerates
-        # a single pattern again.
+        # table per band, and one sweep serves all the bands: it covers
+        # each realization once inside a block, in every band at once;
+        # infer clt sweeps its one band once.  No command enumerates a
+        # single pattern again.
         sweeps, single = [], []
         original = core._pairs_sorted_1d
         single_pattern = core.band_pair_indices
 
-        def counting_sweep(x, starts, t1_ok, band):
-            sweeps.append((band.lo, x.tobytes(), starts.tolist()))
-            return original(x, starts, t1_ok, band)
+        def counting_sweep(x, starts, t1_ok, kept, bands):
+            sweeps.append((tuple(band.lo for band in bands), x.tobytes(), starts.tolist()))
+            return original(x, starts, t1_ok, kept, bands)
 
         for module in vars(mppstat).values():
             if getattr(module, "_pairs_sorted_1d", None) is original:
@@ -332,10 +339,9 @@ class TestEstimate:
             sim_win = core.buffered_window(core.Window(cfg["window"]), bands)
             patterns = [p for p, _ in mppstat.sample_mixture(spec, sim_win, n, seed)]
             every_x = b"".join(p.locations[:, 0].tobytes() for p in patterns)
-            for band in bands:
-                mine = [(x, starts) for lo, x, starts in sweeps if lo == band.lo]
-                assert b"".join(x for x, _ in mine) == every_x
-                assert sum(len(starts) - 1 for _, starts in mine) == n
+            assert {los for los, _, _ in sweeps} == {tuple(band.lo for band in bands)}
+            assert b"".join(x for _, x, _ in sweeps) == every_x
+            assert sum(len(starts) - 1 for _, _, starts in sweeps) == n
             assert single == []
             sweeps.clear()
 

@@ -12,6 +12,7 @@ from mppstat import (
     Band,
     InputError,
     NumericError,
+    PatternBatch,
     PointPattern,
     SimWindow,
     Window,
@@ -34,7 +35,8 @@ from mppstat import (
 from mppstat import IidMarks, MixtureClass, MixtureSpec, PoissonGround
 from mppstat import class_averaged_mean_mark, mixture_mean_mark
 
-from mppstat.core import _pairs_sorted_1d
+from mppstat.core import _ascending, _block_order, _pairs_sorted_1d
+from mppstat.est import _pair_tables
 
 from helpers import DYADIC, pattern_1d, random_pattern, sorted_pairs
 
@@ -342,6 +344,103 @@ def _bits(a) -> bytes:
     return np.asarray(a).tobytes()
 
 
+@st.composite
+def shared_sweep_cases(draw):
+    """(batch, window, bands): a 1-D batch, checked under a drawn block budget, and 1-4 bands.
+
+    Realizations are empty, on a grid, or tiny: points 1e-300 apart that
+    the shift of a block rounds to one key, so a block holding a tiny
+    realization after another one ties.  Bands are mirrored pairs,
+    overlap, contain 0, have lo == hi or one infinite endpoint, and may
+    end on the displacement of a drawn pair.
+    """
+    step = draw(st.sampled_from([1 / 8, 0.1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["grid", "grid", "empty", "tiny"]))
+        if kind == "grid":
+            lo = draw(st.integers(-24, 40))
+            cells = draw(st.lists(st.integers(lo, lo + 48), unique=True, max_size=40))
+            xs.append(np.array(cells, dtype=float) * step)
+        elif kind == "tiny":
+            xs.append(rng.permutation(draw(st.integers(1, 30))) * 1e-300)
+        else:
+            xs.append(np.empty(0))
+    x = np.concatenate(xs)
+    starts = np.cumsum([0] + [a.size for a in xs])
+    ends = [float(x[j] - x[i]) for i, j in rng.integers(0, max(x.size, 1), (3, 2))
+            if x.size and abs(x[j] - x[i]) <= 3.0]
+    end = st.one_of(st.integers(-24, 24).map(lambda k: k * step), st.sampled_from(ends or [0.0]))
+    bands, n_bands = [], draw(st.integers(1, 4))
+    while len(bands) < n_bands:
+        a, b = sorted((draw(end), draw(end)))
+        kind = draw(st.sampled_from(["any", "zero", "point", "lo_inf", "hi_inf", "mirror"]))
+        if kind == "zero":
+            a, b = min(a, 0.0), max(b, 0.0)
+        elif kind == "point":
+            b = a
+        elif kind == "lo_inf":
+            a = -np.inf
+        elif kind == "hi_inf":
+            b = np.inf
+        bands.append(Band(a, b))
+        if kind == "mirror":
+            bands.append(Band(-b, -a))
+    with mock.patch.object(core, "_BLOCK_POINTS", draw(st.sampled_from([1, 5, 24, 2048]))):
+        batch = PatternBatch(x.reshape(-1, 1), rng.normal(0.0, 3.0, x.size),
+                             rng.choice([0.0, 0.5, 1.0, 1.7], x.size), starts,
+                             SimWindow.cube(-5.0, 15.0, 1))
+    return batch, Window(draw(st.sampled_from([2.0, 5.0]))), bands[:4]
+
+
+class TestSharedSweep:
+    """One sweep per block serves every band; the batch sorts each block once."""
+
+    @given(shared_sweep_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_tables_equal_sums_over_naive_pairs_in_sweep_order(self, case):
+        batch, win, bands = case
+        tables = _pair_tables(batch, win, bands, PRODUCT)
+        assert [table.band for table in tables] == bands
+        for band, table in zip(bands, tables):
+            num, den, count, n_window, neighbors = [], [], [], [], []
+            for k in range(batch.n_realizations):
+                p = batch.pattern(k)
+                x, y, z = p.locations[:, 0], p.y, p.z
+                ii, jj = band_pair_indices_naive(p, win, band)
+                rank = np.empty(x.size, dtype=np.int64)
+                rank[np.argsort(x, kind="stable")] = np.arange(x.size)
+                in_sweep_order = np.lexsort((rank[jj], ii))
+                ii, jj = ii[in_sweep_order], jj[in_sweep_order]
+                num.append(np.add.reduce(z[ii] * PRODUCT(y[ii], y[jj])))
+                den.append(np.add.reduce(z[ii]))
+                count.append(ii.size)
+                n_window.append(int(np.sum(win.contains(p.locations))))
+                neighbors.append(np.bincount(ii, minlength=x.size))
+            assert _bits(table.num) == _bits(np.array(num, dtype=float))
+            assert _bits(table.den) == _bits(np.array(den, dtype=float))
+            assert table.count.tolist() == count
+            assert table.n_window.tolist() == n_window
+            assert table.neighbors.tolist() == np.concatenate(neighbors).tolist()
+
+    @given(shared_sweep_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_batch_keeps_each_blocks_order(self, case):
+        batch, _, _ = case
+        x, starts = batch.locations[:, 0], batch.starts
+        blocks = batch._sorted_blocks
+        assert [k0 for k0, _, _ in blocks] == [0] + [k1 for _, k1, _ in blocks[:-1]]
+        assert blocks[-1][1] == batch.n_realizations
+        for k0, k1, kept in blocks:
+            a, b = starts[k0], starts[k1]
+            order, ss = _block_order(x[a:b], starts[k0:k1 + 1] - a)
+            assert (kept is None) == (b - a > 1 and not _ascending(ss))
+            if kept is not None:
+                assert _bits(kept[0]) == _bits(order) and _bits(kept[1]) == _bits(ss)
+                assert not kept[0].flags.writeable and not kept[1].flags.writeable
+
+
 class TestBlockedPairTable:
     """The 1-D pair table sweeps blocks of realizations at once; it must equal per-pattern sums."""
 
@@ -360,9 +459,10 @@ class TestBlockedPairTable:
         assert table.n_window.tolist() == in_win
         # one sweep over all realizations gives each one's pairs, in the
         # order of a sweep over that realization alone
-        starts = np.cumsum([0] + [p.n_points for p in patterns])
-        x = np.concatenate([p.locations[:, 0] for p in patterns])
-        ii, jj = _pairs_sorted_1d(x, starts, (x >= 0) & (x <= win.t[0]), band)
+        whole = PatternBatch.from_patterns(patterns)
+        (_, _, kept), = whole._sorted_blocks
+        starts, x = whole.starts, whole.locations[:, 0]
+        ii, jj = next(_pairs_sorted_1d(x, starts, (x >= 0) & (x <= win.t[0]), kept, [band]))
         for k, p in enumerate(patterns):
             mine = (ii >= starts[k]) & (ii < starts[k + 1])
             fast = band_pair_indices(p, win, band)
@@ -431,15 +531,27 @@ class TestBlockedPairTable:
 
     def test_memory_stays_within_a_block(self):
         # 400 realizations of ~130 points: one unblocked sweep would hold
-        # candidate arrays for all 52,000 points at once (8 MB measured)
+        # candidate arrays for all 52,000 points at once (8 MB measured).
+        # The batch holds 40 bytes a point: locations, y, z and the kept
+        # sorted order of its blocks (an int64 and a float64 a point).
         rng = np.random.default_rng(2)
         patterns = [random_pattern(rng, int(rng.integers(100, 160)), extent=50.0, buffer=1.5)
                     for _ in range(400)]
         win, band = Window(50.0), Band(0.5, 1.5)
         tracemalloc.start()
         try:
-            pair_table(patterns, win, band, FIRST)
+            batch = PatternBatch.from_patterns(patterns)
+            built, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            pair_table(batch, win, band, FIRST)
             _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            _pair_tables(batch, win, [band, Band(-1.5, -0.5)], FIRST)
+            _, peak_two = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2_000_000
+        assert built < 41 * batch.starts[-1]
+        assert peak - built < 750_000
+        # a second band adds its table (4 bytes a point, 24 a realization),
+        # not the first band's pairs: those are freed before it is swept
+        assert peak_two - peak < 4 * batch.starts[-1] + 24 * 400 + 32_000

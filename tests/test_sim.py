@@ -353,6 +353,13 @@ class TestBandedField:
         assert b == np.max(np.searchsorted(pts[:, 0], pts[:, 0] + 1.0, side="right")
                            - 1 - np.arange(300))
 
+    def test_band_width_does_not_depend_on_the_scale(self):
+        # the reach ends are padded relative to the coordinates: with an
+        # absolute floor the tiny points got the full band, b = 99
+        x = np.random.default_rng(5).uniform(0.0, 1e-15, size=(100, 1))
+        b = _sorted_band(x, 5e-18)[2]
+        assert b == _sorted_band(x * 2.0**40, 5e-18 * 2.0**40)[2] == 3
+
     def test_no_dense_matrix_allocated(self):
         # an n x n float64 array would be 8 n^2 bytes; the banded paths
         # stay far below a sixteenth of that
