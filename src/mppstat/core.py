@@ -524,28 +524,39 @@ def _pairs_sorted_1d(x: np.ndarray, starts: np.ndarray, t1_ok: np.ndarray, kept,
         yield pairs(band)
 
 
-def _pairs_tree(loc: np.ndarray, t1_ok: np.ndarray, band: Band) -> tuple[np.ndarray, np.ndarray]:
-    """Qualifying ordered pairs of one realization in d > 1, from a kd-tree query."""
+def _pairs_tree(loc: np.ndarray, t1_ok: np.ndarray, bands: Sequence[Band]):
+    """Qualifying ordered pairs of one realization in d > 1 in each band, from one kd-tree.
+
+    Yields (ii, jj) for each band in turn.  The tree is built once and
+    queried once per band with a finite upper end; a band without one
+    takes the naive enumeration.
+    """
     from scipy.spatial import cKDTree
 
     empty = np.empty(0, dtype=np.int64)
     if loc.shape[0] < 2 or not t1_ok.any():
-        return empty, empty
-    if not np.isfinite(band.hi):
-        return _pairs_naive(loc, t1_ok, band)
-    scale = band.hi + float(np.max(np.abs(loc))) + 1.0
-    radius = band.hi + 16.0 * np.spacing(scale)
-    tree = cKDTree(loc)
-    raw = tree.query_pairs(radius, output_type="ndarray")
-    if raw.size == 0:
-        return empty, empty
-    cand_i = np.concatenate((raw[:, 0], raw[:, 1]))
-    cand_j = np.concatenate((raw[:, 1], raw[:, 0]))
-    keep = t1_ok[cand_i]
-    cand_i, cand_j = cand_i[keep], cand_j[keep]
-    d = _row_displacements(loc[cand_i], loc[cand_j])
-    keep = band.contains(d)
-    return cand_i[keep].astype(np.int64), cand_j[keep].astype(np.int64)
+        for _ in bands:
+            yield empty, empty
+        return
+    if any(np.isfinite(band.hi) for band in bands):
+        tree, extent = cKDTree(loc), float(np.max(np.abs(loc)))
+
+    def pairs(band: Band) -> tuple[np.ndarray, np.ndarray]:
+        if not np.isfinite(band.hi):
+            return _pairs_naive(loc, t1_ok, band)
+        radius = band.hi + 16.0 * np.spacing(band.hi + extent + 1.0)
+        raw = tree.query_pairs(radius, output_type="ndarray")
+        if raw.size == 0:
+            return empty, empty
+        cand_i = np.concatenate((raw[:, 0], raw[:, 1]))
+        cand_j = np.concatenate((raw[:, 1], raw[:, 0]))
+        keep = t1_ok[cand_i]
+        cand_i, cand_j = cand_i[keep], cand_j[keep]
+        keep = band.contains(_row_displacements(loc[cand_i], loc[cand_j]))
+        return cand_i[keep].astype(np.int64), cand_j[keep].astype(np.int64)
+
+    for band in bands:
+        yield pairs(band)
 
 
 # Points per block of the 1-D sweep: blocks amortize the per-call cost of
@@ -580,33 +591,32 @@ def _sweep(batch: PatternBatch, win: Window, bands: Sequence[Band]):
     kept when it was checked, so one sort per block serves every band
     (each realization of a block whose shifted keys tie is a block of
     its own, sorted once per sweep); in d > 1 each realization is its
-    own block.  The window and the bands are checked against the batch's
-    dimension before the first block.
+    own block, whose one kd-tree serves every band.  The window and the
+    bands are checked against the batch's dimension before the first block.
     """
     t1_ok = win.contains(batch.locations)
     for band in bands:
         band.require_dim(batch.dim)
-    starts = batch.starts
+    starts, loc = batch.starts, batch.locations
     if batch.dim == 1:
-        x = batch.locations[:, 0]
-        for k0, k1, kept in batch._sorted_blocks:
-            # a block whose shifted keys tie sweeps each realization on its own
-            for r0, r1 in [(k0, k1)] if kept else [(k, k + 1) for k in range(k0, k1)]:
-                a, b = starts[r0], starts[r1]
-                local = starts[r0:r1 + 1] - a
-                sweep = _pairs_sorted_1d(x[a:b], local, t1_ok[a:b],
-                                         kept or _block_order(x[a:b], local), bands)
-                for q in range(len(bands)):
-                    ii, jj = next(sweep)
-                    yield q, r0, r1, np.searchsorted(ii, local), t1_ok[a:b], ii, jj
-                    del ii, jj  # a block's pairs in one band are freed before the next is swept
-        return
-    for k in range(batch.n_realizations):
-        a, b = starts[k], starts[k + 1]
-        for q, band in enumerate(bands):
-            ii, jj = _pairs_tree(batch.locations[a:b], t1_ok[a:b], band)
-            yield q, k, k + 1, np.array([0, ii.size]), t1_ok[a:b], ii, jj
-            del ii, jj
+        # a block whose shifted keys tie sweeps each realization on its own
+        blocks = [(r0, r1, kept) for k0, k1, kept in batch._sorted_blocks
+                  for r0, r1 in ([(k0, k1)] if kept else [(k, k + 1) for k in range(k0, k1)])]
+    else:
+        blocks = [(k, k + 1, None) for k in range(batch.n_realizations)]
+    for r0, r1, kept in blocks:
+        a, b = starts[r0], starts[r1]
+        local = starts[r0:r1 + 1] - a
+        if batch.dim == 1:
+            x = loc[a:b, 0]
+            sweep = _pairs_sorted_1d(x, local, t1_ok[a:b], kept or _block_order(x, local), bands)
+        else:
+            sweep = _pairs_tree(loc[a:b], t1_ok[a:b], bands)
+        for q in range(len(bands)):
+            ii, jj = next(sweep)
+            ends = np.searchsorted(ii, local) if batch.dim == 1 else np.array([0, ii.size])
+            yield q, r0, r1, ends, t1_ok[a:b], ii, jj
+            del ii, jj, ends  # a block's pairs in one band are freed before the next is swept
 
 
 def band_pair_indices(

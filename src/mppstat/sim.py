@@ -29,8 +29,8 @@ from typing import Callable, Union
 import numpy as np
 
 from .core import (
-    InputError, NumericError, PatternBatch, PointPattern, SimWindow, _ascending, _block_order,
-    _blocks, _concat_frozen, _floats, _reject_bools,
+    InputError, NumericError, PatternBatch, PointPattern, SimWindow, _concat_frozen, _floats,
+    _reject_bools,
 )
 
 __all__ = [
@@ -255,16 +255,18 @@ def _sorted_band(locations: np.ndarray, reach: float) -> tuple[np.ndarray, np.nd
     order is that of a stable sort.
     """
     x = locations[:, 0]
-    if locations.shape[1] == 1:
-        # without a tie the default sort gives the stable order, faster
-        order = np.argsort(x)
-        xs = x[order]
-        if not (xs[1:] > xs[:-1]).all():
-            order = np.argsort(x, kind="stable")
-    else:
+    if locations.shape[1] > 1:
         order = np.argsort(x, kind="stable")
-    pts = locations[order]
-    return order, pts, _band_width(pts[:, 0], reach)
+        return order, locations[order], _band_width(x[order], reach)
+    # in d = 1 two equal points are within any reach >= 0, so with b = 0 the
+    # default sort has no tie and is the stable one
+    order = np.argsort(x)
+    xs = x[order]
+    b = _band_width(xs, reach)
+    if b and not (xs[1:] > xs[:-1]).all():
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+    return order, xs[:, None], b
 
 
 def _reach_end(xs: np.ndarray, reach) -> np.ndarray:
@@ -280,14 +282,16 @@ def _reach_end(xs: np.ndarray, reach) -> np.ndarray:
 def _band_width(xs: np.ndarray, reach: float) -> int:
     """The largest index gap between points of the sorted `xs` within `reach`.
 
-    An infinite reach gives b = n - 1.
+    An infinite reach gives b = n - 1.  b = 0, no two neighbours within
+    `reach`, takes one comparison and no search.
     """
     n = xs.shape[0]
-    if n == 0:
-        return 0
     if not np.isfinite(reach):
-        return n - 1
-    last = np.searchsorted(xs, _reach_end(xs, reach), side="right") - 1
+        return max(n - 1, 0)
+    ends = _reach_end(xs, reach)
+    if not (xs[1:] <= ends[:-1]).any():
+        return 0
+    last = np.searchsorted(xs, ends, side="right") - 1
     return int(np.max(last - np.arange(n)))
 
 
@@ -524,22 +528,21 @@ def _cholesky_with_jitter(ab: np.ndarray, scale: float) -> np.ndarray:
     )
 
 
-def _field(spec: GaussianFieldMarks, xi: np.ndarray, order: np.ndarray, pts: np.ndarray,
-           b: int) -> np.ndarray:
-    """mean + L xi with L the banded Cholesky factor of the covariance of `pts`.
+def _field(spec: GaussianFieldMarks, cov: Covariance, sd: float, xi: np.ndarray,
+           order: np.ndarray, pts: np.ndarray, b: int) -> np.ndarray:
+    """mean + L xi with L the banded Cholesky factor of the covariance `cov` of `pts`.
 
-    `pts` are the locations sorted by first coordinate (``locations[order]``),
-    b is their band width, and xi[i] stays paired with point i.  When no
-    two points are within the range (b = 0) L is the diagonal sqrt(C(0)),
-    so the draw is mean + sqrt(C(0)) * xi, computed without building the
-    band or calling LAPACK; it is bit for bit what the factor gives.
-    Otherwise the cost is O(n b^2) time and O(n b) memory, and a field
-    with n b^2 above FIELD_BAND_BUDGET is rejected before anything of that
-    size is built.
+    `cov` is ``spec.covariance()`` and sd is sqrt(C(0)).  `pts` are the
+    locations sorted by first coordinate (``locations[order]``), b is their
+    band width, and xi[i] stays paired with point i.  When no two points
+    are within the range (b = 0) L is the diagonal sd, so the draw is
+    mean + sd * xi, computed without building the band or calling
+    LAPACK; it is bit for bit what the factor gives.  Otherwise the cost
+    is O(n b^2) time and O(n b) memory, and a field with n b^2 above
+    FIELD_BAND_BUDGET is rejected before anything of that size is built.
     """
-    cov = spec.covariance()
     if b == 0:
-        return spec.mean + np.sqrt(cov(0.0)) * xi
+        return spec.mean + sd * xi
     n = xi.shape[0]
     chol = _cholesky_with_jitter(_band_matrix(pts, b, cov), spec.variance)
     v = xi[order]
@@ -551,13 +554,8 @@ def _field(spec: GaussianFieldMarks, xi: np.ndarray, order: np.ndarray, pts: np.
     return y
 
 
-def _standard_normals(rng: np.random.Generator, loc: np.ndarray) -> np.ndarray:
-    """The field's normals xi, one per point: all that a field draws."""
-    return rng.standard_normal(loc.shape[0])
-
-
 def _y_sampler(spec: MarkSpec) -> _Draw:
-    """The draw ``(rng, locations) -> y`` of the marks `spec`."""
+    """The draw ``(rng, locations) -> y`` of the marks `spec`; a field's covariance is built once."""
     if isinstance(spec, IidMarks):
         if spec.distribution == "normal":
             mean, sd = spec.params
@@ -567,7 +565,9 @@ def _y_sampler(spec: MarkSpec) -> _Draw:
             return lambda rng, loc: rng.uniform(a, b, size=loc.shape[0])
         return lambda rng, loc: np.full(loc.shape[0], spec.params[0])
     if isinstance(spec, GaussianFieldMarks):
-        return lambda rng, loc: _field(spec, _standard_normals(rng, loc),
+        cov = spec.covariance()
+        sd = np.sqrt(cov(0.0))
+        return lambda rng, loc: _field(spec, cov, sd, rng.standard_normal(loc.shape[0]),
                                        *_sorted_band(loc, spec.cov_range))
     raise InputError(f"unknown mark spec {spec!r}")
 
@@ -756,12 +756,11 @@ def sample_batch(
     realization i draws from its own stream ``SeedSequence(seed + (i,))``
     (seed as a tuple), so outputs are bit-exact reproducible and
     realizations never share generator state.  The streams' seed words
-    are computed for the whole batch at once, and each realization's
-    loop does only its draws.  A d = 1 Gaussian field whose z_rule does
-    not read y draws its normals in the loop and is finished for the
-    batch: one sort per block finds the realizations without two points
-    in range, which take mean + sqrt(C(0)) * xi together.  The batch is
-    checked once, with the messages of :class:`PointPattern`.
+    are computed for the whole batch at once, each class's samplers are
+    set up once, and each realization's loop does only its draws: its
+    ground, then its marks (a Gaussian field sorts its own points) and
+    weights, in any dimension.  The batch is checked once, with the
+    messages of :class:`PointPattern`.
     """
     if n_realizations < 1:
         raise InputError("n_realizations must be >= 1")
@@ -771,11 +770,8 @@ def sample_batch(
     cum = np.cumsum(spec.probabilities()).tolist()
     last = spec.n_classes - 1
     grounds = [_ground_sampler(c.ground, sim_window) for c in spec.classes]
+    marks = [_y_sampler(c.marks) for c in spec.classes]
     weights = [_z_sampler(c.z_rule) for c in spec.classes]
-    fields = [c.marks if spec.dim == 1 and isinstance(c.marks, GaussianFieldMarks)
-              and not callable(c.z_rule) else None for c in spec.classes]
-    marks = [_y_sampler(c.marks) if f is None else _standard_normals
-             for c, f in zip(spec.classes, fields)]
     words, generator, pcg64 = _words_class(), np.random.Generator, np.random.PCG64
     locs, ys, zs, classes = [], [], [], []
     for row in _stream_words(entropy, n_realizations):
@@ -791,60 +787,8 @@ def sample_batch(
         zs.append(z)
         classes.append(k)
     starts = np.cumsum([0] + [y.size for y in ys])
-    y = np.concatenate(ys)
-    if any(fields):
-        _finish_fields_1d(fields, np.array(classes), locs, y, starts)
-    y.flags.writeable = False
-    return PatternBatch(_concat_frozen(locs), y, _concat_frozen(zs), starts, sim_window, classes)
-
-
-def _finish_fields_1d(fields: list, classes: np.ndarray, locs: list, y: np.ndarray,
-                      starts: np.ndarray) -> None:
-    """Turn the normals xi in `y` of each d = 1 field realization into its marks, in place.
-
-    Realization r of class k has a field when ``fields[k]`` is its spec;
-    its points are ``locs[r]`` and its rows ``starts[r]:starts[r+1]``.
-    One sort per block of up to ``_BLOCK_POINTS`` points tells the
-    realizations with b = 0 (no two points within the range), which are
-    set to mean + sqrt(C(0)) * xi in one operation per class.  The others
-    build their band from the block's order.  A block whose shifted
-    values tie draws each of its fields as :func:`sample_marks` does.
-    """
-    sizes = starts[1:] - starts[:-1]
-    drawn = np.flatnonzero([fields[k] is not None for k in classes.tolist()])
-    diagonal = np.zeros(classes.size, dtype=bool)
-    for k0, k1 in _blocks(sizes[drawn]):
-        rs = drawn[k0:k1]
-        specs = [fields[k] for k in classes[rs].tolist()]
-        local = np.concatenate(([0], np.cumsum(sizes[rs])))
-        if local[-1] == 0:
-            continue
-        if rs.size > 1:
-            x = np.concatenate([locs[r][:, 0] for r in rs])
-            order, keys = _block_order(x, local)
-            if _ascending(keys):
-                xs = x[order]
-                reach = np.repeat([spec.cov_range for spec in specs], sizes[rs])
-                rid = np.repeat(np.arange(rs.size), sizes[rs])
-                close = (xs[1:] <= _reach_end(xs, reach)[:-1]) & (rid[1:] == rid[:-1])
-                banded = np.zeros(rs.size, dtype=bool)
-                banded[rid[1:][close]] = True
-                diagonal[rs[~banded]] = True
-                for j in np.flatnonzero(banded).tolist():
-                    r, spec = rs[j], specs[j]
-                    seg = order[local[j]:local[j + 1]] - local[j]
-                    pts = locs[r][seg]
-                    a, b = starts[r], starts[r + 1]
-                    y[a:b] = _field(spec, y[a:b], seg, pts, _band_width(pts[:, 0], spec.cov_range))
-                continue
-        # a realization that is a block of its own, or a block whose shifted values tie
-        for r, spec in zip(rs, specs):
-            a, b = starts[r], starts[r + 1]
-            y[a:b] = _field(spec, y[a:b], *_sorted_band(locs[r], spec.cov_range))
-    for k, spec in enumerate(fields):
-        if spec is not None:
-            rows = np.repeat(diagonal & (classes == k), sizes)
-            y[rows] = spec.mean + np.sqrt(spec.covariance()(0.0)) * y[rows]
+    return PatternBatch(_concat_frozen(locs), _concat_frozen(ys), _concat_frozen(zs), starts,
+                        sim_window, classes)
 
 
 def sample_mixture(

@@ -555,3 +555,35 @@ class TestBlockedPairTable:
         # a second band adds its table (4 bytes a point, 24 a realization),
         # not the first band's pairs: those are freed before it is swept
         assert peak_two - peak < 4 * batch.starts[-1] + 24 * 400 + 32_000
+
+
+class TestTreeSweep:
+    """In d > 1 each realization's one kd-tree serves every band of the sweep."""
+
+    @pytest.mark.parametrize("bands", [
+        [Band.absolute(0.2, 0.7), Band.absolute(0.5, 1.5)],
+        [Band.absolute(0.0, 0.4), Band.absolute(1.0, np.inf), Band.absolute(0.3, 0.9)],
+    ], ids=["two", "with-infinite"])
+    def test_one_tree_per_realization_and_tables_of_one_band(self, monkeypatch, bands):
+        import scipy.spatial
+
+        rng = np.random.default_rng(12)
+        patterns = [random_pattern(rng, int(rng.integers(2, 80)), dim=2, extent=4.0, buffer=1.5)
+                    for _ in range(6)]
+        win = Window([4.0, 4.0])
+        builds = []
+        tree = scipy.spatial.cKDTree
+
+        def counting(*args, **kwargs):
+            builds.append(args[0].shape[0])
+            return tree(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", counting)
+        tables = _pair_tables(patterns, win, bands, PRODUCT)
+        assert builds == [p.n_points for p in patterns]
+        monkeypatch.undo()
+        for band, table in zip(bands, tables):
+            alone = pair_table(patterns, win, band, PRODUCT)
+            assert table.band == band and table.count.sum() > 0
+            for column in ("num", "den", "count", "n_window", "neighbors"):
+                assert _bits(getattr(table, column)) == _bits(getattr(alone, column)), column

@@ -40,6 +40,7 @@ from mppstat.core import _ascending, _block_order
 from mppstat.sim import (
     _cholesky_with_jitter, _poisson_sampler, _sorted_band, _stream_words, _thin_1d,
 )
+from mppstat.sim import FIELD_BAND_BUDGET, _band_width, _reach_end
 
 from helpers import assert_same_batch, modules_after, reference_batch
 
@@ -428,6 +429,60 @@ class TestBandedField:
         assert peak < 20 * locs.nbytes
 
 
+def _searched_band_width(xs, reach):
+    """The band width by search alone: the largest gap between i and the last point within reach."""
+    n = xs.shape[0]
+    if n == 0:
+        return 0
+    if not np.isfinite(reach):
+        return n - 1
+    last = np.searchsorted(xs, _reach_end(xs, reach), side="right") - 1
+    return int(np.max(last - np.arange(n)))
+
+
+def _ulps(x, k):
+    """x moved by k ulps: up for k > 0, down for k < 0."""
+    for _ in range(abs(k)):
+        x = np.nextafter(x, np.inf if k > 0 else -np.inf)
+    return x
+
+
+class TestBandWidth:
+    """_band_width answers b = 0 from one comparison of neighbours, and b > 0 by search."""
+
+    def test_random_sorted_coordinates_with_ties(self):
+        rng = np.random.default_rng(17)
+        widths = []
+        for _ in range(2000):
+            xs = np.sort(rng.uniform(-5.0, 5.0, rng.integers(0, 40)))
+            if rng.random() < 0.3:
+                xs = np.floor(xs * 4.0) / 4.0  # ties
+            reach = float(rng.choice([0.0, 1e-3, 0.05, 0.2, 1.0, 3.0]) * rng.uniform(0.5, 1.5))
+            b = _band_width(xs, reach)
+            assert b == _searched_band_width(xs, reach), (xs, reach)
+            widths.append(b)
+        assert widths.count(0) > 300 and sum(b > 0 for b in widths) > 300
+
+    @pytest.mark.parametrize("start", [0.0, -3.7, 1.0, 2.0**-30, 1e6])
+    @pytest.mark.parametrize("reach", [1e-9, 0.3, 1.0, 5.0])
+    def test_neighbour_near_the_reach(self, start, reach):
+        # the neighbour at start + reach, and at the padded end of start,
+        # each moved by up to 3 ulps either way
+        for edge in (start + reach, _reach_end(np.array([start]), reach)[0]):
+            for k in range(-3, 4):
+                xs = np.array([start - 2.0 * reach, start, _ulps(edge, k)])
+                assert _band_width(xs, reach) == _searched_band_width(xs, reach), (edge, k)
+
+    @pytest.mark.parametrize("xs", [np.empty(0), np.array([2.5])], ids=["empty", "one"])
+    @pytest.mark.parametrize("reach", [0.5, np.inf])
+    def test_empty_and_one_point(self, xs, reach):
+        assert _band_width(xs, reach) == _searched_band_width(xs, reach) == 0
+
+    def test_infinite_reach_is_the_full_band(self):
+        xs = np.sort(np.random.default_rng(2).uniform(0.0, 100.0, 30))
+        assert _band_width(xs, np.inf) == _searched_band_width(xs, np.inf) == 29
+
+
 class TestMixture:
     def test_single_class_degenerate(self):
         spec = MixtureSpec((MixtureClass(1.0, PoissonGround(2.0), IidMarks("constant", (1.0,))),))
@@ -640,6 +695,27 @@ class TestBatchStreams:
         for column in (batch.locations, batch.y, batch.z, batch.starts, batch.classes):
             digest.update(column.tobytes())
         assert digest.hexdigest() == _SHIPPED_BATCH_SHA256[path.stem]
+
+
+class TestBatchErrors:
+    def test_first_failing_realization_raises_as_in_the_reference(self):
+        # realization 0 draws an oversized field (about 10^4 points with band
+        # width about 400), realization 1 draws negative iid weights
+        spec = MixtureSpec((
+            MixtureClass(0.5, PoissonGround(100.0), GaussianFieldMarks(0.0, 1.0, 4.0)),
+            MixtureClass(0.5, PoissonGround(1.0), IidMarks("normal", (0.0, 1.0)),
+                         z_rule=IidMarks("normal", (0.0, 1.0))),
+        ))
+        window = SimWindow.cube(0.0, 100.0, 1)
+        draws = [np.random.default_rng(np.random.SeedSequence((2, i))).random() for i in range(2)]
+        assert draws[0] < 0.5 <= draws[1]
+        with pytest.raises(InputError) as expected:
+            reference_batch(spec, window, 3, 2)
+        with pytest.raises(InputError) as got:
+            sample_batch(spec, window, 3, 2)
+        assert "covariance band too large" in str(expected.value)
+        assert f"{FIELD_BAND_BUDGET:.0e}" in str(expected.value)
+        assert str(got.value) == str(expected.value)
 
 
 class TestSpecNumbers:
