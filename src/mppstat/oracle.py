@@ -287,8 +287,6 @@ def threshold_excess_mean(marks, base_name: str, u: float) -> tuple[float, float
     P(g(Y) > u).  Used as the true centering constant and coverage target
     in simulation studies.
     """
-    from scipy import integrate, stats
-
     if u < 0 or not np.isfinite(u):
         raise InputError(f"threshold must be finite and >= 0, got {u}")
     if base_name not in ("first", "first_squared"):
@@ -299,32 +297,39 @@ def threshold_excess_mean(marks, base_name: str, u: float) -> tuple[float, float
             raise InputError("threshold above the entire mark distribution")
         return g - u, 1.0
 
-    is_normal = False
+    uniform = False
     if isinstance(marks, GaussianFieldMarks):
-        dist = stats.norm(marks.mean, math.sqrt(marks.variance))
-        is_normal = True
+        loc, scale = marks.mean, math.sqrt(marks.variance)
     elif isinstance(marks, IidMarks):
         if marks.distribution == "normal":
             if marks.params[1] == 0.0:
                 return _constant_case(marks.params[0])
-            dist = stats.norm(marks.params[0], marks.params[1])
-            is_normal = True
+            loc, scale = marks.params
         elif marks.distribution == "uniform":
             a, b = marks.params
             if a == b:
                 return _constant_case(a)
-            dist = stats.uniform(a, b - a)
+            loc, scale, uniform = a, b - a, True
         else:
             return _constant_case(marks.params[0])
     else:
         raise UnsupportedSpecError(f"no threshold oracle for mark spec {marks!r}")
 
-    if base_name == "first" and is_normal:
-        m, s = float(dist.mean()), float(dist.std())
-        a = (m - u) / s
-        excess = (m - u) * stats.norm.cdf(a) + s * stats.norm.pdf(a)
-        p = float(stats.norm.cdf(a))
+    if base_name == "first" and not uniform:
+        from scipy.special import ndtr
+
+        # The arithmetic of a frozen scipy.stats.norm: its mean is
+        # 0 * scale + loc, which turns a mean of -0.0 into 0.0, its sd is
+        # sqrt(scale^2), and the cdf and density of the standardized
+        # threshold are evaluated on a 1-element array.
+        m, s = 0.0 * scale + loc, math.sqrt(scale * scale)
+        a = np.array([(m - u) / s])
+        p = float(ndtr(a)[0])
+        excess = (m - u) * p + s * (np.exp(-a**2 / 2.0) / np.sqrt(2 * np.pi))[0]
     else:
+        from scipy import integrate, stats
+
+        dist = (stats.uniform if uniform else stats.norm)(loc, scale)
         g = (lambda y: y) if base_name == "first" else (lambda y: y * y)
         lo, hi = float(dist.ppf(1e-14)), float(dist.ppf(1.0 - 1e-14))
         excess = integrate.quad(

@@ -314,11 +314,14 @@ def _band_matrix(pts: np.ndarray, b: int, cov: Callable[[np.ndarray], np.ndarray
             f"n*b^2 = {float(n * b * b):.3g}, above the budget of "
             f"{FIELD_BAND_BUDGET:.0e}; use a smaller window, intensity or cov_range"
         )
-    idx = np.arange(n)[None, :] + np.arange(b + 1)[:, None]
-    inside = idx < n
-    diff = pts[np.minimum(idx, n - 1)] - pts[None, :, :]
-    dist = np.sqrt(np.einsum("kij,kij->ki", diff, diff))
-    return np.where(inside, np.asarray(cov(dist), dtype=np.float64), 0.0)
+    sq = np.zeros((b + 1, n))  # one diagonal k at a time, pts[i + k] - pts[i]
+    for k in range(b + 1):
+        dk = pts[k:] - pts[: n - k]
+        sq[k, : n - k] = np.einsum("ij,ij->i", dk, dk)
+    ab = np.array(cov(np.sqrt(sq)), dtype=np.float64)
+    for k in range(1, b + 1):
+        ab[k, n - k:] = 0.0
+    return ab
 
 
 def banded_covariance(
@@ -509,19 +512,17 @@ _JITTER_LADDER = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 
 def _cholesky_with_jitter(ab: np.ndarray, scale: float) -> np.ndarray:
     """Banded lower Cholesky factor of `ab`, adding diagonal jitter up to 1e-6 * scale if needed."""
-    import scipy.linalg
+    from scipy.linalg import lapack
 
-    try:
-        return scipy.linalg.cholesky_banded(ab, lower=True)
-    except np.linalg.LinAlgError:
-        pass
+    chol, info = lapack.dpbtrf(ab, lower=1)
+    if info == 0:
+        return chol
     for level in _JITTER_LADDER:
         jittered = ab.copy()
         jittered[0] += level * scale
-        try:
-            return scipy.linalg.cholesky_banded(jittered, lower=True)
-        except np.linalg.LinAlgError:
-            continue
+        chol, info = lapack.dpbtrf(jittered, lower=1, overwrite_ab=1)
+        if info == 0:
+            return chol
     raise NumericError(
         "mark covariance matrix is not positive definite even after "
         f"diagonal jitter of 1e-6 * variance ({scale:.3g})"

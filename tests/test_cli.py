@@ -763,6 +763,33 @@ class TestColdStart:
             loaded = modules_after("from mppstat.cli import main\n" + call, tmp_path, "scipy")
             assert loaded == set(), (name, sorted(loaded))
 
+    def test_infer_clt_loads_no_scipy_stats(self, tmp_path):
+        # the shipped config draws fields with band width 0; cov_range 1.5
+        # puts neighbours in range, so its fields go through the banded factor
+        doc = json.loads((CONFIGS / "clt_grid_field.json").read_text())
+        doc["spec"]["classes"][0]["marks"]["cov_range"] = 1.5
+        banded = tmp_path / "banded_field.json"
+        banded.write_text(json.dumps(doc))
+        for cfg in (CONFIGS / "clt_grid_field.json", banded):
+            loaded = modules_after(
+                "from mppstat.cli import main\n"
+                f"assert main(['infer', 'clt', '--config', {str(cfg)!r}, "
+                f"'--out', {str(tmp_path / cfg.stem)!r}]) == 0",
+                tmp_path, "scipy")
+            top = {".".join(m.split(".")[:2]) for m in loaded}
+            assert "scipy.special" in top, sorted(top)
+            assert top.isdisjoint({"scipy.stats", "scipy.integrate", "scipy.optimize"}), (
+                cfg.stem, sorted(top))
+            assert ("scipy.linalg" in top) == (cfg == banded), sorted(top)
+
+    def test_uniform_threshold_oracle_integrates_in_a_fresh_interpreter(self, tmp_path):
+        loaded = modules_after(
+            "from mppstat import IidMarks, threshold_excess_mean\n"
+            "mu, p = threshold_excess_mean(IidMarks('uniform', (0.0, 2.0)), 'first', 1.0)\n"
+            "assert abs(mu - 0.5) < 1e-9 and abs(p - 0.5) < 1e-12, (mu, p)",
+            tmp_path, "scipy")
+        assert {"scipy.stats", "scipy.integrate"} <= loaded
+
 
 # ---------------------------------------------------------------------------
 # fuzzed input files: every outcome is an exit code, never a traceback

@@ -38,7 +38,8 @@ from mppstat import (
 )
 from mppstat.core import _ascending, _block_order
 from mppstat.sim import (
-    _cholesky_with_jitter, _poisson_sampler, _sorted_band, _stream_words, _thin_1d,
+    _band_matrix, _cholesky_with_jitter, _poisson_sampler, _sorted_band, _stream_words,
+    _thin_1d,
 )
 from mppstat.sim import FIELD_BAND_BUDGET, _band_width, _reach_end
 
@@ -325,6 +326,28 @@ class TestBandedField:
         assert locs.shape[0] > 20
         np.testing.assert_allclose(y, _dense_field(spec, locs, 5), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("shape", ["spherical", "trunc_exp"])
+    @pytest.mark.parametrize("dim, side", [(1, 60.0), (2, 8.0), (3, 4.0)])
+    def test_band_and_factor_equal_the_gathered_band(self, shape, dim, side):
+        # the band is built one diagonal at a time; a gather of all
+        # (b + 1) x n x d differences at once must give the same bytes, and
+        # the factor must equal that of scipy.linalg.cholesky_banded
+        import scipy.linalg
+
+        spec = GaussianFieldMarks(0.0, 1.0, 1.0, shape)
+        cov = spec.covariance()
+        for seed in range(30 if dim == 1 else 5):
+            locs = sample_ground(HardcoreGround(4.0, 0.2), SimWindow.cube(0.0, side, dim), seed)
+            _, pts, b = _sorted_band(locs, spec.cov_range)
+            n = pts.shape[0]
+            idx = np.arange(n)[None, :] + np.arange(b + 1)[:, None]
+            diff = pts[np.minimum(idx, n - 1)] - pts[None, :, :]
+            gathered = np.where(idx < n, cov(np.sqrt(np.einsum("kij,kij->ki", diff, diff))), 0.0)
+            ab = _band_matrix(pts, b, cov)
+            assert b > 0 and ab.tobytes() == gathered.tobytes()
+            chol = _cholesky_with_jitter(ab, spec.variance)
+            assert chol.tobytes() == scipy.linalg.cholesky_banded(gathered, lower=True).tobytes()
+
     def test_pair_at_exactly_the_range_is_in_the_band(self):
         # trunc_exp is exp(-3) * variance, not zero, at exactly cov_range
         spec = GaussianFieldMarks(0.0, 1.0, 1.0, "trunc_exp")
@@ -397,16 +420,16 @@ class TestBandedField:
         assert y.tobytes() == expected.tobytes()
 
     def test_zero_band_width_skips_the_factor(self, monkeypatch):
-        import scipy.linalg
+        from scipy.linalg import lapack
 
         calls = []
-        factor = scipy.linalg.cholesky_banded
+        factor = lapack.dpbtrf
 
         def counting(*args, **kwargs):
             calls.append(1)
             return factor(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "cholesky_banded", counting)
+        monkeypatch.setattr(lapack, "dpbtrf", counting)
         locs = self._grid_without_neighbours()
         sample_marks(locs, GaussianFieldMarks(0.0, 1.0, 0.4), seed=1)
         assert calls == []
@@ -625,7 +648,7 @@ class TestBatchStreams:
         assert_same_batch(batch, reference_batch(spec, window, 30, 8))
 
     def test_cholesky_jitter_in_a_sorted_block(self, monkeypatch):
-        import scipy.linalg
+        from scipy.linalg import lapack
 
         # points 4e-16 apart are near-duplicates within range 1: their factor
         # needs jitter; the other class's points keep the block's shifted values apart
@@ -633,16 +656,15 @@ class TestBatchStreams:
                             _single_field_class(GridGround(1e-15), 1e-17, p=0.7)))
         window = SimWindow.cube(0.0, 39 * 4e-16, 1)
         failed = []
-        factor = scipy.linalg.cholesky_banded
+        factor = lapack.dpbtrf
 
         def counting(*args, **kwargs):
-            try:
-                return factor(*args, **kwargs)
-            except np.linalg.LinAlgError:
+            chol, info = factor(*args, **kwargs)
+            if info > 0:  # a leading minor is not positive definite
                 failed.append(1)
-                raise
+            return chol, info
 
-        monkeypatch.setattr(scipy.linalg, "cholesky_banded", counting)
+        monkeypatch.setattr(lapack, "dpbtrf", counting)
         batch = sample_batch(spec, window, 4, 11)
         assert failed and _ascending(_block_order(batch.locations[:, 0], batch.starts)[1])
         assert_same_batch(batch, reference_batch(spec, window, 4, 11))
