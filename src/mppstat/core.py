@@ -693,17 +693,13 @@ def write_pattern_csv(pattern: PointPattern, path) -> None:
     Floats are written with `repr`, which round-trips every double
     exactly (17 significant digits suffice).
     """
-    lines = [f"# dim={pattern.dim}"]
     bounds = ";".join(
         f"{float(lo)!r}:{float(hi)!r}"
         for lo, hi in zip(pattern.sim_window.lo, pattern.sim_window.hi)
     )
-    lines.append(f"# window={bounds}")
-    for i in range(pattern.n_points):
-        cells = [repr(float(c)) for c in pattern.locations[i]]
-        cells.append(repr(float(pattern.y[i])))
-        cells.append(repr(float(pattern.z[i])))
-        lines.append(",".join(cells))
+    rows = np.column_stack((pattern.locations, pattern.y, pattern.z)).tolist()
+    lines = [f"# dim={pattern.dim}", f"# window={bounds}"]
+    lines += [",".join(map(repr, row)) for row in rows]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -732,13 +728,12 @@ def read_pattern_csv(path) -> PointPattern:
         lo, hi = np.array([[float(v) for v in b] for b in bounds]).T
     except ValueError as exc:
         raise InputError(f"{path}: bad window bounds: {exc}") from exc
-    rows = []
-    for k, ln in enumerate(lines[2:], start=3):
-        cells = ln.split(",")
-        if len(cells) != dim + 2:
-            raise InputError(f"{path}: line {k}: expected {dim + 2} columns, got {len(cells)}")
+    rows = [ln.split(",") for ln in lines[2:]]
+    for k, cells in enumerate(rows, start=3):
         try:
-            rows.append([float(c) for c in cells])
+            if len(cells) != dim + 2:
+                raise ValueError(f"expected {dim + 2} columns, got {len(cells)}")
+            rows[k - 3] = [float(c) for c in cells]
         except ValueError as exc:
             raise InputError(f"{path}: line {k}: {exc}") from exc
     data = np.array(rows, dtype=np.float64).reshape(len(rows), dim + 2)

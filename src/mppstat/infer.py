@@ -84,8 +84,8 @@ def confidence_interval(
     """Normal-quantile interval mu +- z * sqrt(s_hat / (lambda * T))."""
     from scipy.special import ndtri
 
-    if not 0.0 < level < 1.0:
-        raise InputError(f"level must be in (0, 1), got {level}")
+    if not 0.0 < level < 1.0 or 0.5 * (1.0 + level) == 1.0:  # 1 - 2**-53 rounds up to 1
+        raise InputError(f"level must be in (0, 1) with a finite normal quantile, got {level}")
     if not np.isfinite(lambda_u_hat) or lambda_u_hat <= 0:
         raise InputError(f"pair rate must be > 0, got {lambda_u_hat}")
     if not np.isfinite(s_hat) or s_hat < 0:

@@ -285,59 +285,63 @@ def threshold_excess_mean(marks, base_name: str, u: float) -> tuple[float, float
     For the mark marginal of `marks` and g the identity ("first") or the
     square ("first_squared"), returns E[(g(Y)-u)_+] / P(g(Y) > u) and
     P(g(Y) > u).  Used as the true centering constant and coverage target
-    in simulation studies.
+    in simulation studies.  Every case is a closed form (Johnson, Kotz &
+    Balakrishnan, Continuous Univariate Distributions, vol. 1, 2nd ed.,
+    ch. 13); below r = sqrt(u), Q = 1 - Phi and phi is the normal density.
+
+    * Normal(m, s^2), g = y: a = (m - u)/s, P = Phi(a) and
+      E[(Y - u)_+] = (m - u) P + s phi(a).
+    * Normal(m, s^2), g = y^2: a+- = (+-r - m)/s, P = Q(a+) + Phi(a-) and
+      E[(Y^2 - u)_+] = (m^2 + s^2 - u) P + s (m + r) phi(a+) - s (m - r) phi(a-).
+    * Uniform(a, b): each piece [lo, hi] of [a, b] where g(y) > u (y > u
+      for g = y; y > r and, mirrored by y -> -y, y < -r for g = y^2) adds
+      w = (hi - lo)/(b - a) to P and w times the mean of g - u over the
+      piece to the excess.  With alpha = lo - t and beta = hi - t, t = u or
+      r, that mean is (alpha + beta)/2 for g = y and
+      (alpha^2 + alpha beta + beta^2)/3 + r (alpha + beta) for g = y^2:
+      non-negative terms, so nothing cancels.
     """
     if u < 0 or not np.isfinite(u):
         raise InputError(f"threshold must be finite and >= 0, got {u}")
     if base_name not in ("first", "first_squared"):
         raise UnsupportedSpecError(f"no threshold oracle for base {base_name!r}")
-    def _constant_case(c: float) -> tuple[float, float]:
-        g = c if base_name == "first" else c * c
-        if g <= u:
-            raise InputError("threshold above the entire mark distribution")
-        return g - u, 1.0
-
-    uniform = False
     if isinstance(marks, GaussianFieldMarks):
-        loc, scale = marks.mean, math.sqrt(marks.variance)
+        law, params = "normal", (marks.mean, math.sqrt(marks.variance))
     elif isinstance(marks, IidMarks):
-        if marks.distribution == "normal":
-            if marks.params[1] == 0.0:
-                return _constant_case(marks.params[0])
-            loc, scale = marks.params
-        elif marks.distribution == "uniform":
-            a, b = marks.params
-            if a == b:
-                return _constant_case(a)
-            loc, scale, uniform = a, b - a, True
-        else:
-            return _constant_case(marks.params[0])
+        law, params = marks.distribution, marks.params
     else:
         raise UnsupportedSpecError(f"no threshold oracle for mark spec {marks!r}")
-
-    if base_name == "first" and not uniform:
+    squared, r = base_name == "first_squared", math.sqrt(u)
+    if law == "normal" and params[1] * params[1] != 0.0:
         from scipy.special import ndtr
 
         # The arithmetic of a frozen scipy.stats.norm: its mean is
         # 0 * scale + loc, which turns a mean of -0.0 into 0.0, its sd is
         # sqrt(scale^2), and the cdf and density of the standardized
-        # threshold are evaluated on a 1-element array.
+        # thresholds are evaluated on arrays.
+        loc, scale = params
         m, s = 0.0 * scale + loc, math.sqrt(scale * scale)
-        a = np.array([(m - u) / s])
-        p = float(ndtr(a)[0])
-        excess = (m - u) * p + s * (np.exp(-a**2 / 2.0) / np.sqrt(2 * np.pi))[0]
-    else:
-        from scipy import integrate, stats
-
-        dist = (stats.uniform if uniform else stats.norm)(loc, scale)
-        g = (lambda y: y) if base_name == "first" else (lambda y: y * y)
-        lo, hi = float(dist.ppf(1e-14)), float(dist.ppf(1.0 - 1e-14))
-        excess = integrate.quad(
-            lambda y: max(g(y) - u, 0.0) * dist.pdf(y), lo, hi, limit=200
-        )[0]
-        p = integrate.quad(
-            lambda y: float(g(y) > u) * dist.pdf(y), lo, hi, limit=200
-        )[0]
+        a = np.array([(r - m) / s, (-r - m) / s] if squared else [(m - u) / s])
+        phi = np.exp(-a**2 / 2.0) / np.sqrt(2 * np.pi)
+        if squared:
+            p = float(ndtr(-a[0]) + ndtr(a[1]))
+            excess = (m * m + s * s - u) * p + s * (m + r) * phi[0] - s * (m - r) * phi[1]
+        else:
+            p = float(ndtr(a)[0])
+            excess = (m - u) * p + s * phi[0]
+    elif law == "uniform" and params[0] != params[1]:
+        a, b = params
+        t, p, excess = (r if squared else u), 0.0, 0.0
+        for lo, hi in ((a, b), (-b, -a)) if squared else ((a, b),):
+            lo = max(lo, t)
+            if lo < hi:
+                w, al, be = (hi - lo) / (b - a), lo - t, hi - t
+                mean = ((al * al + al * be + be * be) / 3 + r * (al + be) if squared
+                        else (al + be) / 2)
+                p, excess = p + w, excess + w * mean
+    else:  # a constant, or a normal or uniform law of no spread in floating point
+        g = params[0] * params[0] if squared else params[0]
+        p, excess = float(g > u), g - u
     if p <= 0:
         raise InputError("threshold above the entire mark distribution")
     return float(excess / p), float(p)

@@ -670,6 +670,18 @@ class TestMain:
         assert lines[-1].startswith("# summary,s_hat=")
         assert len(lines) == 62  # header + 60 seeds + summary
 
+    def test_infer_clt_level_with_infinite_quantile_exits_2(self, tmp_path, capsys):
+        # 0.5 * (1 + level) rounds to 1.0 at the largest double below 1 only
+        doc = json.loads((CONFIGS / "clt_grid_field.json").read_text())
+        doc["window"] = 40.0
+        doc["clt"].update(n_seeds=60, group_size=30, level=1 - 2**-53)
+        cfg_path = tmp_path / "clt.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["infer", "clt", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "clt")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: level must be in (0, 1)") and "Traceback" not in err
+
     def test_parser_is_built_once_and_keeps_no_state(self):
         parser = _build_parser()
         assert _build_parser() is parser
@@ -765,12 +777,19 @@ class TestColdStart:
 
     def test_infer_clt_loads_no_scipy_stats(self, tmp_path):
         # the shipped config draws fields with band width 0; cov_range 1.5
-        # puts neighbours in range, so its fields go through the banded factor
-        doc = json.loads((CONFIGS / "clt_grid_field.json").read_text())
-        doc["spec"]["classes"][0]["marks"]["cov_range"] = 1.5
-        banded = tmp_path / "banded_field.json"
-        banded.write_text(json.dumps(doc))
-        for cfg in (CONFIGS / "clt_grid_field.json", banded):
+        # puts neighbours in range, so its fields go through the banded factor.
+        # Uniform marks and the squared base take the other threshold oracles.
+        shipped = (CONFIGS / "clt_grid_field.json").read_text()
+        docs = {name: json.loads(shipped) for name in ("banded", "uniform", "first_squared")}
+        docs["banded"]["spec"]["classes"][0]["marks"]["cov_range"] = 1.5
+        docs["uniform"]["spec"]["classes"][0]["marks"] = {
+            "kind": "iid", "distribution": "uniform", "params": [2.744, 7.519]}
+        docs["first_squared"]["f"] = {"name": "first_squared"}
+        configs = [CONFIGS / "clt_grid_field.json"]
+        for name, doc in docs.items():
+            configs.append(tmp_path / f"{name}.json")
+            configs[-1].write_text(json.dumps(doc))
+        for cfg in configs:
             loaded = modules_after(
                 "from mppstat.cli import main\n"
                 f"assert main(['infer', 'clt', '--config', {str(cfg)!r}, "
@@ -780,15 +799,17 @@ class TestColdStart:
             assert "scipy.special" in top, sorted(top)
             assert top.isdisjoint({"scipy.stats", "scipy.integrate", "scipy.optimize"}), (
                 cfg.stem, sorted(top))
-            assert ("scipy.linalg" in top) == (cfg == banded), sorted(top)
+            assert ("scipy.linalg" in top) == (cfg.stem == "banded"), sorted(top)
 
-    def test_uniform_threshold_oracle_integrates_in_a_fresh_interpreter(self, tmp_path):
+    def test_uniform_and_squared_threshold_oracles_load_no_scipy_stats(self, tmp_path):
         loaded = modules_after(
             "from mppstat import IidMarks, threshold_excess_mean\n"
             "mu, p = threshold_excess_mean(IidMarks('uniform', (0.0, 2.0)), 'first', 1.0)\n"
-            "assert abs(mu - 0.5) < 1e-9 and abs(p - 0.5) < 1e-12, (mu, p)",
+            "assert abs(mu - 0.5) < 1e-9 and abs(p - 0.5) < 1e-12, (mu, p)\n"
+            "mu, p = threshold_excess_mean(IidMarks('normal', (0.0, 1.0)), 'first_squared', 1.0)\n"
+            "assert abs(p - 0.3173105078629141) < 1e-15, p",
             tmp_path, "scipy")
-        assert {"scipy.stats", "scipy.integrate"} <= loaded
+        assert loaded.isdisjoint({"scipy.stats", "scipy.integrate"}), sorted(loaded)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 """Closed-form mixture targets, the Monte Carlo oracle, and threshold truths."""
 
+import math
+from fractions import Fraction
+
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -322,3 +326,111 @@ class TestThresholdExcessMean:
         mu, p = threshold_excess_mean(marks, "first", 0.0)
         assert p == pytest.approx(0.5)
         assert mu == pytest.approx(np.sqrt(2.0 / np.pi), rel=1e-12)
+
+
+def _exact_uniform(a, b, u, squared):
+    """(mean excess, P) of Uniform(a, b) in rationals, or None when P = 0.
+
+    For the square, u must be the square of a rational.
+    """
+    a, b, u = Fraction(a), Fraction(b), Fraction(u)
+    if squared:
+        r = Fraction(math.isqrt(u.numerator), math.isqrt(u.denominator))
+        assert r * r == u
+        pieces, antiderivative = [(max(a, r), b), (a, min(b, -r))], lambda y: y**3 / 3 - u * y
+    else:
+        pieces, antiderivative = [(max(a, u), b)], lambda y: y * y / 2 - u * y
+    pieces = [(lo, hi) for lo, hi in pieces if lo < hi]
+    if not pieces:
+        return None
+    p = sum(hi - lo for lo, hi in pieces) / (b - a)
+    excess = sum(antiderivative(hi) - antiderivative(lo) for lo, hi in pieces) / (b - a)
+    return excess / p, p
+
+
+def _mp_normal_squared(m, s, u):
+    """(mean excess, P) of Normal(m, s^2) under g = y^2, evaluated with 40 digits."""
+    with mp.workdps(40):
+        m, s, u = mp.mpf(m), mp.mpf(s), mp.mpf(u)
+        r = mp.sqrt(u)
+        hi, lo = (r - m) / s, (-r - m) / s
+        p = mp.ncdf(-hi) + mp.ncdf(lo)
+        excess = (m * m + s * s - u) * p + s * (m + r) * mp.npdf(hi) - s * (m - r) * mp.npdf(lo)
+        return excess / p, p
+
+
+def _assert_rel(got, ref, tol, case):
+    for g, r in zip(got, ref):
+        assert abs(g - r) <= tol * abs(r), (case, g, r)
+
+
+class TestThresholdClosedForms:
+    def test_uniform_matches_rationals(self):
+        # dyadic a, b and u are exact doubles; for the square, u = (k / 2^j)^2 so
+        # that the rational reference has an exact root
+        rng = np.random.default_rng(30)
+        cases = 0
+        for _ in range(2500):
+            a = int(rng.integers(-4000, 4000)) / 2.0 ** int(rng.integers(0, 11))
+            b = a + int(rng.integers(1, 4000)) / 2.0 ** int(rng.integers(0, 13))
+            squared = bool(rng.random() < 0.5)
+            root = int(rng.integers(0, 4000)) / 2.0 ** int(rng.integers(0, 11))
+            u = root * root if squared else root
+            args = IidMarks("uniform", (a, b)), "first_squared" if squared else "first", u
+            ref = _exact_uniform(a, b, u, squared)
+            if ref is None:
+                with pytest.raises(InputError, match="above"):
+                    threshold_excess_mean(*args)
+                continue
+            _assert_rel(map(Fraction, threshold_excess_mean(*args)), ref, 1e-14, args)
+            cases += 1
+        assert cases >= 1000
+
+    def test_normal_squared_matches_mpmath_and_ncx2(self):
+        # thresholds within 10 sd of the mean: u = (m + s z)^2 with |z| <= 10
+        rng = np.random.default_rng(31)
+        cases = []
+        for _ in range(1200):
+            s = float(10 ** rng.uniform(-3, 3))
+            m, z = s * float(rng.uniform(-5, 5)), float(rng.uniform(-10, 10))
+            u = (m + s * z) ** 2
+            marks = (IidMarks("normal", (m, s)) if rng.random() < 0.75
+                     else GaussianFieldMarks(m, s * s, 1.0))
+            got = threshold_excess_mean(marks, "first_squared", u)
+            _assert_rel(got, _mp_normal_squared(m, s, u), 1e-12, (m, s, u))
+            cases.append((got[1], m, s, u))
+        p, m, s, u = np.array(cases).T
+        assert np.all(np.abs(p - stats.ncx2.sf(u / s**2, 1, (m / s) ** 2)) <= 1e-12 * p)
+
+    @pytest.mark.parametrize("m, s, u", [(-1.902, 2.0857, 3.676), (0.0, 1.0, 1.0),
+                                         (3.0, 0.5, 4.0), (-0.3, 2.0, 30.0), (5.0, 1.0, 0.0)])
+    def test_normal_squared_is_the_integral(self, m, s, u):
+        # the formula against quadrature of (y^2 - u) over both tails, |y| > sqrt(u)
+        with mp.workdps(30):
+            r = mp.sqrt(u)
+            tails = ([r, mp.inf], [-mp.inf, -r])
+            p = sum(mp.quad(lambda y: mp.npdf(y, m, s), t) for t in tails)
+            excess = sum(mp.quad(lambda y: (y * y - u) * mp.npdf(y, m, s), t) for t in tails)
+            ref = (excess / p, p)
+        _assert_rel(threshold_excess_mean(IidMarks("normal", (m, s)), "first_squared", u),
+                    ref, 1e-13, (m, s, u))
+
+    def test_inexact_quadrature_cases(self):
+        # the numeric integration gave P = 0.333333 and a mean excess of 0.79417 here
+        mu, p = threshold_excess_mean(IidMarks("uniform", (2.744, 7.519)), "first", 5.929)
+        _assert_rel(map(Fraction, (mu, p)), _exact_uniform(2.744, 7.519, 5.929, False),
+                    1e-14, "uniform")
+        assert (round(mu, 6), round(p, 6)) == (0.795, 0.332984)
+        # ... and P = 0.53355 here, 27 standard errors from 2e7 draws (0.53049 +- 0.00011)
+        mu, p = threshold_excess_mean(IidMarks("normal", (-1.902, 2.0857)), "first_squared", 3.676)
+        _assert_rel((mu, p), _mp_normal_squared(-1.902, 2.0857, 3.676), 1e-14, "normal")
+        assert p == pytest.approx(stats.ncx2.sf(3.676 / 2.0857**2, 1, (1.902 / 2.0857) ** 2),
+                                  rel=1e-13)
+        assert abs(p - 0.53049) < 2 * 0.00011
+
+    def test_sd_that_squares_to_zero_is_a_constant(self):
+        marks = IidMarks("normal", (3.0, 1e-170))
+        assert threshold_excess_mean(marks, "first", 1.0) == (2.0, 1.0)
+        assert threshold_excess_mean(marks, "first_squared", 1.0) == (8.0, 1.0)
+        with pytest.raises(InputError, match="above"):
+            threshold_excess_mean(marks, "first", 4.0)

@@ -190,10 +190,19 @@ class TestConfidenceIntervalConformance:
     def test_equals_norm_ppf(self):
         rng = np.random.default_rng(21)
         levels = np.concatenate([rng.uniform(0.0, 1.0, 2000), [1e-300, 0.5, 0.9, 0.95, 0.99,
-                                                               1 - 1e-12, 1 - 2**-53]])
+                                                               1 - 1e-12, 1 - 2**-52]])
         for level in levels:
             mu, s_hat, lam = rng.normal(), float(rng.exponential()), float(rng.exponential())
             q = stats.norm.ppf(0.5 * (1.0 + level))
             half = q * np.sqrt(s_hat / (lam * 250.0))
             ref = (float(mu - half), float(mu + half))
             assert confidence_interval(mu, s_hat, lam, 250.0, float(level)) == ref
+
+    def test_level_whose_quantile_is_infinite_raises(self):
+        # 0.5 * (1 + level) rounds to 1.0, where norm.ppf gives an infinite
+        # half-width, or NaN ends when s_hat = 0
+        level = 1 - 2**-53
+        assert 0.5 * (1.0 + level) == 1.0 and stats.norm.ppf(0.5 * (1.0 + level)) == np.inf
+        for s_hat in (1.0, 0.0):
+            with pytest.raises(InputError, match="finite normal quantile"):
+                confidence_interval(0.0, s_hat, 1.0, 250.0, level)
