@@ -227,9 +227,9 @@ def _check_points(loc, y, z, win: SimWindow, starts):
     """The invariants of a pattern, for realizations ``loc[starts[k]:starts[k+1]]``.
 
     Locations and y finite, z finite and >= 0, every location in `win`,
-    and no location twice in one realization.  In d = 1 the duplicate
-    check is :func:`_sort_blocks`, whose sorted blocks are returned for
-    the batch to keep; in d > 1 the return value is None.
+    and no location twice in one realization.  Returns the blocks of the
+    pair sweep for the batch to keep: in d = 1 those of the duplicate
+    check, :func:`_sort_blocks`; in d > 1 each realization on its own.
     """
     if loc.shape[0]:
         if not np.isfinite(loc).all():
@@ -251,27 +251,27 @@ def _check_points(loc, y, z, win: SimWindow, starts):
         srt = pts[np.lexsort(pts.T[::-1])]
         if np.all(srt[1:] == srt[:-1], axis=1).any():
             raise InputError("pattern is not simple: duplicate locations")
-    return None
+    return tuple((k, k + 1, None) for k in range(len(starts) - 1))
 
 
-def _sort_blocks(x: np.ndarray, starts: np.ndarray) -> tuple:
+def _sort_blocks(x: np.ndarray, starts: np.ndarray, ranges=None) -> tuple:
     """``(k0, k1, kept)`` for each block of the 1-D sweep: realizations k0..k1-1.
 
-    `kept` is the block's :func:`_block_order` as read-only arrays, or
-    None when its shifted keys tie.  Shifted keys that never tie hold no
-    duplicate; a block with a tie is checked, and later swept, one
-    realization at a time.  Raises InputError on a duplicate location.
+    `kept` is the block's :func:`_block_order` as read-only arrays.  The
+    blocks are the `ranges` given, by default the :func:`_blocks` of up
+    to ``_BLOCK_POINTS`` points.  Shifted keys that never tie hold no
+    duplicate; a block whose keys tie is split into one block per
+    realization, whose keys are its x and tie only on a duplicate.
+    Raises InputError on a duplicate location.
     """
     out = []
-    for k0, k1 in _blocks(starts[1:] - starts[:-1]):
+    for k0, k1 in _blocks(starts[1:] - starts[:-1]) if ranges is None else ranges:
         a, b = starts[k0], starts[k1]
         order, ss = _block_order(x[a:b], starts[k0:k1 + 1] - a)
         if b - a > 1 and not _ascending(ss):
-            for c, d in zip(starts[k0:k1], starts[k0 + 1:k1 + 1]):
-                srt = np.sort(x[c:d])
-                if (srt[1:] == srt[:-1]).any():
-                    raise InputError("pattern is not simple: duplicate locations")
-            out.append((k0, k1, None))
+            if k1 - k0 == 1:
+                raise InputError("pattern is not simple: duplicate locations")
+            out += _sort_blocks(x, starts, [(k, k + 1) for k in range(k0, k1)])
             continue
         order.flags.writeable = ss.flags.writeable = False
         out.append((k0, k1, (order, ss)))
@@ -288,10 +288,12 @@ class PatternBatch:
     satisfies the :class:`PointPattern` invariants, checked once for the
     whole batch; a :class:`PointPattern` is the batch of one realization.
 
-    In d = 1 the check sorts each block of the pair sweep once, and the
-    batch keeps that order (``_sorted_blocks``, see :func:`_sort_blocks`)
-    as read-only arrays, so no sweep of the batch, in any band, sorts
-    again.  A batch never changes after construction.
+    The check also lays out the blocks of the pair sweep, which the batch
+    keeps in ``_sorted_blocks`` as ``(k0, k1, kept)``: in d = 1 it sorts
+    each block once (:func:`_sort_blocks`) and keeps that order as
+    read-only arrays, so no sweep of the batch, in any band, sorts again;
+    in d > 1 each realization is a block and `kept` is None.  A batch
+    never changes after construction.
     """
 
     locations: np.ndarray
@@ -586,36 +588,29 @@ def _sweep(batch: PatternBatch, win: Window, bands: Sequence[Band]):
     grouped by realization: realization k0 + r owns pairs
     ``ends[r]:ends[r+1]``, in the order of a sweep over it alone.  A
     block yields its bands in turn before the next block, and does the
-    work that no band changes once.  In d = 1 the blocks, of up to
-    ``_BLOCK_POINTS`` points, and their sorted order are those the batch
-    kept when it was checked, so one sort per block serves every band
-    (each realization of a block whose shifted keys tie is a block of
-    its own, sorted once per sweep); in d > 1 each realization is its
-    own block, whose one kd-tree serves every band.  The window and the
-    bands are checked against the batch's dimension before the first block.
+    work that no band changes once.  The blocks are those the batch laid
+    out when it was checked: a 1-D block of up to ``_BLOCK_POINTS``
+    points comes with its sorted order, so one sort per block serves
+    every band, and a block without one is a realization in d > 1, whose
+    one kd-tree serves every band.  The window and the bands are checked
+    against the batch's dimension before the first block.
     """
     t1_ok = win.contains(batch.locations)
     for band in bands:
         band.require_dim(batch.dim)
     starts, loc = batch.starts, batch.locations
-    if batch.dim == 1:
-        # a block whose shifted keys tie sweeps each realization on its own
-        blocks = [(r0, r1, kept) for k0, k1, kept in batch._sorted_blocks
-                  for r0, r1 in ([(k0, k1)] if kept else [(k, k + 1) for k in range(k0, k1)])]
-    else:
-        blocks = [(k, k + 1, None) for k in range(batch.n_realizations)]
-    for r0, r1, kept in blocks:
-        a, b = starts[r0], starts[r1]
-        local = starts[r0:r1 + 1] - a
-        if batch.dim == 1:
-            x = loc[a:b, 0]
-            sweep = _pairs_sorted_1d(x, local, t1_ok[a:b], kept or _block_order(x, local), bands)
-        else:
+    for k0, k1, kept in batch._sorted_blocks:
+        a, b = starts[k0], starts[k1]
+        local = starts[k0:k1 + 1] - a
+        if kept is None:
             sweep = _pairs_tree(loc[a:b], t1_ok[a:b], bands)
+        else:
+            sweep = _pairs_sorted_1d(loc[a:b, 0], local, t1_ok[a:b], kept, bands)
         for q in range(len(bands)):
             ii, jj = next(sweep)
-            ends = np.searchsorted(ii, local) if batch.dim == 1 else np.array([0, ii.size])
-            yield q, r0, r1, ends, t1_ok[a:b], ii, jj
+            # a kd-tree's ii are not sorted, and a lone realization owns all its pairs
+            ends = np.searchsorted(ii, local) if k1 - k0 > 1 else np.array([0, ii.size])
+            yield q, k0, k1, ends, t1_ok[a:b], ii, jj
             del ii, jj, ends  # a block's pairs in one band are freed before the next is swept
 
 
@@ -642,8 +637,8 @@ def _pair_values(f, loc, y, z, ii, jj) -> np.ndarray:
         i, j = int(ii[k]), int(jj[k])
         raise NumericError(
             "mark function returned a non-finite value for pair "
-            f"(t1={tuple(loc[i])}, y1={y[i]}, z1={z[i]}) x "
-            f"(t2={tuple(loc[j])}, y2={y[j]})"
+            f"(t1={tuple(loc[i].tolist())}, y1={float(y[i])}, z1={float(z[i])}) x "
+            f"(t2={tuple(loc[j].tolist())}, y2={float(y[j])})"
         )
     return vals
 

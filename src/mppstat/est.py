@@ -152,13 +152,18 @@ def pair_table(
 
 def _pair_tables(
     realizations: PatternBatch | Sequence[PointPattern], win: Window, bands: Sequence[Band],
-    f: MarkFunction,
+    f: MarkFunction, z: np.ndarray | None = None,
 ) -> list[PairTable]:
     """One :func:`pair_table` per band, all from one sweep of the realizations.
 
-    The tables share their `n_window` column, which no band changes.
+    `z` is the weight-mark column, one entry per point of the batch: the
+    batch's own `z` when None, or another weight such as the exceedance
+    indicator of :func:`~mppstat.infer.threshold_sums` (a bool column
+    sums as 0 and 1).  The tables share their `n_window` column, which
+    no band changes.  This is the one reduction of :func:`_sweep`'s pairs.
     """
     batch = _as_batch(realizations)
+    z = batch.z if z is None else z
     n, starts = batch.n_realizations, batch.starts
     n_window = np.zeros(n, dtype=np.int64)
     # int32: one column entry per point of the batch, and no point has 2^31 neighbors
@@ -173,8 +178,8 @@ def _pair_tables(
             continue
         num, den, count, neighbors = cols[q]
         neighbors[a:b] = np.bincount(ii, minlength=b - a)
-        vals = _pair_values(f, batch.locations[a:b], batch.y[a:b], batch.z[a:b], ii, jj)
-        z1 = batch.z[a:b][ii]
+        vals = _pair_values(f, batch.locations[a:b], batch.y[a:b], z[a:b], ii, jj)
+        z1 = z[a:b][ii]
         count[k0:k1] = ends[1:] - ends[:-1]
         num[k0:k1] = _slice_sums(z1 * vals, ends)
         den[k0:k1] = _slice_sums(z1, ends)

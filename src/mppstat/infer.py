@@ -23,9 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Band, InputError, PatternBatch, PointPattern, Window, _sweep
+from .core import Band, InputError, PatternBatch, PointPattern, Window
 from .markfn import MarkFunction, ThresholdFamily, threshold_family
-from .est import _as_batch, _slice_sums
+from .est import _as_batch, _pair_tables
 
 __all__ = ["confidence_interval", "clt_experiment", "threshold_sums"]
 
@@ -36,19 +36,18 @@ def threshold_sums(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-realization (sum of excess(y1), sum of indicator(y1)) over qualifying pairs.
 
-    Both columns reduce the pairs of one blocked sweep in the one band
-    (:func:`~mppstat.est.pair_table`'s), each realization's sums being
-    numpy sums over its own pairs in the order of a sweep over it alone.
+    These are the `num` and `den` of the band's pair table with the
+    exceedance indicator 1{f(y) > u} as weight mark and the excess as
+    mark function: where the indicator is 0 the excess is 0 too.  Each
+    realization's sums are numpy sums over its own pairs in the order of
+    a sweep over it alone, and a non-finite excess is a
+    :class:`~mppstat.core.NumericError` naming its pair.
     """
     batch = _as_batch(realizations)
     if batch.dim != 1:
         raise InputError("inference is defined for d=1 patterns only")
-    s, d = np.zeros(batch.n_realizations), np.zeros(batch.n_realizations)
-    for _, k0, k1, ends, _, ii, _ in _sweep(batch, win, [band]):
-        y1 = batch.y[batch.starts[k0]:batch.starts[k1]][ii]
-        s[k0:k1] = _slice_sums(family.excess(y1), ends)
-        d[k0:k1] = _slice_sums(family.indicator(y1), ends)
-    return s, d
+    table, = _pair_tables(batch, win, [band], family.excess_fn(), family.indicator(batch.y))
+    return table.num, table.den
 
 
 def _reduce_sums(

@@ -164,8 +164,8 @@ class ThresholdFamily:
         return np.maximum(v - self.u, 0.0)
 
     def indicator(self, y) -> np.ndarray:
-        v = self.base.first(y)
-        return (v > self.u).astype(np.float64)
+        """1{f(y) > u} as a bool array, which sums and multiplies as 0 and 1."""
+        return self.base.first(y) > self.u
 
     def excess_fn(self) -> MarkFunction:
         """The excess as a pair function of y1 (ignores y2)."""

@@ -9,7 +9,10 @@ from pathlib import Path
 
 import numpy as np
 
-from mppstat import Band, PatternBatch, PointPattern, SimWindow, sample_ground, sample_marks
+from mppstat import (
+    Band, PatternBatch, PointPattern, SimWindow, band_pair_indices_naive, sample_ground,
+    sample_marks,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -117,3 +120,26 @@ def assert_same_batch(batch: PatternBatch, expected: PatternBatch) -> None:
         got, want = getattr(batch, column), getattr(expected, column)
         assert got.dtype == want.dtype and got.shape == want.shape, column
         assert got.tobytes() == want.tobytes(), column
+
+
+def reference_threshold_sums(batch: PatternBatch, win, band: Band, family):
+    """Per-realization (sum of excess(y1), sum of indicator(y1)), one pair at a time.
+
+    Each realization's pairs come from the naive enumeration, put in the
+    order of a sweep over it alone (i ascending, then j by a stable sort
+    of x); each pair's terms are computed on its own, and the terms are
+    summed by numpy in that order.
+    """
+    s, d = [], []
+    for k in range(batch.n_realizations):
+        p = batch.pattern(k)
+        x = p.locations[:, 0]
+        rank = np.empty(x.size, dtype=np.int64)
+        rank[np.argsort(x, kind="stable")] = np.arange(x.size)
+        ii, jj = band_pair_indices_naive(p, win, band)
+        ii = ii[np.lexsort((rank[jj], ii))]
+        excess = [float(family.excess(p.y[i])) for i in ii.tolist()]
+        indicator = [float(family.indicator(p.y[i])) for i in ii.tolist()]
+        s.append(np.add.reduce(np.array(excess, dtype=np.float64)))
+        d.append(np.add.reduce(np.array(indicator, dtype=np.float64)))
+    return np.array(s, dtype=np.float64), np.array(d, dtype=np.float64)

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -681,6 +682,25 @@ class TestMain:
                      "--out", str(tmp_path / "clt")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: level must be in (0, 1)") and "Traceback" not in err
+
+    # the square of a mark near 1e200 overflows: numpy warns, and the pair is named
+    @pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
+    def test_infer_clt_non_finite_excess_names_its_pair(self, tmp_path, capsys):
+        doc = json.loads((CONFIGS / "clt_grid_field.json").read_text())
+        doc["spec"]["classes"][0]["marks"] = {"kind": "iid", "distribution": "uniform",
+                                              "params": [1e200, 2e200]}
+        doc["f"] = {"name": "first_squared"}
+        doc["window"] = 40.0
+        doc["clt"].update(u=1.0, n_seeds=30, group_size=30)
+        cfg_path = tmp_path / "clt.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["infer", "clt", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "clt")]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: mark function returned a non-finite value for pair "
+                            r"\(t1=\([-+.e0-9]+,\), y1=1\.[0-9]+e\+200, z1=1\.0\) x "
+                            r"\(t2=\([-+.e0-9]+,\), y2=1\.[0-9]+e\+200\)\n", err), err
+        assert not (tmp_path / "clt").exists()
 
     def test_parser_is_built_once_and_keeps_no_state(self):
         parser = _build_parser()

@@ -291,8 +291,16 @@ class TestWeightedPairSum:
                 return y1 / (y2 - 4.0)
 
         bad = make_mark_function(bad_fn, "bad")
-        with pytest.raises(NumericError, match="y2=4.0"):
+        with pytest.raises(NumericError, match="y2=4.0") as err:
             pair_sums(pattern, Window(3.0), Band(0.4, 0.6), bad)
+        # plain floats, not numpy reprs such as np.float64(0.5)
+        assert str(err.value) == ("mark function returned a non-finite value for pair "
+                                  "(t1=(0.0,), y1=2.0, z1=1.0) x (t2=(0.5,), y2=4.0)")
+        planar = PointPattern([[0.0, 0.25], [0.5, 0.25]], [2.0, 4.0], [0.5, 1.0],
+                              SimWindow.cube(0.0, 1.0, 2))
+        with pytest.raises(NumericError) as err:
+            pair_sums(planar, Window([1.0, 1.0]), Band.absolute(0.4, 0.6), bad)
+        assert "(t1=(0.0, 0.25), y1=2.0, z1=0.5) x (t2=(0.5, 0.25), y2=4.0)" in str(err.value)
 
 
 class TestTranslate:

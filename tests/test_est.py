@@ -32,7 +32,10 @@ from mppstat import (
     sample_mixture,
     translate,
 )
-from mppstat import IidMarks, MixtureClass, MixtureSpec, PoissonGround
+from mppstat import (
+    GaussianFieldMarks, GridGround, IidMarks, MixtureClass, MixtureSpec, PoissonGround,
+    sample_batch,
+)
 from mppstat import class_averaged_mean_mark, mixture_mean_mark
 
 from mppstat.core import _ascending, _block_order, _pairs_sorted_1d
@@ -427,6 +430,8 @@ class TestSharedSweep:
     @given(shared_sweep_cases())
     @settings(max_examples=100, deadline=None)
     def test_batch_keeps_each_blocks_order(self, case):
+        # every block has its kept order: a block whose shifted keys tie
+        # was split into its realizations, each sorted on its own
         batch, _, _ = case
         x, starts = batch.locations[:, 0], batch.starts
         blocks = batch._sorted_blocks
@@ -435,10 +440,33 @@ class TestSharedSweep:
         for k0, k1, kept in blocks:
             a, b = starts[k0], starts[k1]
             order, ss = _block_order(x[a:b], starts[k0:k1 + 1] - a)
-            assert (kept is None) == (b - a > 1 and not _ascending(ss))
-            if kept is not None:
-                assert _bits(kept[0]) == _bits(order) and _bits(kept[1]) == _bits(ss)
-                assert not kept[0].flags.writeable and not kept[1].flags.writeable
+            assert b - a < 2 or _ascending(ss)
+            assert _bits(kept[0]) == _bits(order) and _bits(kept[1]) == _bits(ss)
+            assert not kept[0].flags.writeable and not kept[1].flags.writeable
+
+    def test_tied_block_sweeps_each_realization_without_sorting(self, monkeypatch):
+        # about 1e-17 apart, the points of every realization after the first
+        # tie once shifted by about 1, so the batch keeps one block per realization
+        spec = MixtureSpec((
+            MixtureClass(0.5, PoissonGround(1e17), GaussianFieldMarks(0.0, 1.0, 5e-18)),
+            MixtureClass(0.5, GridGround(1e-17), GaussianFieldMarks(0.0, 1.0, 3e-17))))
+        batch = sample_batch(spec, SimWindow.cube(0.0, 1e-15, 1), 6, 2)
+        assert not _ascending(_block_order(batch.locations[:, 0], batch.starts)[1])
+        assert [(k0, k1) for k0, k1, _ in batch._sorted_blocks] == [(k, k + 1) for k in range(6)]
+        win, bands = Window(8e-16), [Band(-3e-17, 5e-17), Band(1e-17, 1e-16)]
+        sorts = []
+        monkeypatch.setattr(core, "_block_order", lambda *args: sorts.append(args))
+        tables = _pair_tables(batch, win, bands, PRODUCT)
+        monkeypatch.undo()
+        assert sorts == []
+        starts = batch.starts
+        for band, table in zip(bands, tables):
+            assert table.count.sum() > 0
+            for k in range(6):
+                alone = pair_table(batch.pattern(k), win, band, PRODUCT)
+                for column in ("num", "den", "count", "n_window"):
+                    assert _bits(getattr(table, column)[k]) == _bits(getattr(alone, column)[0])
+                assert _bits(table.neighbors[starts[k]:starts[k + 1]]) == _bits(alone.neighbors)
 
 
 class TestBlockedPairTable:

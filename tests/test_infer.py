@@ -12,16 +12,19 @@ from mppstat import (
     band_pair_indices,
     GaussianFieldMarks,
     GridGround,
+    HardcoreGround,
     IidMarks,
     InputError,
     MixtureClass,
     MixtureSpec,
+    PatternBatch,
     PoissonGround,
     Window,
     buffered_window,
     builtin,
     clt_experiment,
     confidence_interval,
+    make_mark_function,
     mean_mark,
     sample_batch,
     sample_mixture,
@@ -30,7 +33,7 @@ from mppstat import (
 )
 from mppstat.infer import _reduce_sums, threshold_sums
 
-from helpers import pattern_1d
+from helpers import pattern_1d, reference_threshold_sums
 
 FIRST = builtin("first")
 BAND = Band(0.5, 1.5)
@@ -64,6 +67,38 @@ class TestThresholdSums:
             y1 = p.y[band_pair_indices(p, win, BAND)[0]]
             assert s[k] == float(np.sum(fam.excess(y1)))
             assert d[k] == float(np.sum(fam.indicator(y1)))
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a).tobytes()
+
+
+class TestThresholdSumsAreAPairTable:
+    """threshold_sums is the pair table weighted by 1{f(y) > u}, bit for bit a per-pair loop."""
+
+    @pytest.mark.parametrize("base", ["first", "first_squared", "identity"])
+    @pytest.mark.parametrize("u_at", ["zero", "realized_mark", "between"])
+    def test_equals_the_per_pair_reference(self, base, u_at):
+        # iid weight marks, which the sums ignore; a fifth of the marks -0.0;
+        # "identity" keeps the sign of a zero, which first's "+ 0.0" drops
+        spec = MixtureSpec((MixtureClass(1.0, HardcoreGround(3.0, 0.1),
+                                         IidMarks("normal", (0.3, 1.0)),
+                                         z_rule=IidMarks("uniform", (0.0, 2.0))),))
+        win = Window(30.0)
+        drawn = sample_batch(spec, buffered_window(win, BAND), 45, seed=31)
+        y = np.where(np.arange(drawn.y.size) % 5 == 0, -0.0, drawn.y)
+        batch = PatternBatch(drawn.locations, y, drawn.z, drawn.starts, drawn.sim_window)
+        f = (make_mark_function(lambda y1, y2: y1 * 1.0, "identity", "first-only")
+             if base == "identity" else builtin(base))
+        realized = f.first(y[y > 0.0])
+        u = {"zero": 0.0, "realized_mark": float(realized[17]),
+             "between": float(np.median(realized))}[u_at]
+        fam = threshold_family(f, u)
+        assert np.sum(f.first(y) == u) > 0 or u_at == "between"
+        s, d = threshold_sums(batch, win, BAND, fam)
+        ref_s, ref_d = reference_threshold_sums(batch, win, BAND, fam)
+        assert d.sum() > 0 and s.dtype == d.dtype == np.float64
+        assert _bits(s) == _bits(ref_s) and _bits(d) == _bits(ref_d)
 
 
 class TestCltConfig:
