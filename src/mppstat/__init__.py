@@ -46,6 +46,7 @@ from .sim import (
     mixture_from_json,
     mixture_to_json,
     sample_batch,
+    sample_blocks,
     sample_ground,
     sample_marks,
     sample_mixture,
@@ -65,6 +66,7 @@ from .est import (
 from .weights import (
     WeightStrategy,
     compute_weights,
+    conditional_variances,
     mean_mark_conditional_variance,
     neighbor_counts,
 )

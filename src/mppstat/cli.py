@@ -24,7 +24,7 @@ from .core import (
     Band, InputError, MppstatError, PatternBatch, Window, buffered_window, write_pattern_csv,
 )
 from . import est, infer, markfn, oracle, sim
-from .weights import WEIGHT_KINDS, WeightStrategy, compute_weights
+from .weights import WEIGHT_KINDS, WeightStrategy, compute_weights, conditional_variances
 
 __all__ = ["main", "load_config", "CONFIG_SCHEMA"]
 
@@ -133,14 +133,16 @@ def cmd_simulate(config: dict, out_dir: Path) -> int:
     seed = config["seed"]
     sim_win = buffered_window(win, bands)
     out_dir.mkdir(parents=True, exist_ok=True)
-    realizations = sim.sample_mixture(spec, sim_win, config["n_realizations"], seed)
     files = []
     classes = []
-    for i, (pattern, k) in enumerate(realizations):
-        name = f"pattern_{i:04d}.csv"
-        write_pattern_csv(pattern, out_dir / name)
-        files.append(name)
-        classes.append(k)
+    # each block's files are written before the next block is drawn
+    for block in sim.sample_blocks(spec, sim_win, config["n_realizations"], seed):
+        for k in range(block.n_realizations):
+            name = f"pattern_{len(files):04d}.csv"
+            write_pattern_csv(block.pattern(k), out_dir / name)
+            files.append(name)
+        classes += block.classes.tolist()
+        del block
     manifest = {
         "seed": seed,
         "spec_sha256": sim.spec_digest(spec),
@@ -223,19 +225,30 @@ def cmd_estimate(config: dict, out_path: Path, args=None, pattern_dir: Path | No
         _strategy(e.get("weights", "equal"), args) if e["name"] == "weighted" else None
         for e in estimators
     ]
-    # pattern files get the full per-pattern checks; sampled batches are checked once
+    # pattern files get the full per-pattern checks; sampled blocks are checked once
     loaded = (PatternBatch.from_patterns(_load_pattern_dir(pattern_dir))
               if pattern_dir is not None else None)
+    # the rfvar conditional variances need a block's points, so they are
+    # computed while its tables hold it, for each band and covariance
+    covs = {s.cov for s in strategies if s is not None and s.kind == "rfvar"}
 
     def run_replicate(r: int):
         if loaded is not None:
-            batch = loaded
+            blocks = iter((loaded,))
         else:
-            batch = sim.sample_batch(spec, sim_win, config["n_realizations"], (seed, r))
+            blocks = sim.sample_blocks(spec, sim_win, config["n_realizations"], (seed, r))
+        parts = {(q, cov): [] for q in range(len(bands)) for cov in covs}
+
+        def visit(tables):
+            for (q, cov), column in parts.items():
+                column.append(conditional_variances(tables[q], cov))
+
+        # one sweep of each block tabulates every band; only the columns are kept
+        tables = est._pair_tables(blocks, win, bands, f, visit=visit)
+        variances = {key: np.concatenate(column) for key, column in parts.items()}
         rows = []
         any_undefined = False
-        # one sweep of the batch tabulates every band
-        for band, table in zip(bands, est._pair_tables(batch, win, bands, f)):
+        for q, (band, table) in enumerate(zip(bands, tables)):
             for est_cfg, strategy in zip(estimators, strategies):
                 name = est_cfg["name"]
                 t0 = time.perf_counter()
@@ -246,7 +259,7 @@ def cmd_estimate(config: dict, out_path: Path, args=None, pattern_dir: Path | No
                     res = est.mean_mark_pooled(table)
                     digest = ""
                 else:
-                    w = compute_weights(strategy, table)
+                    w = compute_weights(strategy, table, variances.get((q, strategy.cov)))
                     res = est.mean_mark_weighted(table, w)
                     digest = _weights_digest(w)
                 ms = (time.perf_counter() - t0) * 1e3
@@ -386,7 +399,7 @@ def cmd_infer_clt(config: dict, out_dir: Path) -> int:
     if f.arity != "first-only":
         raise InputError("infer clt requires a first-only mark function")
     sim_win = buffered_window(win, band)
-    batch = sim.sample_batch(spec, sim_win, n_seeds, config["seed"])
+    blocks = sim.sample_blocks(spec, sim_win, n_seeds, config["seed"])
     center = truth = None
     try:
         truth, _ = oracle.threshold_excess_mean(spec.classes[0].marks, f.name, u)
@@ -394,7 +407,7 @@ def cmd_infer_clt(config: dict, out_dir: Path) -> int:
     except MppstatError:
         pass
     out = infer.clt_experiment(
-        batch, win, band, f, u,
+        blocks, win, band, f, u,
         level=level, center=center, truth=truth,
         group_size=int(group_size) if group_size else None,
     )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -265,7 +265,7 @@ def _sort_blocks(x: np.ndarray, starts: np.ndarray, ranges=None) -> tuple:
     Raises InputError on a duplicate location.
     """
     out = []
-    for k0, k1 in _blocks(starts[1:] - starts[:-1]) if ranges is None else ranges:
+    for k0, k1 in _blocks((starts[1:] - starts[:-1]).tolist()) if ranges is None else ranges:
         a, b = starts[k0], starts[k1]
         order, ss = _block_order(x[a:b], starts[k0:k1 + 1] - a)
         if b - a > 1 and not _ascending(ss):
@@ -567,15 +567,19 @@ def _pairs_tree(loc: np.ndarray, t1_ok: np.ndarray, bands: Sequence[Band]):
 _BLOCK_POINTS = 2048
 
 
-def _blocks(n_points: np.ndarray):
-    """Consecutive (first, stop) realization ranges of at most _BLOCK_POINTS points each."""
-    first, size = 0, 0
-    for k, n in enumerate(n_points.tolist()):
+def _blocks(n_points: Iterable[int]):
+    """Consecutive (first, stop) realization ranges of at most _BLOCK_POINTS points each.
+
+    `n_points` gives each realization's point count; it is read lazily, and a
+    range is yielded as soon as the count that ends it has been read.
+    """
+    first, size, k = 0, 0, -1
+    for k, n in enumerate(n_points):
         if k > first and size + n > _BLOCK_POINTS:
             yield first, k
             first, size = k, 0
         size += n
-    yield first, len(n_points)
+    yield first, k + 1
 
 
 def _sweep(batch: PatternBatch, win: Window, bands: Sequence[Band]):

@@ -17,7 +17,8 @@ the per-realization work.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from collections.abc import Callable, Iterator, Sequence
+from typing import Union
 
 import numpy as np
 
@@ -88,24 +89,32 @@ def mean_mark(pattern: PointPattern, win: Window, band: Band, f: MarkFunction) -
 class PairTable:
     """Per-realization pair sums in one band, the input of every multi-realization estimator.
 
-    Entry k of `num`, `den` and `count` holds realization k of `batch`'s
-    sum of z1 f, sum of z1 and ordered pair count over its qualifying
-    pairs (:func:`pair_sums` of a single pattern is its row 0);
-    `n_window` is its number of points in [0, T].  `neighbors` has one
-    entry per point of the batch: its number of band neighbours when it
-    lies in [0, T], else 0 (what the rfvar weights read).  Realization k
-    has a defined estimate iff ``den[k] != 0``.  Build one with
-    :func:`pair_table`.
+    Entry k of `num`, `den` and `count` holds realization k's sum of
+    z1 f, sum of z1 and ordered pair count over its qualifying pairs
+    (:func:`pair_sums` of a single pattern is its row 0); `n_window` is
+    its number of points in [0, T].  The realization count is the length
+    of these columns.  Realization k has a defined estimate iff
+    ``den[k] != 0``.  Build one with :func:`pair_table`.
+
+    A table of one batch keeps the `batch` and a `neighbors` column with
+    one entry per point of it: its number of band neighbours when it lies
+    in [0, T], else 0 (what the rfvar weights read).  A table of a stream
+    of blocks keeps neither (both None): only its per-realization columns
+    outlive the blocks.
     """
 
-    batch: PatternBatch
     win: Window
     band: Band
     num: np.ndarray
     den: np.ndarray
     count: np.ndarray
     n_window: np.ndarray
-    neighbors: np.ndarray
+    neighbors: np.ndarray | None = None
+    batch: PatternBatch | None = None
+
+    @property
+    def n_realizations(self) -> int:
+        return self.num.shape[0]
 
     @property
     def defined(self) -> np.ndarray:
@@ -122,6 +131,9 @@ class PairTable:
         return tuple(self.count.tolist())
 
 
+Realizations = Union[PatternBatch, Sequence[PointPattern], Iterator[PatternBatch]]
+
+
 def _as_batch(realizations: PatternBatch | Sequence[PointPattern]) -> PatternBatch:
     if isinstance(realizations, PatternBatch):
         return realizations
@@ -133,37 +145,60 @@ def _slice_sums(values: np.ndarray, ends: np.ndarray) -> list[float]:
     return [np.add.reduce(values[a:b]) for a, b in zip(ends[:-1].tolist(), ends[1:].tolist())]
 
 
-def pair_table(
-    realizations: PatternBatch | Sequence[PointPattern], win: Window, band: Band,
-    f: MarkFunction,
-) -> PairTable:
+def pair_table(realizations: Realizations, win: Window, band: Band, f: MarkFunction) -> PairTable:
     """Enumerate each realization's pairs in the band once and tabulate their sums.
 
     `realizations` is a :class:`~mppstat.core.PatternBatch` (a single
-    :class:`~mppstat.core.PointPattern` included) or a sequence of
-    patterns.  Each realization's sums are numpy sums over its own pairs
-    in the order of a sweep over it alone, so the table is bit for bit
-    the one the realizations give one at a time.  This is the one-band
-    case of :func:`_pair_tables`, which tabulates several bands from one
-    sweep and gives each band the same table.
+    :class:`~mppstat.core.PointPattern` included), a sequence of
+    patterns, or an iterator of batches, such as
+    :func:`~mppstat.sim.sample_blocks`, whose realizations follow each
+    other.  Each realization's sums are numpy sums over its own pairs in
+    the order of a sweep over it alone, so the table is bit for bit the
+    one the realizations give one at a time.  This is the one-band case
+    of :func:`_pair_tables`, which tabulates several bands from one sweep
+    and gives each band the same table.
     """
     return _pair_tables(realizations, win, [band], f)[0]
 
 
 def _pair_tables(
-    realizations: PatternBatch | Sequence[PointPattern], win: Window, bands: Sequence[Band],
-    f: MarkFunction, z: np.ndarray | None = None,
+    realizations: Realizations, win: Window, bands: Sequence[Band], f: MarkFunction,
+    weight: Callable[[PatternBatch], np.ndarray] | None = None,
+    visit: Callable[[list[PairTable]], None] | None = None,
 ) -> list[PairTable]:
     """One :func:`pair_table` per band, all from one sweep of the realizations.
 
-    `z` is the weight-mark column, one entry per point of the batch: the
-    batch's own `z` when None, or another weight such as the exceedance
-    indicator of :func:`~mppstat.infer.threshold_sums` (a bool column
-    sums as 0 and 1).  The tables share their `n_window` column, which
-    no band changes.  This is the one reduction of :func:`_sweep`'s pairs.
+    A batch or a sequence of patterns is swept as one batch, and its
+    tables keep it.  An iterator of batches is swept one block at a
+    time: each block is tabulated, handed to `visit` (while its tables
+    still hold it and its `neighbors`) and dropped, and the result joins
+    the blocks' per-realization columns end to end.  `weight` gives a
+    batch's weight-mark column, one entry per point: the batch's own `z`
+    when None, or another weight such as the exceedance indicator of
+    :func:`~mppstat.infer.threshold_sums` (a bool column sums as 0 and 1).
     """
-    batch = _as_batch(realizations)
-    z = batch.z if z is None else z
+    if not isinstance(realizations, Iterator):
+        return _batch_tables(_as_batch(realizations), win, bands, f, weight)
+    parts = []
+    for block in realizations:
+        tables = _batch_tables(block, win, bands, f, weight)
+        if visit is not None:
+            visit(tables)
+        parts.append([(t.num, t.den, t.count, t.n_window) for t in tables])
+        del block, tables  # no block outlives its reduction
+    return [PairTable(win, band, *map(np.concatenate, zip(*(part[q] for part in parts))))
+            for q, band in enumerate(bands)]
+
+
+def _batch_tables(
+    batch: PatternBatch, win: Window, bands: Sequence[Band], f: MarkFunction,
+    weight: Callable[[PatternBatch], np.ndarray] | None,
+) -> list[PairTable]:
+    """The tables of :func:`_pair_tables` of one batch: the one reduction of :func:`_sweep`'s pairs.
+
+    The tables share their `n_window` column, which no band changes.
+    """
+    z = batch.z if weight is None else weight(batch)
     n, starts = batch.n_realizations, batch.starts
     n_window = np.zeros(n, dtype=np.int64)
     # int32: one column entry per point of the batch, and no point has 2^31 neighbors
@@ -184,7 +219,7 @@ def _pair_tables(
         num[k0:k1] = _slice_sums(z1 * vals, ends)
         den[k0:k1] = _slice_sums(z1, ends)
         del ii, jj, vals, z1, ends
-    return [PairTable(batch, win, band, num, den, count, n_window, neighbors)
+    return [PairTable(win, band, num, den, count, n_window, neighbors, batch)
             for band, (num, den, count, neighbors) in zip(bands, cols)]
 
 
@@ -268,7 +303,7 @@ def mean_mark_pooled(table: PairTable) -> EstimateResult:
             table.band,
             table.pair_counts,
             per_realization=table.values.tolist(),
-            exclusions=table.batch.n_realizations,
+            exclusions=table.n_realizations,
         )
     return mean_mark_weighted(table, counts)
 

@@ -19,20 +19,19 @@ Everything here is restricted to d = 1 and ignores the weight marks
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Iterator
 
 import numpy as np
 
-from .core import Band, InputError, PatternBatch, PointPattern, Window
+from .core import Band, InputError, PatternBatch, Window
 from .markfn import MarkFunction, ThresholdFamily, threshold_family
-from .est import _as_batch, _pair_tables
+from .est import Realizations, _as_batch, _pair_tables
 
 __all__ = ["confidence_interval", "clt_experiment", "threshold_sums"]
 
 
 def threshold_sums(
-    realizations: PatternBatch | Sequence[PointPattern], win: Window, band: Band,
-    family: ThresholdFamily,
+    realizations: Realizations, win: Window, band: Band, family: ThresholdFamily,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-realization (sum of excess(y1), sum of indicator(y1)) over qualifying pairs.
 
@@ -41,12 +40,15 @@ def threshold_sums(
     mark function: where the indicator is 0 the excess is 0 too.  Each
     realization's sums are numpy sums over its own pairs in the order of
     a sweep over it alone, and a non-finite excess is a
-    :class:`~mppstat.core.NumericError` naming its pair.
+    :class:`~mppstat.core.NumericError` naming its pair.  `realizations`
+    may be an iterator of blocks, as for :func:`~mppstat.est.pair_table`.
     """
-    batch = _as_batch(realizations)
-    if batch.dim != 1:
-        raise InputError("inference is defined for d=1 patterns only")
-    table, = _pair_tables(batch, win, [band], family.excess_fn(), family.indicator(batch.y))
+    def indicator(batch: PatternBatch) -> np.ndarray:
+        if batch.dim != 1:
+            raise InputError("inference is defined for d=1 patterns only")
+        return family.indicator(batch.y)
+
+    table, = _pair_tables(realizations, win, [band], family.excess_fn(), indicator)
     return table.num, table.den
 
 
@@ -237,8 +239,13 @@ def _skewness(x: np.ndarray) -> float:
     return float(m3 / m2**1.5)
 
 
+def _require_30(n: int) -> None:
+    if n < 30:
+        raise InputError(f"variance estimation needs >= 30 realizations, got {n}")
+
+
 def clt_experiment(
-    realizations: PatternBatch | Sequence[PointPattern],
+    realizations: Realizations,
     win: Window,
     band: Band,
     base_f: MarkFunction,
@@ -248,7 +255,7 @@ def clt_experiment(
     truth: float | None = None,
     group_size: int | None = None,
 ) -> dict:
-    """Batch inference over many independent realizations (a batch or patterns).
+    """Batch inference over many independent realizations (a batch, patterns or blocks).
 
     Returns per-realization statistics (centered with `center`, or with
     the pooled conditional mean when None), the variance estimate, a
@@ -260,11 +267,12 @@ def clt_experiment(
     them.  The p-value and the skewness are NaN when fewer than two
     statistics are defined or their spread is at rounding level.
     """
-    batch = _as_batch(realizations)
-    n = batch.n_realizations
-    if n < 30:
-        raise InputError(f"variance estimation needs >= 30 realizations, got {n}")
-    s, d = threshold_sums(batch, win, band, threshold_family(base_f, u))
+    if not isinstance(realizations, Iterator):  # a count known before the sweep is checked first
+        realizations = _as_batch(realizations)
+        _require_30(realizations.n_realizations)
+    s, d = threshold_sums(realizations, win, band, threshold_family(base_f, u))
+    n = s.shape[0]
+    _require_30(n)
     c, alpha_star, s_hat, lam_hat = _reduce_sums(s, d, center, win.volume)
     with np.errstate(divide="ignore", invalid="ignore"):
         stat = np.where(d > 0, alpha_star / np.sqrt(d), np.nan)

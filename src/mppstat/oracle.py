@@ -41,7 +41,7 @@ from .sim import (
     MixtureSpec,
     PoissonGround,
     matern2_retained_intensity,
-    sample_batch,
+    sample_blocks,
     unit_ball_volume,
 )
 
@@ -234,7 +234,8 @@ def monte_carlo_mean_mark(
 ) -> tuple[float, float]:
     """Simulation oracle: (estimate, jackknife standard error).
 
-    Simulates `n_mc` realizations on a buffered window and either pools
+    Simulates `n_mc` realizations on a buffered window, one block of
+    :func:`~mppstat.sim.sample_blocks` at a time, and either pools
     numerator and denominator sums across realizations (``target="pooled"``,
     estimating the intensity-weighted mean) or averages the per-realization
     ratios (``target="classwise"``, estimating the class-averaged mean).
@@ -251,17 +252,20 @@ def monte_carlo_mean_mark(
     if win is None:
         win = Window(np.full(spec.dim, 20.0))
     sim_win = buffered_window(win, band) if order == 2 else win.box()
-    batch = sample_batch(spec, sim_win, n_mc, seed)
+    blocks = sample_blocks(spec, sim_win, n_mc, seed)
     if order == 2:
-        table = pair_table(batch, win, band, f)
+        table = pair_table(blocks, win, band, f)
         nums, dens = table.num, table.den
     else:
-        # each realization's sums over its own points in [0, T]
-        inside = win.contains(batch.locations)
-        ends = np.concatenate(([0], np.cumsum(inside)))[batch.starts]
-        y, z = batch.y[inside], batch.z[inside]
-        nums = np.array(_slice_sums(z * f(y, y), ends))
-        dens = np.array(_slice_sums(z, ends))
+        # each realization's sums over its own points in [0, T], a block at a time
+        nums, dens = [], []
+        for block in blocks:
+            inside = win.contains(block.locations)
+            ends = np.concatenate(([0], np.cumsum(inside)))[block.starts]
+            y, z = block.y[inside], block.z[inside]
+            nums += _slice_sums(z * f(y, y), ends)
+            dens += _slice_sums(z, ends)
+        nums, dens = np.array(nums), np.array(dens)
     if target == "pooled":
         s_num, s_den = np.sum(nums), np.sum(dens)
         if s_den == 0:

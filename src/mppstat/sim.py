@@ -16,6 +16,7 @@ distinct realizations use independently derived seed streams.
 from __future__ import annotations
 
 import bisect
+import collections
 import functools
 import hashlib
 import json
@@ -24,13 +25,13 @@ import numbers
 import operator
 import warnings
 from dataclasses import asdict, dataclass
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
 from .core import (
-    InputError, NumericError, PatternBatch, PointPattern, SimWindow, _concat_frozen, _floats,
-    _reject_bools,
+    InputError, NumericError, PatternBatch, PointPattern, SimWindow, _blocks, _concat_frozen,
+    _floats, _reject_bools,
 )
 
 __all__ = [
@@ -48,6 +49,7 @@ __all__ = [
     "sample_ground",
     "sample_marks",
     "sample_batch",
+    "sample_blocks",
     "sample_mixture",
     "mixture_to_json",
     "mixture_from_json",
@@ -282,17 +284,20 @@ def _reach_end(xs: np.ndarray, reach) -> np.ndarray:
 def _band_width(xs: np.ndarray, reach: float) -> int:
     """The largest index gap between points of the sorted `xs` within `reach`.
 
-    An infinite reach gives b = n - 1.  b = 0, no two neighbours within
-    `reach`, takes one comparison and no search.
+    An infinite reach gives b = n - 1.  Otherwise the offsets k with a
+    pair (i, i + k) within reach are 1, ..., b (if xs[i + k] is within
+    reach of xs[i], so is xs[i + k - 1]), so b is found by testing
+    k = 1, 2, ... until an offset has no such pair: b + 1 comparisons of
+    slices, and no search.
     """
     n = xs.shape[0]
     if not np.isfinite(reach):
         return max(n - 1, 0)
     ends = _reach_end(xs, reach)
-    if not (xs[1:] <= ends[:-1]).any():
-        return 0
-    last = np.searchsorted(xs, ends, side="right") - 1
-    return int(np.max(last - np.arange(n)))
+    k = 1
+    while k < n and (xs[k:] <= ends[:-k]).any():
+        k += 1
+    return k - 1
 
 
 # Largest n * b^2 (n points, band width b) a covariance band may have: the
@@ -398,16 +403,17 @@ def _thin_1d(x: np.ndarray, births: np.ndarray, d0: float) -> np.ndarray:
     xs = x[order]
     keep = np.ones(n, dtype=bool)
     d2 = d0 * d0
-    i = np.arange(n - 1)
+    dx = xs[1:] - xs[:-1]  # offset 1 tests every point, on slices
+    i = np.flatnonzero(dx * dx <= d2)
     k = 1
     while i.size:
-        dx = xs[i + k] - xs[i]
-        i = i[dx * dx <= d2]
         a, b = order[i], order[i + k]
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         keep[np.where(births[lo] < births[hi], hi, lo)] = False
         k += 1
         i = i[i < n - k]
+        dx = xs[i + k] - xs[i]
+        i = i[dx * dx <= d2]
     return keep
 
 
@@ -745,23 +751,14 @@ def _entropy(seed) -> tuple[int, ...]:
     return tuple(int(v) for v in parts)
 
 
-def sample_batch(
-    spec: MixtureSpec, sim_window: SimWindow, n_realizations: int, seed
-) -> PatternBatch:
-    """Draw independent realizations of the mixture as one :class:`PatternBatch`.
+def _draws(spec: MixtureSpec, sim_window: SimWindow, n_realizations: int, seed):
+    """The draw loop: an iterator over (class, locations, y, z) of each realization in turn.
 
-    For each realization a class is drawn with its probability, then the
-    class's ground and marks are sampled.  The realized class indices are
-    kept in ``batch.classes`` for oracle validation; estimators must not
-    look at them.  `seed` is an int >= 0 or a tuple of them, and
-    realization i draws from its own stream ``SeedSequence(seed + (i,))``
-    (seed as a tuple), so outputs are bit-exact reproducible and
-    realizations never share generator state.  The streams' seed words
-    are computed for the whole batch at once, each class's samplers are
-    set up once, and each realization's loop does only its draws: its
-    ground, then its marks (a Gaussian field sorts its own points) and
-    weights, in any dimension.  The batch is checked once, with the
-    messages of :class:`PointPattern`.
+    The arguments are checked, the streams' seed words computed for all
+    realizations at once and each class's samplers set up once before
+    this returns; each step of the iterator does only one realization's
+    draws: its class, its ground, then its marks (a Gaussian field sorts
+    its own points) and weights, in any dimension.
     """
     if n_realizations < 1:
         raise InputError("n_realizations must be >= 1")
@@ -774,30 +771,87 @@ def sample_batch(
     marks = [_y_sampler(c.marks) for c in spec.classes]
     weights = [_z_sampler(c.z_rule) for c in spec.classes]
     words, generator, pcg64 = _words_class(), np.random.Generator, np.random.PCG64
-    locs, ys, zs, classes = [], [], [], []
-    for row in _stream_words(entropy, n_realizations):
-        rng = generator(pcg64(words(row)))
-        k = min(bisect.bisect_right(cum, rng.random()), last)
-        loc = grounds[k](rng)
-        y = marks[k](rng, loc)
-        z = weights[k](rng, loc, y)
-        if y.shape != (loc.shape[0],) or z.shape != y.shape:
-            raise InputError("y and z must be 1-d with one entry per point")
-        locs.append(loc)
-        ys.append(y)
-        zs.append(z)
-        classes.append(k)
+    rows = _stream_words(entropy, n_realizations)
+
+    def loop():
+        for row in rows:
+            rng = generator(pcg64(words(row)))
+            k = min(bisect.bisect_right(cum, rng.random()), last)
+            loc = grounds[k](rng)
+            y = marks[k](rng, loc)
+            z = weights[k](rng, loc, y)
+            if y.shape != (loc.shape[0],) or z.shape != y.shape:
+                raise InputError("y and z must be 1-d with one entry per point")
+            yield k, loc, y, z
+
+    return loop()
+
+
+def _batch(draws: list, sim_window: SimWindow) -> PatternBatch:
+    """The realizations `draws` of :func:`_draws` as one checked batch."""
+    classes, locs, ys, zs = zip(*draws)
     starts = np.cumsum([0] + [y.size for y in ys])
     return PatternBatch(_concat_frozen(locs), _concat_frozen(ys), _concat_frozen(zs), starts,
                         sim_window, classes)
 
 
+def sample_batch(
+    spec: MixtureSpec, sim_window: SimWindow, n_realizations: int, seed
+) -> PatternBatch:
+    """Draw independent realizations of the mixture as one :class:`PatternBatch`.
+
+    For each realization a class is drawn with its probability, then the
+    class's ground and marks are sampled.  The realized class indices are
+    kept in ``batch.classes`` for oracle validation; estimators must not
+    look at them.  `seed` is an int >= 0 or a tuple of them, and
+    realization i draws from its own stream ``SeedSequence(seed + (i,))``
+    (seed as a tuple), so outputs are bit-exact reproducible and
+    realizations never share generator state.  The batch is checked once,
+    with the messages of :class:`PointPattern`.  :func:`sample_blocks`
+    draws the same realizations a block at a time.
+    """
+    return _batch(list(_draws(spec, sim_window, n_realizations, seed)), sim_window)
+
+
+def sample_blocks(
+    spec: MixtureSpec, sim_window: SimWindow, n_realizations: int, seed
+) -> Iterator[PatternBatch]:
+    """The realizations of :func:`sample_batch`, drawn and checked one block at a time.
+
+    Yields checked :class:`PatternBatch` blocks of consecutive
+    realizations, the blocks of the pair sweep: as many realizations as
+    fit in ``_BLOCK_POINTS`` points, or one larger realization on its
+    own.  Laid end to end they are ``sample_batch(spec, sim_window,
+    n_realizations, seed)`` bit for bit, so a run that reduces each block
+    and drops it holds one block's points at a time.  The arguments are
+    checked on the call; a draw or a block that fails raises when it is
+    reached, after the blocks before it were yielded.
+    """
+    draws = _draws(spec, sim_window, n_realizations, seed)
+    pending = collections.deque()  # realizations drawn and not yet yielded
+
+    def counts():
+        for draw in draws:
+            pending.append(draw)
+            yield draw[2].shape[0]
+
+    def blocks():
+        # _blocks ends a block when it reads the count of the realization after it;
+        # the block's draws leave `pending` before it is yielded, so that nothing
+        # here holds a block while the next one is drawn
+        for k0, k1 in _blocks(counts()):
+            yield _batch([pending.popleft() for _ in range(k1 - k0)], sim_window)
+
+    return blocks()
+
+
 def sample_mixture(
     spec: MixtureSpec, sim_window: SimWindow, n_realizations: int, seed
 ) -> list[tuple[PointPattern, int]]:
-    """:func:`sample_batch` as a list of (pattern, class index) pairs."""
-    batch = sample_batch(spec, sim_window, n_realizations, seed)
-    return [(batch.pattern(k), int(batch.classes[k])) for k in range(n_realizations)]
+    """:func:`sample_blocks`' realizations as a list of (pattern, class index) pairs."""
+    return [(block.pattern(k), int(block.classes[k]))
+            for block in sample_blocks(spec, sim_window, n_realizations, seed)
+            for k in range(block.n_realizations)]
 
 
 # ---------------------------------------------------------------------------

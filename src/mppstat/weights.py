@@ -15,9 +15,12 @@ Shipped strategies:
   covariance model; the general variance-minimizing choice when marks are
   independent of locations.
 
-Strategies are evaluated on a :class:`~mppstat.est.PairTable`, whose pair,
-point and per-point neighbor counts the ``alpha``, ``count`` and ``rfvar``
-strategies read directly.
+Strategies are evaluated on a :class:`~mppstat.est.PairTable`, whose pair
+and point counts the ``alpha`` and ``count`` strategies read directly.
+``rfvar`` reads each realization's conditional variance, computed from a
+batch's table and its per-point neighbor counts by
+:func:`conditional_variances`; a run that streams its blocks computes them
+for each block while the block is alive and passes them in.
 Callers with weights of their own pass them to
 :func:`~mppstat.est.mean_mark_weighted`.
 """
@@ -39,6 +42,7 @@ __all__ = [
     "WEIGHT_KINDS",
     "WeightStrategy",
     "compute_weights",
+    "conditional_variances",
     "mean_mark_conditional_variance",
     "neighbor_counts",
 ]
@@ -129,29 +133,50 @@ def _conditional_variance(locations: np.ndarray, counts: np.ndarray, cov) -> flo
     return quad / (total * total)
 
 
-def compute_weights(strategy: WeightStrategy, table: PairTable) -> np.ndarray:
+def conditional_variances(table: PairTable, cov: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Each realization's :func:`mean_mark_conditional_variance` under `cov`, NaN where undefined.
+
+    Read from the table's batch and per-point neighbour counts, with no
+    second pair enumeration; a table of a stream of blocks has neither,
+    so a run computes each block's column while the block's table holds
+    them.
+    """
+    _check_cov(cov)
+    batch = table.batch
+    if batch is None:
+        raise InputError("conditional variances need the pair table of a batch")
+    return np.array([_conditional_variance(batch.locations[a:b], table.neighbors[a:b], cov)
+                     for a, b in zip(batch.starts[:-1].tolist(), batch.starts[1:].tolist())])
+
+
+def compute_weights(
+    strategy: WeightStrategy, table: PairTable, variances: np.ndarray | None = None
+) -> np.ndarray:
     """Evaluate a weight strategy on the realizations of a pair table.
 
     All strategies return finite non-negative weights: ``equal`` ones,
     ``alpha`` and ``count`` the table's pair and point counts per unit
-    window volume, and ``rfvar`` the reciprocal conditional variance
-    computed from the table's per-point neighbor counts, with no second
-    pair enumeration.  The rfvar strategy assigns weight zero (with a
-    warning) to realizations whose conditional variance is undefined
-    because they have no qualifying pairs.
+    window volume, and ``rfvar`` the reciprocal conditional variance.
+    rfvar reads `variances`, one :func:`conditional_variances` entry per
+    realization of the table, or computes them from the table's batch
+    when None.  The rfvar strategy assigns weight zero (with a warning
+    that names the realization's index in the table) to realizations
+    whose conditional variance is undefined because they have no
+    qualifying pairs.
     """
-    batch, volume = table.batch, table.win.volume
-    n = batch.n_realizations
+    n, volume = table.n_realizations, table.win.volume
     if strategy.kind == "equal":
         return np.ones(n)
     if strategy.kind == "alpha":
         return table.count / volume
     if strategy.kind == "count":
         return table.n_window / volume
-    _check_cov(strategy.cov)
+    if variances is None:
+        variances = conditional_variances(table, strategy.cov)
+    elif np.shape(variances) != (n,):
+        raise InputError(f"expected {n} conditional variances, got shape {np.shape(variances)}")
     out = np.empty(n)
-    for k, (a, b) in enumerate(zip(batch.starts[:-1].tolist(), batch.starts[1:].tolist())):
-        v = _conditional_variance(batch.locations[a:b], table.neighbors[a:b], strategy.cov)
+    for k, v in enumerate(variances.tolist()):
         if not np.isfinite(v) or v <= 0.0:
             warnings.warn(
                 f"realization {k}: conditional variance undefined or zero; weight set to 0",

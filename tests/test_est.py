@@ -33,8 +33,9 @@ from mppstat import (
     translate,
 )
 from mppstat import (
-    GaussianFieldMarks, GridGround, IidMarks, MixtureClass, MixtureSpec, PoissonGround,
-    sample_batch,
+    Covariance, GaussianFieldMarks, GridGround, IidMarks, MixtureClass, MixtureSpec,
+    PoissonGround, WeightStrategy, compute_weights, conditional_variances, sample_batch,
+    sample_blocks,
 )
 from mppstat import class_averaged_mean_mark, mixture_mean_mark
 
@@ -615,3 +616,55 @@ class TestTreeSweep:
             assert table.band == band and table.count.sum() > 0
             for column in ("num", "den", "count", "n_window", "neighbors"):
                 assert _bits(getattr(table, column)) == _bits(getattr(alone, column)), column
+
+
+class TestStreamTables:
+    """A stream of blocks tabulates the columns of its batch and keeps no block."""
+
+    SPEC = MixtureSpec((
+        MixtureClass(0.5, PoissonGround(0.05), IidMarks("normal", (0.0, 1.0)),
+                     z_rule=IidMarks("uniform", (0.5, 1.5))),
+        MixtureClass(0.5, PoissonGround(6.0), GaussianFieldMarks(1.0, 2.0, 0.7)),
+    ))
+    WIN = Window(30.0)
+    BANDS = [Band(0.5, 1.5), Band(-1.5, -0.5)]
+
+    def _draw(self, sampler):
+        return sampler(self.SPEC, buffered_window(self.WIN, self.BANDS), 40, (6, 1))
+
+    def test_columns_equal_the_batch_tables(self):
+        visited = []
+        streamed = _pair_tables(self._draw(sample_blocks), self.WIN, self.BANDS, FIRST,
+                                visit=lambda tables: visited.append(tables[0].batch.n_realizations))
+        whole = _pair_tables(self._draw(sample_batch), self.WIN, self.BANDS, FIRST)
+        assert len(visited) > 1 and sum(visited) == 40
+        for got, want in zip(streamed, whole):
+            assert got.batch is None and got.neighbors is None and got.band == want.band
+            assert got.n_realizations == want.n_realizations == 40
+            for column in ("num", "den", "count", "n_window"):
+                a, b = getattr(got, column), getattr(want, column)
+                assert a.dtype == b.dtype and _bits(a) == _bits(b), column
+        assert (whole[0].count == 0).any()  # realizations without pairs are in the stream too
+
+    def test_pooled_exclusions_count_the_column_entries(self):
+        table = pair_table(self._draw(sample_blocks), self.WIN, Band(40.0, 41.0), FIRST)
+        res = mean_mark_pooled(table)
+        assert not res.defined and res.meta["exclusions"] == 40
+
+    def test_rfvar_reads_variances_collected_per_block(self):
+        cov = Covariance("spherical", 1.0, 0.7)
+        strategy = WeightStrategy("rfvar", cov=cov)
+        columns = []
+        table = pair_table(self._draw(sample_blocks), self.WIN, self.BANDS[0], FIRST)
+        with pytest.raises(InputError, match="need the pair table of a batch"):
+            compute_weights(strategy, table)
+        table = _pair_tables(self._draw(sample_blocks), self.WIN, self.BANDS[:1], FIRST,
+                             visit=lambda t: columns.append(conditional_variances(t[0], cov)))[0]
+        whole = pair_table(self._draw(sample_batch), self.WIN, self.BANDS[0], FIRST)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # realizations without pairs
+            got = compute_weights(strategy, table, np.concatenate(columns))
+            want = compute_weights(strategy, whole)
+        assert _bits(got) == _bits(want) and (got == 0).any() and (got > 0).any()
+        with pytest.raises(InputError, match="expected 40 conditional variances"):
+            compute_weights(strategy, table, np.concatenate(columns)[1:])

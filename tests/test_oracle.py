@@ -21,12 +21,14 @@ from mppstat import (
     PoissonGround,
     UnsupportedSpecError,
     Window,
+    buffered_window,
     builtin,
     class_averaged_mean_mark,
     class_moments,
     matern2_retained_intensity,
     mixture_mean_mark,
     monte_carlo_mean_mark,
+    pair_table,
     sample_batch,
     threshold_excess_mean,
 )
@@ -236,8 +238,8 @@ class TestMonteCarloOracle:
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("target", ["pooled", "classwise"])
     def test_first_order_equals_a_loop_over_realizations(self, dim, target):
-        # the oracle sums each realization's points in [0, T] over the
-        # whole batch at once; a loop over the realizations is the reference
+        # the oracle sums each realization's points in [0, T] a block of
+        # realizations at a time; a loop over the realizations is the reference
         spec = MixtureSpec(
             (
                 MixtureClass(0.5, PoissonGround(0.3), IidMarks("normal", (1.0, 2.0)),
@@ -257,6 +259,28 @@ class TestMonteCarloOracle:
             y, z = p.y[inside], p.z[inside]
             nums[k], dens[k] = np.sum(z * f(y, y)), np.sum(z)
         assert (dens == 0).any()  # some realizations have no point in [0, T]
+        if target == "pooled":
+            expected = np.sum(nums) / np.sum(dens)
+            loo = (np.sum(nums) - nums) / (np.sum(dens) - dens)
+        else:
+            ratios = nums[dens > 0] / dens[dens > 0]
+            expected = np.mean(ratios)
+            loo = (np.sum(ratios) - ratios) / (ratios.size - 1)
+        n = loo.size
+        expected_se = np.sqrt((n - 1) / n * np.sum((loo - np.mean(loo)) ** 2))
+        assert (value, se) == (float(expected), float(expected_se))
+
+    @pytest.mark.parametrize("target", ["pooled", "classwise"])
+    def test_second_order_equals_the_batch_table(self, target):
+        # the oracle tabulates a block at a time; the table of the whole batch
+        # is the reference
+        spec = two_class()
+        win = Window(6.0)
+        value, se = monte_carlo_mean_mark(spec, FIRST, 2, BAND, n_mc=1000, seed=8, win=win,
+                                          target=target)
+        batch = sample_batch(spec, buffered_window(win, BAND), 1000, 8)
+        table = pair_table(batch, win, BAND, FIRST)
+        nums, dens = table.num, table.den
         if target == "pooled":
             expected = np.sum(nums) / np.sum(dens)
             loo = (np.sum(nums) - nums) / (np.sum(dens) - dens)

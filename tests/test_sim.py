@@ -31,11 +31,13 @@ from mppstat import (
     mixture_from_json,
     mixture_to_json,
     sample_batch,
+    sample_blocks,
     sample_ground,
     sample_marks,
     sample_mixture,
     spec_digest,
 )
+from mppstat import core
 from mppstat.core import _ascending, _block_order
 from mppstat.sim import (
     _band_matrix, _cholesky_with_jitter, _poisson_sampler, _sorted_band, _stream_words,
@@ -471,7 +473,7 @@ def _ulps(x, k):
 
 
 class TestBandWidth:
-    """_band_width answers b = 0 from one comparison of neighbours, and b > 0 by search."""
+    """_band_width, which walks the offsets up from 1, equals the band width found by search."""
 
     def test_random_sorted_coordinates_with_ties(self):
         rng = np.random.default_rng(17)
@@ -717,6 +719,133 @@ class TestBatchStreams:
         for column in (batch.locations, batch.y, batch.z, batch.starts, batch.classes):
             digest.update(column.tobytes())
         assert digest.hexdigest() == _SHIPPED_BATCH_SHA256[path.stem]
+
+
+def assert_blocks_make_the_batch(blocks, batch) -> None:
+    """The blocks end to end are `batch` bit for bit, its sweep blocks and their orders included.
+
+    Each block is a sweep block of the batch: at most _BLOCK_POINTS points,
+    or one realization.
+    """
+    first, sweep_blocks = 0, []
+    for block in blocks:
+        assert block.sim_window == batch.sim_window
+        n = block.n_realizations
+        assert block.starts[-1] <= core._BLOCK_POINTS or n == 1
+        a, b = batch.starts[first], batch.starts[first + n]
+        assert block.starts.tolist() == (batch.starts[first:first + n + 1] - a).tolist()
+        for column in ("locations", "y", "z"):
+            got, want = getattr(block, column), getattr(batch, column)[a:b]
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), column
+        assert block.classes.tobytes() == batch.classes[first:first + n].tobytes()
+        sweep_blocks += [(k0 + first, k1 + first, kept) for k0, k1, kept in block._sorted_blocks]
+        first += n
+    assert first == batch.n_realizations
+    assert len(sweep_blocks) == len(batch._sorted_blocks)
+    for (k0, k1, kept), (j0, j1, want) in zip(sweep_blocks, batch._sorted_blocks):
+        assert (k0, k1) == (j0, j1)
+        if want is None:
+            assert kept is None
+            continue
+        for got, expected in zip(kept, want):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+            assert not got.flags.writeable
+
+
+class TestSampleBlocks:
+    """sample_blocks laid end to end is sample_batch, bit for bit, a block at a time."""
+
+    @pytest.mark.parametrize("block_points", [2048, 100])
+    @pytest.mark.parametrize("spec,window", _kind_cases())
+    def test_every_ground_mark_and_z_rule_kind(self, spec, window, block_points, monkeypatch):
+        monkeypatch.setattr(core, "_BLOCK_POINTS", block_points)
+        assert_blocks_make_the_batch(sample_blocks(spec, window, 8, (3, 2)),
+                                     sample_batch(spec, window, 8, (3, 2)))
+
+    @pytest.mark.parametrize("spec,window", [*_shipped_cases(), *_ground_cases()])
+    def test_shipped_configs_and_grounds(self, spec, window):
+        assert_blocks_make_the_batch(sample_blocks(spec, window, 12, (5, 1)),
+                                     sample_batch(spec, window, 12, (5, 1)))
+
+    def test_uneven_sizes_make_uneven_blocks(self):
+        spec = two_class_spec(lam_a=0.5, lam_b=60.0)
+        window = SimWindow.cube(-1.5, 41.5, 1)
+        blocks = list(sample_blocks(spec, window, 60, 17))
+        sizes = {block.n_realizations for block in blocks}
+        assert len(blocks) > 1 and len(sizes) > 1
+        assert_blocks_make_the_batch(blocks, sample_batch(spec, window, 60, 17))
+
+    @pytest.mark.parametrize("intensity", [0.05, 1e-4])
+    def test_empty_realizations(self, intensity, monkeypatch):
+        monkeypatch.setattr(core, "_BLOCK_POINTS", 3)
+        spec = MixtureSpec((_single_field_class(PoissonGround(intensity), 0.5, p=0.5),
+                            MixtureClass(0.5, PoissonGround(intensity),
+                                         IidMarks("normal", (0.0, 1.0)),
+                                         z_rule=IidMarks("uniform", (0.0, 1.0)))))
+        window = SimWindow.cube(0.0, 10.0, 1)
+        batch = sample_batch(spec, window, 30, 8)
+        assert (batch.starts[1:] == batch.starts[:-1]).any()
+        assert_blocks_make_the_batch(sample_blocks(spec, window, 30, 8), batch)
+
+    def test_realization_over_the_block_points_is_a_block_of_its_own(self, monkeypatch):
+        monkeypatch.setattr(core, "_BLOCK_POINTS", 40)
+        spec = two_class_spec(lam_a=0.2, lam_b=8.0)
+        window = SimWindow.cube(-1.5, 21.5, 1)
+        blocks = list(sample_blocks(spec, window, 20, 3))
+        big = [block for block in blocks if block.starts[-1] > 40]
+        assert big and all(block.n_realizations == 1 for block in big)
+        assert any(block.n_realizations > 1 for block in blocks)
+        assert_blocks_make_the_batch(blocks, sample_batch(spec, window, 20, 3))
+
+    def test_tied_block_splits_into_its_realizations(self):
+        # as in TestBatchStreams: the shifted values of one block tie
+        spec = MixtureSpec((_single_field_class(PoissonGround(1e17), 5e-18, p=0.5),
+                            _single_field_class(GridGround(1e-17), 3e-17, p=0.5)))
+        window = SimWindow.cube(0.0, 1e-15, 1)
+        blocks = list(sample_blocks(spec, window, 6, 2))
+        assert len(blocks) == 1 and len(blocks[0]._sorted_blocks) == 6
+        assert_blocks_make_the_batch(blocks, sample_batch(spec, window, 6, 2))
+
+    def test_a_block_is_yielded_before_the_next_one_is_drawn(self, monkeypatch):
+        monkeypatch.setattr(core, "_BLOCK_POINTS", 1)
+        drawn = []
+
+        def weights(loc, y, rng):
+            drawn.append(y.size)
+            return np.ones(y.size)
+
+        spec = MixtureSpec((MixtureClass(1.0, GridGround(1.0), IidMarks("normal", (0.0, 1.0)),
+                                         z_rule=weights),))
+        blocks = sample_blocks(spec, WIN1, 5, 0)
+        assert drawn == []
+        first = next(blocks)
+        # a block ends when the count of the realization after it is read
+        assert first.n_realizations == 1 and len(drawn) == 2
+        assert len(list(blocks)) == 4 and len(drawn) == 5
+
+    def test_a_later_failing_draw_raises_after_the_blocks_before_it(self, monkeypatch):
+        monkeypatch.setattr(core, "_BLOCK_POINTS", 1)
+
+        calls = []
+
+        def weights(loc, y, rng):
+            if len(calls) == 2:
+                raise InputError("third realization fails")
+            calls.append(1)
+            return np.ones(y.size)
+
+        spec = MixtureSpec((MixtureClass(1.0, GridGround(1.0), IidMarks("normal", (0.0, 1.0)),
+                                         z_rule=weights),))
+        blocks = sample_blocks(spec, WIN1, 4, 0)
+        assert next(blocks).n_realizations == 1
+        with pytest.raises(InputError, match="third realization fails"):
+            next(blocks)
+
+    def test_arguments_are_checked_on_the_call(self):
+        with pytest.raises(InputError, match="n_realizations must be >= 1"):
+            sample_blocks(two_class_spec(), WIN1, 0, 1)
+        with pytest.raises(InputError, match="seed must be an integer"):
+            sample_blocks(two_class_spec(), WIN1, 2, -1)
 
 
 class TestBatchErrors:
