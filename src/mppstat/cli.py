@@ -24,7 +24,7 @@ from .core import (
     Band, InputError, MppstatError, PatternBatch, Window, buffered_window, write_pattern_csv,
 )
 from . import est, infer, markfn, oracle, sim
-from .weights import WEIGHT_KINDS, WeightStrategy, compute_weights, conditional_variances
+from .weights import WEIGHT_KINDS, WeightStrategy, _variance_visitor, compute_weights
 
 __all__ = ["main", "load_config", "CONFIG_SCHEMA"]
 
@@ -228,24 +228,17 @@ def cmd_estimate(config: dict, out_path: Path, args=None, pattern_dir: Path | No
     # pattern files get the full per-pattern checks; sampled blocks are checked once
     loaded = (PatternBatch.from_patterns(_load_pattern_dir(pattern_dir))
               if pattern_dir is not None else None)
-    # the rfvar conditional variances need a block's points, so they are
-    # computed while its tables hold it, for each band and covariance
+    # the rfvar conditional variances need a block's points, so the sweep's
+    # visitor computes them while it holds the block, for each band and covariance
     covs = {s.cov for s in strategies if s is not None and s.kind == "rfvar"}
 
     def run_replicate(r: int):
-        if loaded is not None:
-            blocks = iter((loaded,))
-        else:
-            blocks = sim.sample_blocks(spec, sim_win, config["n_realizations"], (seed, r))
-        parts = {(q, cov): [] for q in range(len(bands)) for cov in covs}
-
-        def visit(tables):
-            for (q, cov), column in parts.items():
-                column.append(conditional_variances(tables[q], cov))
-
+        blocks = loaded if loaded is not None else sim.sample_blocks(
+            spec, sim_win, config["n_realizations"], (seed, r))
+        visit, variances = _variance_visitor(
+            [(q, cov) for q in range(len(bands)) for cov in covs])
         # one sweep of each block tabulates every band; only the columns are kept
-        tables = est._pair_tables(blocks, win, bands, f, visit=visit)
-        variances = {key: np.concatenate(column) for key, column in parts.items()}
+        tables = est._pair_tables(blocks, win, bands, f, visit=visit if covs else None)
         rows = []
         any_undefined = False
         for q, (band, table) in enumerate(zip(bands, tables)):

@@ -95,12 +95,6 @@ class PairTable:
     its number of points in [0, T].  The realization count is the length
     of these columns.  Realization k has a defined estimate iff
     ``den[k] != 0``.  Build one with :func:`pair_table`.
-
-    A table of one batch keeps the `batch` and a `neighbors` column with
-    one entry per point of it: its number of band neighbours when it lies
-    in [0, T], else 0 (what the rfvar weights read).  A table of a stream
-    of blocks keeps neither (both None): only its per-realization columns
-    outlive the blocks.
     """
 
     win: Window
@@ -109,8 +103,6 @@ class PairTable:
     den: np.ndarray
     count: np.ndarray
     n_window: np.ndarray
-    neighbors: np.ndarray | None = None
-    batch: PatternBatch | None = None
 
     @property
     def n_realizations(self) -> int:
@@ -132,12 +124,6 @@ class PairTable:
 
 
 Realizations = Union[PatternBatch, Sequence[PointPattern], Iterator[PatternBatch]]
-
-
-def _as_batch(realizations: PatternBatch | Sequence[PointPattern]) -> PatternBatch:
-    if isinstance(realizations, PatternBatch):
-        return realizations
-    return PatternBatch.from_patterns(realizations)
 
 
 def _slice_sums(values: np.ndarray, ends: np.ndarray) -> list[float]:
@@ -164,63 +150,58 @@ def pair_table(realizations: Realizations, win: Window, band: Band, f: MarkFunct
 def _pair_tables(
     realizations: Realizations, win: Window, bands: Sequence[Band], f: MarkFunction,
     weight: Callable[[PatternBatch], np.ndarray] | None = None,
-    visit: Callable[[list[PairTable]], None] | None = None,
+    visit: Callable[[PatternBatch, list[np.ndarray]], None] | None = None,
 ) -> list[PairTable]:
-    """One :func:`pair_table` per band, all from one sweep of the realizations.
+    """One :func:`pair_table` per band, all from one sweep of the realizations, a block at a time.
 
-    A batch or a sequence of patterns is swept as one batch, and its
-    tables keep it.  An iterator of batches is swept one block at a
-    time: each block is tabulated, handed to `visit` (while its tables
-    still hold it and its `neighbors`) and dropped, and the result joins
-    the blocks' per-realization columns end to end.  `weight` gives a
-    batch's weight-mark column, one entry per point: the batch's own `z`
-    when None, or another weight such as the exceedance indicator of
-    :func:`~mppstat.infer.threshold_sums` (a bool column sums as 0 and 1).
+    An iterator of batches is a stream of blocks, and a batch or a
+    sequence of patterns is a stream of one block; a stream without a
+    realization is an InputError.  Each block is reduced by
+    :func:`_sweep`'s pairs to its per-realization columns and dropped,
+    and each band's table joins its columns end to end.
+    `weight` gives a block's weight-mark column, one entry per point:
+    the block's own `z` when None, or another weight such as the
+    exceedance indicator of :func:`~mppstat.infer.threshold_sums` (a
+    bool column sums as 0 and 1).  `visit(block, neighbors)` is called
+    with each block before it is dropped: ``neighbors[q]`` holds each of
+    its points' number of neighbours in ``bands[q]`` when the point lies
+    in [0, T], else 0.  These counts are only built for a visitor.
     """
     if not isinstance(realizations, Iterator):
-        return _batch_tables(_as_batch(realizations), win, bands, f, weight)
+        realizations = iter((realizations if isinstance(realizations, PatternBatch)
+                             else PatternBatch.from_patterns(realizations),))
     parts = []
     for block in realizations:
-        tables = _batch_tables(block, win, bands, f, weight)
-        if visit is not None:
-            visit(tables)
-        parts.append([(t.num, t.den, t.count, t.n_window) for t in tables])
-        del block, tables  # no block outlives its reduction
+        z = block.z if weight is None else weight(block)
+        n, starts = block.n_realizations, block.starts
+        n_window = np.zeros(n, dtype=np.int64)
+        cols = [(np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.int64), n_window) for _ in bands]
+        # int32: one entry per point of the block, and no point has 2^31 neighbors
+        neighbors = [np.zeros(starts[-1], dtype=np.int32) for _ in bands] if visit else None
+        for q, k0, k1, ends, t1_ok, ii, jj in _sweep(block, win, bands):
+            a, b = starts[k0], starts[k1]
+            if q == 0:
+                in_win = np.concatenate(([0], np.cumsum(t1_ok)))[starts[k0:k1 + 1] - a]
+                n_window[k0:k1] = in_win[1:] - in_win[:-1]
+            if ii.size == 0:
+                continue
+            num, den, count, _ = cols[q]
+            if visit:
+                neighbors[q][a:b] = np.bincount(ii, minlength=b - a)
+            vals = _pair_values(f, block.locations[a:b], block.y[a:b], z[a:b], ii, jj)
+            z1 = z[a:b][ii]
+            count[k0:k1] = ends[1:] - ends[:-1]
+            num[k0:k1] = _slice_sums(z1 * vals, ends)
+            den[k0:k1] = _slice_sums(z1, ends)
+            del ii, jj, vals, z1, ends
+        if visit:
+            visit(block, neighbors)
+        parts.append(cols)
+        del block, z, neighbors  # no block outlives its reduction
+    if not parts:
+        raise InputError("at least one realization is required")
     return [PairTable(win, band, *map(np.concatenate, zip(*(part[q] for part in parts))))
             for q, band in enumerate(bands)]
-
-
-def _batch_tables(
-    batch: PatternBatch, win: Window, bands: Sequence[Band], f: MarkFunction,
-    weight: Callable[[PatternBatch], np.ndarray] | None,
-) -> list[PairTable]:
-    """The tables of :func:`_pair_tables` of one batch: the one reduction of :func:`_sweep`'s pairs.
-
-    The tables share their `n_window` column, which no band changes.
-    """
-    z = batch.z if weight is None else weight(batch)
-    n, starts = batch.n_realizations, batch.starts
-    n_window = np.zeros(n, dtype=np.int64)
-    # int32: one column entry per point of the batch, and no point has 2^31 neighbors
-    cols = [(np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.int64),
-             np.zeros(starts[-1], dtype=np.int32)) for _ in bands]
-    for q, k0, k1, ends, t1_ok, ii, jj in _sweep(batch, win, bands):
-        a, b = starts[k0], starts[k1]
-        if q == 0:
-            in_win = np.concatenate(([0], np.cumsum(t1_ok)))[starts[k0:k1 + 1] - a]
-            n_window[k0:k1] = in_win[1:] - in_win[:-1]
-        if ii.size == 0:
-            continue
-        num, den, count, neighbors = cols[q]
-        neighbors[a:b] = np.bincount(ii, minlength=b - a)
-        vals = _pair_values(f, batch.locations[a:b], batch.y[a:b], z[a:b], ii, jj)
-        z1 = z[a:b][ii]
-        count[k0:k1] = ends[1:] - ends[:-1]
-        num[k0:k1] = _slice_sums(z1 * vals, ends)
-        den[k0:k1] = _slice_sums(z1, ends)
-        del ii, jj, vals, z1, ends
-    return [PairTable(win, band, num, den, count, n_window, neighbors, batch)
-            for band, (num, den, count, neighbors) in zip(bands, cols)]
 
 
 def pair_sums(

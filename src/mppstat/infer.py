@@ -19,13 +19,11 @@ Everything here is restricted to d = 1 and ignores the weight marks
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 import numpy as np
 
 from .core import Band, InputError, PatternBatch, Window
 from .markfn import MarkFunction, ThresholdFamily, threshold_family
-from .est import Realizations, _as_batch, _pair_tables
+from .est import Realizations, _pair_tables
 
 __all__ = ["confidence_interval", "clt_experiment", "threshold_sums"]
 
@@ -239,11 +237,6 @@ def _skewness(x: np.ndarray) -> float:
     return float(m3 / m2**1.5)
 
 
-def _require_30(n: int) -> None:
-    if n < 30:
-        raise InputError(f"variance estimation needs >= 30 realizations, got {n}")
-
-
 def clt_experiment(
     realizations: Realizations,
     win: Window,
@@ -264,15 +257,15 @@ def clt_experiment(
     given, the fraction of disjoint groups whose confidence interval for
     the conditional mean covers the truth.  Needs at least 30
     realizations, since the variance estimate is a sample variance across
-    them.  The p-value and the skewness are NaN when fewer than two
-    statistics are defined or their spread is at rounding level.
+    them; the count is checked once, after the sweep, so an input that
+    the sweep refuses gets that error first.  The p-value and the
+    skewness are NaN when fewer than two statistics are defined or their
+    spread is at rounding level.
     """
-    if not isinstance(realizations, Iterator):  # a count known before the sweep is checked first
-        realizations = _as_batch(realizations)
-        _require_30(realizations.n_realizations)
     s, d = threshold_sums(realizations, win, band, threshold_family(base_f, u))
     n = s.shape[0]
-    _require_30(n)
+    if n < 30:
+        raise InputError(f"variance estimation needs >= 30 realizations, got {n}")
     c, alpha_star, s_hat, lam_hat = _reduce_sums(s, d, center, win.volume)
     with np.errstate(divide="ignore", invalid="ignore"):
         stat = np.where(d > 0, alpha_star / np.sqrt(d), np.nan)

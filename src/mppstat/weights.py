@@ -17,10 +17,11 @@ Shipped strategies:
 
 Strategies are evaluated on a :class:`~mppstat.est.PairTable`, whose pair
 and point counts the ``alpha`` and ``count`` strategies read directly.
-``rfvar`` reads each realization's conditional variance, computed from a
-batch's table and its per-point neighbor counts by
-:func:`conditional_variances`; a run that streams its blocks computes them
-for each block while the block is alive and passes them in.
+``rfvar`` reads each realization's conditional variance, which the
+caller passes in.  :func:`conditional_variances` computes that column
+for a batch, a list of patterns or a stream of blocks, from each block's
+per-point neighbour counts while the block is alive; a run that also
+needs the tables gets both from one sweep.
 Callers with weights of their own pass them to
 :func:`~mppstat.est.mean_mark_weighted`.
 """
@@ -29,12 +30,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import Band, InputError, PointPattern, Window
-from .est import PairTable, pair_table
+from .core import Band, InputError, PatternBatch, PointPattern, Window
+from .est import PairTable, Realizations, _pair_tables
 from .markfn import builtin
 from .sim import banded_covariance
 
@@ -79,7 +80,10 @@ def neighbor_counts(pattern: PointPattern, win: Window, band: Band) -> np.ndarra
     t in the band, t2 anywhere in the simulation window.  Points outside
     [0, T] get count zero.
     """
-    return pair_table(pattern, win, band, builtin("const_one")).neighbors
+    counts = []
+    _pair_tables(pattern, win, [band], builtin("const_one"),
+                 visit=lambda block, neighbors: counts.append(neighbors[0]))
+    return counts[0]
 
 
 def mean_mark_conditional_variance(
@@ -107,8 +111,7 @@ def mean_mark_conditional_variance(
     above it), which holds a callable without a `cov_range` to about 1000
     active points.
     """
-    _check_cov(cov)
-    return _conditional_variance(pattern.locations, neighbor_counts(pattern, win, band), cov)
+    return float(conditional_variances(pattern, win, band, cov)[0])
 
 
 def _check_cov(cov) -> None:
@@ -133,36 +136,57 @@ def _conditional_variance(locations: np.ndarray, counts: np.ndarray, cov) -> flo
     return quad / (total * total)
 
 
-def conditional_variances(table: PairTable, cov: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+def _variance_visitor(keys: Iterable[tuple[int, Callable[[np.ndarray], np.ndarray]]]):
+    """A `visit` hook of the pair sweep that collects conditional variances, and its columns.
+
+    Returns ``(visit, columns)``.  For each ``(q, cov)`` of `keys`,
+    ``columns[(q, cov)]`` is a list that `visit` extends, block after
+    block, with each realization's :func:`mean_mark_conditional_variance`
+    in band q under `cov` (NaN where undefined), read from the block's
+    neighbour counts with no second pair enumeration.  Pass `visit` to
+    :func:`~mppstat.est._pair_tables`.  Each `cov` is checked here,
+    before the sweep.
+    """
+    columns = {key: [] for key in keys}
+    for _, cov in columns:
+        _check_cov(cov)
+
+    def visit(block: PatternBatch, neighbors: list[np.ndarray]) -> None:
+        bounds = list(zip(block.starts[:-1].tolist(), block.starts[1:].tolist()))
+        for (q, cov), column in columns.items():
+            column.extend(_conditional_variance(block.locations[a:b], neighbors[q][a:b], cov)
+                          for a, b in bounds)
+
+    return visit, columns
+
+
+def conditional_variances(
+    realizations: Realizations, win: Window, band: Band, cov: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
     """Each realization's :func:`mean_mark_conditional_variance` under `cov`, NaN where undefined.
 
-    Read from the table's batch and per-point neighbour counts, with no
-    second pair enumeration; a table of a stream of blocks has neither,
-    so a run computes each block's column while the block's table holds
-    them.
+    `realizations` is anything :func:`~mppstat.est.pair_table` takes: a
+    batch, a sequence of patterns or an iterator of blocks.  One sweep
+    of :func:`_variance_visitor` computes the column.
     """
-    _check_cov(cov)
-    batch = table.batch
-    if batch is None:
-        raise InputError("conditional variances need the pair table of a batch")
-    return np.array([_conditional_variance(batch.locations[a:b], table.neighbors[a:b], cov)
-                     for a, b in zip(batch.starts[:-1].tolist(), batch.starts[1:].tolist())])
+    visit, columns = _variance_visitor([(0, cov)])
+    _pair_tables(realizations, win, [band], builtin("const_one"), visit=visit)
+    return np.array(columns[0, cov])
 
 
 def compute_weights(
-    strategy: WeightStrategy, table: PairTable, variances: np.ndarray | None = None
+    strategy: WeightStrategy, table: PairTable, variances: Sequence[float] | None = None
 ) -> np.ndarray:
     """Evaluate a weight strategy on the realizations of a pair table.
 
     All strategies return finite non-negative weights: ``equal`` ones,
     ``alpha`` and ``count`` the table's pair and point counts per unit
     window volume, and ``rfvar`` the reciprocal conditional variance.
-    rfvar reads `variances`, one :func:`conditional_variances` entry per
-    realization of the table, or computes them from the table's batch
-    when None.  The rfvar strategy assigns weight zero (with a warning
-    that names the realization's index in the table) to realizations
-    whose conditional variance is undefined because they have no
-    qualifying pairs.
+    rfvar needs `variances`, one :func:`conditional_variances` entry per
+    realization of the table (an InputError when None).  It assigns
+    weight zero (with a warning that names the realization's index in
+    the table) to realizations whose conditional variance is undefined
+    because they have no qualifying pairs.
     """
     n, volume = table.n_realizations, table.win.volume
     if strategy.kind == "equal":
@@ -172,9 +196,10 @@ def compute_weights(
     if strategy.kind == "count":
         return table.n_window / volume
     if variances is None:
-        variances = conditional_variances(table, strategy.cov)
-    elif np.shape(variances) != (n,):
-        raise InputError(f"expected {n} conditional variances, got shape {np.shape(variances)}")
+        raise InputError("rfvar weights need the realizations' conditional_variances")
+    variances = np.asarray(variances, dtype=np.float64)
+    if variances.shape != (n,):
+        raise InputError(f"expected {n} conditional variances, got shape {variances.shape}")
     out = np.empty(n)
     for k, v in enumerate(variances.tolist()):
         if not np.isfinite(v) or v <= 0.0:

@@ -447,7 +447,8 @@ class TestStreaming:
         strategy = mppstat.WeightStrategy("rfvar", mppstat.Covariance("spherical", 1.0, 0.5))
         with warnings.catch_warnings(record=True) as whole:
             warnings.simplefilter("always")
-            mppstat.compute_weights(strategy, table)
+            mppstat.compute_weights(strategy, table,
+                                    mppstat.conditional_variances(batch, win, band, strategy.cov))
         messages = [str(w.message) for w in streamed]
         assert messages == [str(w.message) for w in whole]
         undefined = np.flatnonzero(table.den == 0)

@@ -28,6 +28,8 @@ from mppstat import (
     write_pattern_csv,
 )
 
+from mppstat.est import _pair_tables
+
 from helpers import DYADIC, pattern_1d, random_band, random_pattern, sorted_pairs
 
 FIRST = builtin("first")
@@ -147,7 +149,10 @@ class TestBatchOfOne:
         assert isinstance(pat, PatternBatch)
         assert pat.starts.tolist() == [0, 3] and pat.n_realizations == 1
         assert pat.n_points == 3 and pat.classes is None
-        assert pair_table(pat, Window(3.0), Band(0.4, 0.6), FIRST).batch is pat
+        visited = []
+        _pair_tables(pat, Window(3.0), [Band(0.4, 0.6)], FIRST,
+                     visit=lambda block, neighbors: visited.append(block))
+        assert len(visited) == 1 and visited[0] is pat
         assert "__post_init__" not in vars(PointPattern)
 
     def test_one_dimensional_locations_are_reshaped(self):

@@ -1,5 +1,6 @@
 """Estimator family: single-realization and multi-realization."""
 
+import dataclasses
 import tracemalloc
 import warnings
 from unittest import mock
@@ -34,8 +35,8 @@ from mppstat import (
 )
 from mppstat import (
     Covariance, GaussianFieldMarks, GridGround, IidMarks, MixtureClass, MixtureSpec,
-    PoissonGround, WeightStrategy, compute_weights, conditional_variances, sample_batch,
-    sample_blocks,
+    PoissonGround, WeightStrategy, compute_weights, conditional_variances,
+    mean_mark_conditional_variance, neighbor_counts, sample_batch, sample_blocks,
 )
 from mppstat import class_averaged_mean_mark, mixture_mean_mark
 
@@ -405,9 +406,11 @@ class TestSharedSweep:
     @settings(max_examples=200, deadline=None)
     def test_tables_equal_sums_over_naive_pairs_in_sweep_order(self, case):
         batch, win, bands = case
-        tables = _pair_tables(batch, win, bands, PRODUCT)
-        assert [table.band for table in tables] == bands
-        for band, table in zip(bands, tables):
+        visited = []
+        tables = _pair_tables(batch, win, bands, PRODUCT,
+                              visit=lambda block, neighbors: visited.append(neighbors))
+        assert [table.band for table in tables] == bands and len(visited) == 1
+        for band, table, got_neighbors in zip(bands, tables, visited[0]):
             num, den, count, n_window, neighbors = [], [], [], [], []
             for k in range(batch.n_realizations):
                 p = batch.pattern(k)
@@ -426,7 +429,7 @@ class TestSharedSweep:
             assert _bits(table.den) == _bits(np.array(den, dtype=float))
             assert table.count.tolist() == count
             assert table.n_window.tolist() == n_window
-            assert table.neighbors.tolist() == np.concatenate(neighbors).tolist()
+            assert got_neighbors.tolist() == np.concatenate(neighbors).tolist()
 
     @given(shared_sweep_cases())
     @settings(max_examples=100, deadline=None)
@@ -455,19 +458,21 @@ class TestSharedSweep:
         assert not _ascending(_block_order(batch.locations[:, 0], batch.starts)[1])
         assert [(k0, k1) for k0, k1, _ in batch._sorted_blocks] == [(k, k + 1) for k in range(6)]
         win, bands = Window(8e-16), [Band(-3e-17, 5e-17), Band(1e-17, 1e-16)]
-        sorts = []
+        sorts, visited = [], []
         monkeypatch.setattr(core, "_block_order", lambda *args: sorts.append(args))
-        tables = _pair_tables(batch, win, bands, PRODUCT)
+        tables = _pair_tables(batch, win, bands, PRODUCT,
+                              visit=lambda block, neighbors: visited.append(neighbors))
         monkeypatch.undo()
         assert sorts == []
         starts = batch.starts
-        for band, table in zip(bands, tables):
+        for band, table, neighbors in zip(bands, tables, visited[0]):
             assert table.count.sum() > 0
             for k in range(6):
                 alone = pair_table(batch.pattern(k), win, band, PRODUCT)
                 for column in ("num", "den", "count", "n_window"):
                     assert _bits(getattr(table, column)[k]) == _bits(getattr(alone, column)[0])
-                assert _bits(table.neighbors[starts[k]:starts[k + 1]]) == _bits(alone.neighbors)
+                assert _bits(neighbors[starts[k]:starts[k + 1]]) == _bits(
+                    neighbor_counts(batch.pattern(k), win, band))
 
 
 class TestBlockedPairTable:
@@ -608,14 +613,19 @@ class TestTreeSweep:
             return tree(*args, **kwargs)
 
         monkeypatch.setattr(scipy.spatial, "cKDTree", counting)
-        tables = _pair_tables(patterns, win, bands, PRODUCT)
+        visited = []
+        tables = _pair_tables(patterns, win, bands, PRODUCT,
+                              visit=lambda block, neighbors: visited.append(neighbors))
         assert builds == [p.n_points for p in patterns]
         monkeypatch.undo()
-        for band, table in zip(bands, tables):
-            alone = pair_table(patterns, win, band, PRODUCT)
+        for band, table, neighbors in zip(bands, tables, visited[0]):
+            alone_visited = []
+            alone = _pair_tables(patterns, win, [band], PRODUCT,
+                                 visit=lambda block, neighbors: alone_visited.append(neighbors))[0]
             assert table.band == band and table.count.sum() > 0
-            for column in ("num", "den", "count", "n_window", "neighbors"):
+            for column in ("num", "den", "count", "n_window"):
                 assert _bits(getattr(table, column)) == _bits(getattr(alone, column)), column
+            assert _bits(neighbors) == _bits(alone_visited[0][0])
 
 
 class TestStreamTables:
@@ -635,11 +645,14 @@ class TestStreamTables:
     def test_columns_equal_the_batch_tables(self):
         visited = []
         streamed = _pair_tables(self._draw(sample_blocks), self.WIN, self.BANDS, FIRST,
-                                visit=lambda tables: visited.append(tables[0].batch.n_realizations))
+                                visit=lambda block, neighbors: visited.append(block.n_realizations))
         whole = _pair_tables(self._draw(sample_batch), self.WIN, self.BANDS, FIRST)
         assert len(visited) > 1 and sum(visited) == 40
         for got, want in zip(streamed, whole):
-            assert got.batch is None and got.neighbors is None and got.band == want.band
+            # a table holds its columns only, so no block outlives the sweep
+            assert [f.name for f in dataclasses.fields(got)] == [
+                "win", "band", "num", "den", "count", "n_window"]
+            assert got.band == want.band
             assert got.n_realizations == want.n_realizations == 40
             for column in ("num", "den", "count", "n_window"):
                 a, b = getattr(got, column), getattr(want, column)
@@ -654,17 +667,66 @@ class TestStreamTables:
     def test_rfvar_reads_variances_collected_per_block(self):
         cov = Covariance("spherical", 1.0, 0.7)
         strategy = WeightStrategy("rfvar", cov=cov)
-        columns = []
         table = pair_table(self._draw(sample_blocks), self.WIN, self.BANDS[0], FIRST)
-        with pytest.raises(InputError, match="need the pair table of a batch"):
+        with pytest.raises(InputError, match="^rfvar weights need the realizations' "
+                                             "conditional_variances$"):
             compute_weights(strategy, table)
-        table = _pair_tables(self._draw(sample_blocks), self.WIN, self.BANDS[:1], FIRST,
-                             visit=lambda t: columns.append(conditional_variances(t[0], cov)))[0]
-        whole = pair_table(self._draw(sample_batch), self.WIN, self.BANDS[0], FIRST)
+        streamed = conditional_variances(self._draw(sample_blocks), self.WIN, self.BANDS[0], cov)
+        batch = self._draw(sample_batch)
+        whole = conditional_variances(batch, self.WIN, self.BANDS[0], cov)
+        assert _bits(streamed) == _bits(whole)
+        for k in range(batch.n_realizations):
+            alone = mean_mark_conditional_variance(batch.pattern(k), self.WIN, self.BANDS[0], cov)
+            assert _bits(np.float64(alone)) == _bits(streamed[k])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # realizations without pairs
-            got = compute_weights(strategy, table, np.concatenate(columns))
-            want = compute_weights(strategy, whole)
-        assert _bits(got) == _bits(want) and (got == 0).any() and (got > 0).any()
+            got = compute_weights(strategy, table, streamed)
+        assert (got == 0).any() and (got > 0).any()
         with pytest.raises(InputError, match="expected 40 conditional variances"):
-            compute_weights(strategy, table, np.concatenate(columns)[1:])
+            compute_weights(strategy, table, streamed[1:])
+
+    @pytest.mark.parametrize("empty", [[], iter(())], ids=["list", "stream"])
+    def test_no_realizations_is_an_input_error(self, empty):
+        with pytest.raises(InputError, match="^at least one realization is required$"):
+            pair_table(empty, self.WIN, self.BANDS[0], FIRST)
+
+
+class TestVisitor:
+    """Per-point neighbour counts are built for a visitor only, one block at a time."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_neighbors_are_the_naive_bincounts_of_each_block(self, dim):
+        rng = np.random.default_rng(21)
+        patterns = [random_pattern(rng, int(rng.integers(0, 50)), dim=dim, extent=5.0, buffer=1.5)
+                    for _ in range(12)]
+        win = Window(np.full(dim, 5.0))
+        bands = ([Band(0.5, 1.5), Band(-1.5, -0.5)] if dim == 1
+                 else [Band.absolute(0.2, 0.7), Band.absolute(0.5, 1.5)])
+        blocks = iter([PatternBatch.from_patterns(patterns[i:i + 5]) for i in range(0, 12, 5)])
+        visited = []
+        _pair_tables(blocks, win, bands, FIRST,
+                     visit=lambda block, neighbors: visited.append((block, neighbors)))
+        assert [block.n_realizations for block, _ in visited] == [5, 5, 2]
+        got = [np.concatenate([neighbors[q] for _, neighbors in visited]) for q in range(2)]
+        for q, band in enumerate(bands):
+            want = [np.bincount(band_pair_indices_naive(p, win, band)[0], minlength=p.n_points)
+                    for p in patterns]
+            assert got[q].tolist() == np.concatenate(want).tolist()
+            assert got[q].any()
+
+    def test_no_visitor_builds_no_counts(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        patterns = [random_pattern(rng, 40, extent=5.0, buffer=1.5) for _ in range(6)]
+        calls = []
+        bincount = np.bincount
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return bincount(*args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", spy)
+        bands = [Band(0.5, 1.5), Band(-1.5, -0.5)]
+        _pair_tables(patterns, Window(5.0), bands, FIRST)
+        assert calls == []
+        _pair_tables(patterns, Window(5.0), bands, FIRST, visit=lambda block, neighbors: None)
+        assert len(calls) == 2

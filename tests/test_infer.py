@@ -174,14 +174,17 @@ class TestCltStatistic:
         with pytest.raises(InputError, match="no pairs"):
             clt_experiment([pat] * 30, Window(1.0), BAND, FIRST, u=0.0, center=0.0)
 
-    def test_d2_rejected(self):
+    @pytest.mark.parametrize("n", [10, 30])
+    def test_d2_rejected(self, n):
+        # the realization count is checked once, after the sweep, so 10
+        # realizations get the sweep's error too
         import numpy as np
         from mppstat import PointPattern, SimWindow
 
         pat = PointPattern(np.array([[0.0, 0.0], [1.0, 0.0]]), np.ones(2), np.ones(2),
                            SimWindow.cube(0, 2, 2))
-        with pytest.raises(InputError, match="d=1"):
-            clt_experiment([pat] * 30, Window(np.full(2, 2.0)), Band(0.5, 1.5, signed=False),
+        with pytest.raises(InputError, match="^inference is defined for d=1 patterns only$"):
+            clt_experiment([pat] * n, Window(np.full(2, 2.0)), Band(0.5, 1.5, signed=False),
                            FIRST, 0.0, center=0.0)
 
 
@@ -191,10 +194,27 @@ class TestEstimateVariance:
         s, d = sums_of([pat] * 30, Window(30.0), 0.0)
         assert _reduce_sums(s, d, None, 30.0)[2] == 0.0
 
-    def test_needs_30_realizations(self):
-        pat = pattern_1d(np.arange(0.0, 5.0), lo=0.0, hi=5.0)
-        with pytest.raises(InputError, match="30"):
-            clt_experiment([pat] * 10, Window(5.0), BAND, FIRST, 0.0)
+    @pytest.mark.parametrize("form", ["batch", "list", "stream"])
+    def test_needs_30_realizations(self, form):
+        pat = pattern_1d(np.arange(0.0, 5.0), y=np.arange(5.0), lo=0.0, hi=5.0)
+
+        def realizations(n):
+            pats = [pat] * n
+            if form == "batch":
+                return PatternBatch.from_patterns(pats)
+            if form == "stream":  # blocks of 10 realizations and one of the rest
+                return iter([PatternBatch.from_patterns(pats[i:i + 10]) for i in range(0, n, 10)])
+            return pats
+
+        with pytest.raises(InputError,
+                           match="^variance estimation needs >= 30 realizations, got 29$"):
+            clt_experiment(realizations(29), Window(5.0), BAND, FIRST, 0.0)
+        assert clt_experiment(realizations(30), Window(5.0), BAND, FIRST, 0.0)["summary"]["n"] == 30
+
+    @pytest.mark.parametrize("empty", [[], iter(())], ids=["list", "stream"])
+    def test_no_realizations_is_an_input_error(self, empty):
+        with pytest.raises(InputError, match="^at least one realization is required$"):
+            clt_experiment(empty, Window(5.0), BAND, FIRST, 0.0)
 
     def test_constant_marks_oracle_centering_zero(self):
         pats = [

@@ -19,6 +19,7 @@ from mppstat import (
     band_pair_indices,
     builtin,
     compute_weights,
+    conditional_variances,
     mean_mark_conditional_variance,
     neighbor_counts,
     pair_table,
@@ -65,15 +66,16 @@ class TestComputeWeights:
         strat = WeightStrategy("rfvar", cov=cov)
         good = pattern_1d([0.0, 1.0], lo=0, hi=2)
         lonely = pattern_1d([0.0], lo=0, hi=2)
+        variances = conditional_variances([good, lonely], Window(2.0), Band(0.5, 1.5), cov)
         with pytest.warns(UserWarning, match="weight set to 0"):
-            w = compute_weights(strat, _table([good, lonely]))
+            w = compute_weights(strat, _table([good, lonely]), variances)
         v = mean_mark_conditional_variance(good, Window(2.0), Band(0.5, 1.5), cov)
         assert w[0] == pytest.approx(1.0 / v)
         assert w[1] == 0.0
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_rfvar_from_table_equals_per_pattern_enumeration(self, dim):
-        # the table's per-point neighbour counts, swept in blocks, give each
+        # the sweep's per-point neighbour counts, swept in blocks, give each
         # realization the variance of its own enumeration, bit for bit
         rng = np.random.default_rng(3)
         pats = [random_pattern(rng, int(rng.integers(0, 60)), dim=dim, extent=6.0, buffer=1.5)
@@ -83,11 +85,19 @@ class TestComputeWeights:
         cov = Covariance("spherical", 1.0, 0.8)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # realizations without pairs
-            w = compute_weights(WeightStrategy("rfvar", cov=cov), pair_table(pats, win, band, FIRST))
+            w = compute_weights(WeightStrategy("rfvar", cov=cov), pair_table(pats, win, band, FIRST),
+                                conditional_variances(pats, win, band, cov))
         for wk, p in zip(w, pats):
             ii, _ = band_pair_indices(p, win, band)
             v = _conditional_variance(p.locations, np.bincount(ii, minlength=p.n_points), cov)
             assert wk == (1.0 / v if np.isfinite(v) and v > 0 else 0.0)
+
+    def test_rfvar_reads_a_list_of_variances(self):
+        strat = WeightStrategy("rfvar", cov=Covariance("spherical", 1.0, 0.5))
+        table = _table([pattern_1d([0.0, 1.0], lo=0, hi=2)] * 2)
+        assert compute_weights(strat, table, [0.5, 1.0]).tolist() == [2.0, 1.0]
+        with pytest.raises(InputError, match=r"^expected 2 conditional variances, got shape \(3,\)$"):
+            compute_weights(strat, table, [0.5, 1.0, 2.0])
 
     def test_strategy_validation(self):
         with pytest.raises(InputError):

@@ -37,6 +37,7 @@ from mppstat import (
     buffered_window,
     builtin,
     compute_weights,
+    conditional_variances,
     mean_mark_weighted,
     pair_table,
     sample_mixture,
@@ -65,6 +66,13 @@ STRATEGIES = {
 }
 
 
+def _weights(strategy, pats, win):
+    """The strategy's weights on the table of `pats`; rfvar reads their conditional variances."""
+    variances = (conditional_variances(pats, win, BAND, strategy.cov)
+                 if strategy.kind == "rfvar" else None)
+    return compute_weights(strategy, pair_table(pats, win, BAND, FIRST), variances)
+
+
 def _simulate(spec, t_extent, n, seed):
     win = Window(t_extent)
     sw = buffered_window(win, BAND)
@@ -77,7 +85,7 @@ def _simulate(spec, t_extent, n, seed):
 class TestStrategySpecPairs:
     def test_weights_admissible(self, strat_name, spec_name):
         pats, _, win = _simulate(SPECS[spec_name], 40.0, 12, seed=7)
-        w = compute_weights(STRATEGIES[strat_name], pair_table(pats, win, BAND, FIRST))
+        w = _weights(STRATEGIES[strat_name], pats, win)
         assert np.all(np.isfinite(w)) and np.all(w >= 0)
         assert w.sum() > 0
 
@@ -86,7 +94,7 @@ class TestStrategySpecPairs:
         spread = {}
         for t_extent in (30.0, 240.0):
             pats, ks, win = _simulate(spec, t_extent, 40, seed=11)
-            w = compute_weights(STRATEGIES[strat_name], pair_table(pats, win, BAND, FIRST))
+            w = _weights(STRATEGIES[strat_name], pats, win)
             rel = []
             for k in range(spec.n_classes):
                 wk = w[np.array(ks) == k]
@@ -103,7 +111,7 @@ class TestStrategySpecPairs:
 
         pats, _, win = _simulate(SPECS[spec_name], 40.0, 12, seed=13)
         table = pair_table(pats, win, BAND, builtin("first"))
-        w = compute_weights(STRATEGIES[strat_name], table)
+        w = _weights(STRATEGIES[strat_name], pats, win)
         res = mean_mark_weighted(table, w)
         assert res.defined
 
