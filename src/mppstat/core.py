@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -171,7 +171,7 @@ class Window:
         """
         if locations.shape[1] != self.dim:
             raise InputError(f"window dim {self.dim} != pattern dim {locations.shape[1]}")
-        return np.all((locations >= 0.0) & (locations <= self.t), axis=1)
+        return ((locations >= 0.0) & (locations <= self.t)).all(axis=1)
 
 
 @dataclass(frozen=True)
@@ -468,62 +468,93 @@ def _ascending(ss: np.ndarray) -> bool:
     return bool(np.isfinite(ss[-1]) and (ss[1:] > ss[:-1]).all())
 
 
-def _pairs_sorted_1d(x: np.ndarray, starts: np.ndarray, t1_ok: np.ndarray, kept,
-                     bands: Sequence[Band]):
-    """Qualifying ordered pairs of a block of 1-D realizations in each band, from one order.
+class _Ranges(NamedTuple):
+    """The partners in one band of a 1-D block's points in [0, T]: a run of its sorted order each.
 
-    Realization k owns the points ``x[starts[k]:starts[k+1]]``, `t1_ok`
-    flags the points that may be first of a pair, and `kept` is the
-    block's :func:`_block_order`, whose shifted keys never tie.  Yields
-    (ii, jj) for each band in turn.  Pairs never cross realizations.
-    They come with i ascending and, for each i, j in the order of a
-    stable sort of its realization by x: the pairs and the order of a
-    sweep over that realization alone, in that band alone.
+    Point ``first[m]`` of the block has ``count[m]`` partners.  They are
+    the points at the sorted positions from ``left[m]`` on, in that
+    order, with the point's own position ``pos[m]`` skipped when `own`
+    (the band holds 0); `order` maps sorted positions to points.
     """
-    empty = np.empty(0, dtype=np.int64)
-    ii0 = np.nonzero(t1_ok)[0]
-    if ii0.size == 0:
-        for _ in bands:
-            yield empty, empty
-        return
+
+    first: np.ndarray
+    pos: np.ndarray
+    left: np.ndarray
+    count: np.ndarray
+    own: bool
+    order: np.ndarray
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ii, jj): the ranges expanded, i ascending and, for each i, j in sorted order."""
+        count = self.count
+        ii = np.repeat(self.first, count)
+        at = np.repeat(self.left - np.cumsum(count) + count, count)
+        at += np.arange(at.size)
+        if self.own:
+            at += at >= np.repeat(self.pos, count)
+        return ii, self.order[at]
+
+
+def _ranges_sorted_1d(x: np.ndarray, starts: np.ndarray, first: np.ndarray, kept,
+                      bands: Sequence[Band]):
+    """Exact partner ranges of a block of 1-D realizations in each band, from one order.
+
+    Realization k owns the points ``x[starts[k]:starts[k+1]]``, `first`
+    indexes the points that may be first of a pair, ascending, and
+    `kept` is the block's :func:`_block_order`, whose shifted keys never
+    tie.  Yields a :class:`_Ranges` for each band in turn.  Within a
+    realization fl(x[j] - x[i]) never decreases along the sorted order,
+    so the partners of i are one run of it: a padded search of each
+    finite band end brackets the run, and each end of the bracket steps
+    in while it fails the closed-band test of :meth:`Band.contains`.  An
+    infinite band end is the realization's own bound.  No pair is built:
+    the runs give the pairs and the order of a sweep over each
+    realization alone, in each band alone.
+    """
     order, ss = kept
     n = x.shape[0]
-    rid = np.repeat(np.arange(starts.shape[0] - 1), starts[1:] - starts[:-1])
-    # candidates of point i never leave its realization's segment
-    first, stop = starts[rid[ii0]], starts[rid[ii0] + 1]
-    finite = [band.max_abs for band in bands if np.isfinite(band.lo) and np.isfinite(band.hi)]
-    if finite:
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = np.arange(n)
-        pos = rank[ii0]
-        # Candidate ranges are widened by a few ulps so that the exact
-        # membership test below never loses a pair to rounding of the
-        # shifted coordinates or of s + lo (a realization's shift is one
-        # constant, so its own rounding moves no difference).  The pad of
-        # the widest band serves every band: a wider range only adds
-        # candidates that the test drops.  The search runs over all points
-        # in sorted order, which is faster than in index order, and is
-        # read back for the points i.
-        pad = 8.0 * np.spacing(np.abs(ss) + 2.0 * max(finite) + 1.0)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    pos = rank[first]
+    # a realization's points are a run of the sorted order, and the runs
+    # follow each other in realization order
+    real = np.searchsorted(starts, first, side="right")
+    bound_lo, bound_hi = starts[real - 1], starts[real]
+    xs, xi = x[order], x[first]
+    reach = [abs(end) for band in bands for end in (band.lo, band.hi) if math.isfinite(end)]
+    if reach:
+        # Searches run over the shifted keys, widened by a few ulps so
+        # that no partner is lost to rounding of the shifted coordinates
+        # or of s + lo (a realization's shift is one constant, so its own
+        # rounding moves no difference).  The widest reach pads every
+        # band.  The search runs over all points in sorted order, which
+        # is faster than in index order, and is read back for the points i.
+        pad = 8.0 * np.spacing(np.abs(ss) + 2.0 * max(reach) + 1.0)
 
-    def pairs(band: Band) -> tuple[np.ndarray, np.ndarray]:
-        left, right = first, stop
-        if np.isfinite(band.lo) and np.isfinite(band.hi):
-            left = np.maximum(left, np.searchsorted(ss, ss + band.lo - pad, side="left")[pos])
-            right = np.minimum(right, np.searchsorted(ss, ss + band.hi + pad, side="right")[pos])
-        counts = np.maximum(right - left, 0)
-        total = int(counts.sum())
-        if total == 0:
-            return empty, empty
-        ii = np.repeat(ii0, counts)
-        offset = np.concatenate(([0], np.cumsum(counts)[:-1])) - left
-        jj = order[np.arange(total) - np.repeat(offset, counts)]
-        keep = band.contains(x[jj] - x[ii]) & (ii != jj)
-        return ii[keep], jj[keep]
+    def ranges(band: Band) -> _Ranges:
+        left, right = bound_lo, bound_hi
+        # the run never leaves the realization, and a step never crosses the other end
+        if math.isfinite(band.lo):
+            left = np.maximum(left, ss.searchsorted(ss + band.lo - pad, side="left")[pos])
+            step = np.flatnonzero(xs.take(left, mode="clip") - xi < band.lo)
+            while step.size:
+                step = step[left[step] < right[step]]
+                left[step] += 1
+                step = step[xs.take(left[step], mode="clip") - xi[step] < band.lo]
+        if math.isfinite(band.hi):
+            right = np.minimum(right, ss.searchsorted(ss + band.hi + pad, side="right")[pos])
+            step = np.flatnonzero(xs[right - 1] - xi > band.hi)
+            while step.size:
+                step = step[left[step] < right[step]]
+                right[step] -= 1
+                step = step[xs[right[step] - 1] - xi[step] > band.hi]
+        own = band.lo <= 0.0 <= band.hi
+        # the band holds 0 iff each point's run holds the point itself
+        count = right - left - 1 if own else np.maximum(right - left, 0)
+        return _Ranges(first, pos, left, count, own, order)
 
-    # a band's candidates are freed when pairs() returns
     for band in bands:
-        yield pairs(band)
+        yield ranges(band)
 
 
 def _pairs_tree(loc: np.ndarray, t1_ok: np.ndarray, bands: Sequence[Band]):
@@ -562,7 +593,7 @@ def _pairs_tree(loc: np.ndarray, t1_ok: np.ndarray, bands: Sequence[Band]):
 
 
 # Points per block of the 1-D sweep: blocks amortize the per-call cost of
-# the sweep over small realizations while their candidate arrays stay
+# the sweep over small realizations while their per-point arrays stay
 # small.  A larger realization forms a block of its own.
 _BLOCK_POINTS = 2048
 
@@ -583,21 +614,21 @@ def _blocks(n_points: Iterable[int]):
 
 
 def _sweep(batch: PatternBatch, win: Window, bands: Sequence[Band]):
-    """Enumerate each realization's pairs in every band once, a block of realizations at a time.
+    """Enumerate each realization's partners in every band once, a block of realizations at a time.
 
-    Yields ``(q, k0, k1, ends, t1_ok, ii, jj)``: the pairs in ``bands[q]``
-    of consecutive realizations k0..k1-1, whose points are rows
-    ``batch.starts[k0]:batch.starts[k1]`` (the block).  `t1_ok` flags
-    the block's points in [0, T], and ii, jj index the block's points,
-    grouped by realization: realization k0 + r owns pairs
-    ``ends[r]:ends[r+1]``, in the order of a sweep over it alone.  A
-    block yields its bands in turn before the next block, and does the
-    work that no band changes once.  The blocks are those the batch laid
-    out when it was checked: a 1-D block of up to ``_BLOCK_POINTS``
-    points comes with its sorted order, so one sort per block serves
-    every band, and a block without one is a realization in d > 1, whose
-    one kd-tree serves every band.  The window and the bands are checked
-    against the batch's dimension before the first block.
+    Yields ``(k0, k1, first, hoods)`` for each block: consecutive
+    realizations k0..k1-1, whose points are rows
+    ``batch.starts[k0]:batch.starts[k1]``.  `first` indexes the block's
+    points in [0, T], ascending, and `hoods` yields each band's partners
+    in turn, indexed in the block.  A 1-D block of up to
+    ``_BLOCK_POINTS`` points comes with its sorted order, and its hood
+    is the :class:`_Ranges` of :func:`_ranges_sorted_1d`, whose pairs
+    are those of a sweep over each realization alone.  A block without
+    one is a realization in d > 1, whose hood is its pairs (ii, jj) from
+    one kd-tree.  The blocks are those the batch laid out when it was
+    checked, so one sort or one tree per block serves every band.  The
+    window and the bands are checked against the batch's dimension
+    before the first block.
     """
     t1_ok = win.contains(batch.locations)
     for band in bands:
@@ -605,17 +636,12 @@ def _sweep(batch: PatternBatch, win: Window, bands: Sequence[Band]):
     starts, loc = batch.starts, batch.locations
     for k0, k1, kept in batch._sorted_blocks:
         a, b = starts[k0], starts[k1]
-        local = starts[k0:k1 + 1] - a
+        first = np.flatnonzero(t1_ok[a:b])
         if kept is None:
-            sweep = _pairs_tree(loc[a:b], t1_ok[a:b], bands)
+            yield k0, k1, first, _pairs_tree(loc[a:b], t1_ok[a:b], bands)
         else:
-            sweep = _pairs_sorted_1d(loc[a:b, 0], local, t1_ok[a:b], kept, bands)
-        for q in range(len(bands)):
-            ii, jj = next(sweep)
-            # a kd-tree's ii are not sorted, and a lone realization owns all its pairs
-            ends = np.searchsorted(ii, local) if k1 - k0 > 1 else np.array([0, ii.size])
-            yield q, k0, k1, ends, t1_ok[a:b], ii, jj
-            del ii, jj, ends  # a block's pairs in one band are freed before the next is swept
+            local = starts[k0:k1 + 1] - a
+            yield k0, k1, first, _ranges_sorted_1d(loc[a:b, 0], local, first, kept, bands)
 
 
 def band_pair_indices(
@@ -624,12 +650,13 @@ def band_pair_indices(
     """Indices (i, j) of ordered pairs with point i in [0, T] and displacement in band.
 
     Point j may lie anywhere in the simulation window.  The pattern is
-    the single block of :func:`_sweep`: a sorted sweep for d=1 and a
-    kd-tree for d>1.  Candidate supersets are filtered with the same
-    closed-band predicate as the naive double loop, so the returned pair
-    set is identical to it.
+    the single block of :func:`_sweep`: exact partner ranges of a sorted
+    sweep, expanded, for d=1, and a kd-tree for d>1, whose candidates
+    are filtered.  Both use the closed-band predicate of the naive
+    double loop, so the returned pair set is identical to it.
     """
-    return next(_sweep(pattern, win, [band]))[-2:]
+    hood = next(next(_sweep(pattern, win, [band]))[-1])
+    return hood.pairs() if isinstance(hood, _Ranges) else hood
 
 
 def _pair_values(f, loc, y, z, ii, jj) -> np.ndarray:

@@ -29,10 +29,11 @@ from .core import (
     PointPattern,
     SimWindow,
     Window,
+    _Ranges,
     _pair_values,
     _sweep,
 )
-from .markfn import MarkFunction, builtin as _builtin
+from .markfn import FIRST_ONLY, MarkFunction, builtin as _builtin
 
 _CONST_ONE = _builtin("const_one")
 
@@ -126,9 +127,10 @@ class PairTable:
 Realizations = Union[PatternBatch, Sequence[PointPattern], Iterator[PatternBatch]]
 
 
-def _slice_sums(values: np.ndarray, ends: np.ndarray) -> list[float]:
+def _slice_sums(values: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Sum of each slice ``values[ends[r]:ends[r+1]]``, as numpy sums over the slice alone."""
-    return [np.add.reduce(values[a:b]) for a, b in zip(ends[:-1].tolist(), ends[1:].tolist())]
+    return np.array([np.add.reduce(values[a:b])
+                     for a, b in zip(ends[:-1].tolist(), ends[1:].tolist())])
 
 
 def pair_table(realizations: Realizations, win: Window, band: Band, f: MarkFunction) -> PairTable:
@@ -157,8 +159,13 @@ def _pair_tables(
     An iterator of batches is a stream of blocks, and a batch or a
     sequence of patterns is a stream of one block; a stream without a
     realization is an InputError.  Each block is reduced by
-    :func:`_sweep`'s pairs to its per-realization columns and dropped,
-    and each band's table joins its columns end to end.
+    :func:`_sweep`'s partners to its per-realization columns and
+    dropped, and each band's table joins its columns end to end.  In
+    d = 1 a first-only `f` is evaluated once per point in [0, T] and
+    summed over each point's exact partner range without building a
+    pair: the realization's values repeated, point after point, are the
+    values of its pairs in sweep order.  Other mark functions, and every
+    f in d > 1, are summed over the pairs.
     `weight` gives a block's weight-mark column, one entry per point:
     the block's own `z` when None, or another weight such as the
     exceedance indicator of :func:`~mppstat.infer.threshold_sums` (a
@@ -170,38 +177,100 @@ def _pair_tables(
     if not isinstance(realizations, Iterator):
         realizations = iter((realizations if isinstance(realizations, PatternBatch)
                              else PatternBatch.from_patterns(realizations),))
-    parts = []
+    n_window, cols = [], [([], [], []) for _ in bands]
     for block in realizations:
         z = block.z if weight is None else weight(block)
-        n, starts = block.n_realizations, block.starts
-        n_window = np.zeros(n, dtype=np.int64)
-        cols = [(np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.int64), n_window) for _ in bands]
+        starts = block.starts
         # int32: one entry per point of the block, and no point has 2^31 neighbors
         neighbors = [np.zeros(starts[-1], dtype=np.int32) for _ in bands] if visit else None
-        for q, k0, k1, ends, t1_ok, ii, jj in _sweep(block, win, bands):
+        for k0, k1, first, hoods in _sweep(block, win, bands):
             a, b = starts[k0], starts[k1]
-            if q == 0:
-                in_win = np.concatenate(([0], np.cumsum(t1_ok)))[starts[k0:k1 + 1] - a]
-                n_window[k0:k1] = in_win[1:] - in_win[:-1]
-            if ii.size == 0:
-                continue
-            num, den, count, _ = cols[q]
-            if visit:
-                neighbors[q][a:b] = np.bincount(ii, minlength=b - a)
-            vals = _pair_values(f, block.locations[a:b], block.y[a:b], z[a:b], ii, jj)
-            z1 = z[a:b][ii]
-            count[k0:k1] = ends[1:] - ends[:-1]
-            num[k0:k1] = _slice_sums(z1 * vals, ends)
-            den[k0:k1] = _slice_sums(z1, ends)
-            del ii, jj, vals, z1, ends
+            points = block.locations[a:b], block.y[a:b], z[a:b]
+            in_win = np.searchsorted(first, starts[k0:k1 + 1] - a)
+            n_window.append(in_win[1:] - in_win[:-1])
+            terms = None
+            for q, hood in enumerate(hoods):
+                if isinstance(hood, _Ranges):
+                    # each realization's pairs, from the points in [0, T] before it
+                    ends = np.concatenate(([0], np.cumsum(hood.count)))[in_win]
+                    if visit:
+                        neighbors[q][a:b][first] = hood.count
+                else:  # d > 1: the pairs (ii, jj) of one realization
+                    ends = np.array([0, hood[0].size])
+                    if visit:
+                        neighbors[q][a:b] = np.bincount(hood[0], minlength=b - a)
+                if ends[-1] == 0:
+                    sums = (np.zeros(k1 - k0),) * 2
+                elif not isinstance(hood, _Ranges):
+                    sums = _sums_over_pairs(f, points, hood, ends)
+                elif f.arity == FIRST_ONLY:
+                    terms = terms or _first_values(f, points, first)
+                    sums = _range_sums(f, points, hood, in_win, ends, terms)
+                else:
+                    # these pairs replace the last band's only once built: freeing
+                    # those first let malloc trim and regrow the heap at every band
+                    pairs = hood.pairs()
+                    sums = _sums_over_pairs(f, points, pairs, ends)
+                num, den, count = cols[q]
+                num.append(sums[0])
+                den.append(sums[1])
+                count.append(ends[1:] - ends[:-1])
+                del hood  # a kd-tree's pairs in one band are freed before the next query
         if visit:
             visit(block, neighbors)
-        parts.append(cols)
         del block, z, neighbors  # no block outlives its reduction
-    if not parts:
+    if not n_window:
         raise InputError("at least one realization is required")
-    return [PairTable(win, band, *map(np.concatenate, zip(*(part[q] for part in parts))))
-            for q, band in enumerate(bands)]
+    n_window = np.concatenate(n_window)
+    return [PairTable(win, band, np.concatenate(num, dtype=np.float64),
+                      np.concatenate(den, dtype=np.float64), np.concatenate(count), n_window)
+            for band, (num, den, count) in zip(bands, cols)]
+
+
+def _sums_over_pairs(f: MarkFunction, points, pairs, ends: np.ndarray) -> tuple:
+    """Each realization's (sum of z1 f, sum of z1) over its pairs ``ends[r]:ends[r+1]``."""
+    ii, jj = pairs
+    vals = _pair_values(f, *points, ii, jj)
+    z1 = points[2][ii]
+    return _slice_sums(z1 * vals, ends), _slice_sums(z1, ends)
+
+
+def _first_values(f: MarkFunction, points, first: np.ndarray) -> tuple:
+    """The per-point terms of a block's points in [0, T], for :func:`_range_sums`.
+
+    Returns z1, z1 f(y1), where f(y1) is not finite (None if nowhere),
+    and whether every z1 is 0/1 or 1.0, so that a sum of z1 is an exact
+    integer in every order.
+    """
+    _, y, z = points
+    z1, y1 = z[first], y[first]
+    vals = f(y1, y1)
+    bad = ~np.isfinite(vals)
+    exact = z1.dtype == bool or (z1 == 1.0).all()
+    if not bad.any():
+        return z1, z1 * vals, None, exact
+    with np.errstate(invalid="ignore"):  # 0 * inf, which no sum reads: the point raises first
+        return z1, z1 * vals, bad, exact
+
+
+def _range_sums(f, points, hood: _Ranges, in_win, ends, terms) -> tuple:
+    """Each realization's (sum of z1 f, sum of z1) over its pairs, from the exact ranges of `hood`.
+
+    The sums run over each point's term repeated once per partner,
+    point after point: the terms and the order of the sum over the
+    pairs.  A sum of 0/1 or unit weights is summed as the exact integer
+    it is in every order.  A non-finite f of a point with a partner
+    raises as the sum over the pairs does, naming its first pair.
+    """
+    z1, zf, bad, exact = terms
+    count = hood.count
+    if bad is not None and (count[bad] > 0).any():
+        _pair_values(f, *points, *hood.pairs())
+    num = _slice_sums(np.repeat(zf, count), ends)
+    if exact:
+        cum = np.concatenate(([0], np.cumsum(count * z1)))[in_win]
+        return num, cum[1:] - cum[:-1]
+    return num, _slice_sums(np.repeat(z1, count), ends)
 
 
 def pair_sums(

@@ -7,8 +7,8 @@ squared first mark, constant one).  :class:`ThresholdFamily` bundles the
 excess (f(y) - u)_+ and the exceedance indicator 1_{f(y) > u} used by the
 inference module.
 
-Mark functions are immutable; their `fn` must be reentrant and accept
-numpy arrays.
+Mark functions are immutable; their `fn` must be reentrant and apply
+elementwise to numpy arrays.
 """
 
 from __future__ import annotations
@@ -41,8 +41,12 @@ _PROBE_Y2 = (-2.2, 0.0, 3.3)
 class MarkFunction:
     """A named function of a mark pair.
 
-    `arity` is "first-only" when the value ignores y2 (verified by probing
-    at construction) and "both" otherwise.  Values are expected to be
+    `fn` is applied elementwise: entry k of ``fn(y1, y2)`` is the value
+    at the pair ``(y1[k], y2[k])``, whatever the other entries are.
+    `arity` is "first-only" when the value ignores y2 and "both"
+    otherwise; :func:`make_mark_function` probes both claims of a
+    first-only function at construction.  A first-only function is
+    evaluated once per point, not once per pair.  Values are expected to be
     non-negative for the plain mean-mark statistics; the estimators also
     accept signed functions, which is needed for centered statistics.
     """
@@ -68,6 +72,13 @@ def _check_first_only(fn: Callable, name: str) -> None:
         vals = {float(np.asarray(fn(np.float64(y1), np.float64(y2)))) for y2 in _PROBE_Y2}
         if len(vals) > 1:
             raise InputError(f"mark function {name!r} declared first-only but uses y2")
+    # a first-only function is evaluated once per point, on all of a block's marks at once
+    scalars = [float(np.asarray(fn(np.float64(a), np.float64(b))))
+               for a, b in zip(_PROBE_Y1, _PROBE_Y2)]
+    vals = np.asarray(fn(np.array(_PROBE_Y1), np.array(_PROBE_Y2)), dtype=np.float64)
+    if vals.shape not in ((), (len(scalars),)) or not np.array_equal(
+            np.broadcast_to(vals, (len(scalars),)), scalars, equal_nan=True):
+        raise InputError(f"mark function {name!r} declared first-only but is not elementwise")
 
 
 def make_mark_function(fn: Callable, name: str, arity: str = BOTH) -> MarkFunction:

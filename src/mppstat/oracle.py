@@ -263,9 +263,9 @@ def monte_carlo_mean_mark(
             inside = win.contains(block.locations)
             ends = np.concatenate(([0], np.cumsum(inside)))[block.starts]
             y, z = block.y[inside], block.z[inside]
-            nums += _slice_sums(z * f(y, y), ends)
-            dens += _slice_sums(z, ends)
-        nums, dens = np.array(nums), np.array(dens)
+            nums.append(_slice_sums(z * f(y, y), ends))
+            dens.append(_slice_sums(z, ends))
+        nums, dens = np.concatenate(nums), np.concatenate(dens)
     if target == "pooled":
         s_num, s_den = np.sum(nums), np.sum(dens)
         if s_den == 0:

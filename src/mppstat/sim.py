@@ -19,6 +19,7 @@ import bisect
 import collections
 import functools
 import hashlib
+import itertools
 import json
 import math
 import numbers
@@ -790,7 +791,7 @@ def _draws(spec: MixtureSpec, sim_window: SimWindow, n_realizations: int, seed):
 def _batch(draws: list, sim_window: SimWindow) -> PatternBatch:
     """The realizations `draws` of :func:`_draws` as one checked batch."""
     classes, locs, ys, zs = zip(*draws)
-    starts = np.cumsum([0] + [y.size for y in ys])
+    starts = list(itertools.accumulate((y.size for y in ys), initial=0))
     return PatternBatch(_concat_frozen(locs), _concat_frozen(ys), _concat_frozen(zs), starts,
                         sim_window, classes)
 

@@ -322,16 +322,16 @@ class TestEstimate:
         # infer clt sweeps its one band once.  No command enumerates a
         # single pattern again.
         sweeps, single = [], []
-        original = core._pairs_sorted_1d
+        original = core._ranges_sorted_1d
         single_pattern = core.band_pair_indices
 
-        def counting_sweep(x, starts, t1_ok, kept, bands):
+        def counting_sweep(x, starts, first, kept, bands):
             sweeps.append((tuple(band.lo for band in bands), x.tobytes(), starts.tolist()))
-            return original(x, starts, t1_ok, kept, bands)
+            return original(x, starts, first, kept, bands)
 
         for module in vars(mppstat).values():
-            if getattr(module, "_pairs_sorted_1d", None) is original:
-                monkeypatch.setattr(module, "_pairs_sorted_1d", counting_sweep)
+            if getattr(module, "_ranges_sorted_1d", None) is original:
+                monkeypatch.setattr(module, "_ranges_sorted_1d", counting_sweep)
             if getattr(module, "band_pair_indices", None) is single_pattern:
                 monkeypatch.setattr(module, "band_pair_indices",
                                     lambda *args: single.append(args) or single_pattern(*args))

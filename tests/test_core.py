@@ -213,8 +213,8 @@ class TestBatchOfOne:
         lambda p, win, band: neighbor_counts(p, win, band),
     ], ids=["band_pair_indices", "pair_sums", "mean_mark", "neighbor_counts"])
     def test_single_pattern_takes_one_kernel_call_in_the_sweep(self, monkeypatch, dim, call):
-        kernel, other = ("_pairs_sorted_1d", "_pairs_tree") if dim == 1 else (
-            "_pairs_tree", "_pairs_sorted_1d")
+        kernel, other = ("_ranges_sorted_1d", "_pairs_tree") if dim == 1 else (
+            "_pairs_tree", "_ranges_sorted_1d")
         original = getattr(core, kernel)
         callers = []
 

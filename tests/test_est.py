@@ -40,7 +40,7 @@ from mppstat import (
 )
 from mppstat import class_averaged_mean_mark, mixture_mean_mark
 
-from mppstat.core import _ascending, _block_order, _pairs_sorted_1d
+from mppstat.core import _ascending, _block_order, _ranges_sorted_1d
 from mppstat.est import _pair_tables
 
 from helpers import DYADIC, pattern_1d, random_pattern, sorted_pairs
@@ -496,7 +496,8 @@ class TestBlockedPairTable:
         whole = PatternBatch.from_patterns(patterns)
         (_, _, kept), = whole._sorted_blocks
         starts, x = whole.starts, whole.locations[:, 0]
-        ii, jj = next(_pairs_sorted_1d(x, starts, (x >= 0) & (x <= win.t[0]), kept, [band]))
+        first = np.flatnonzero((x >= 0) & (x <= win.t[0]))
+        ii, jj = next(_ranges_sorted_1d(x, starts, first, kept, [band])).pairs()
         for k, p in enumerate(patterns):
             mine = (ii >= starts[k]) & (ii < starts[k + 1])
             fast = band_pair_indices(p, win, band)
@@ -714,9 +715,12 @@ class TestVisitor:
             assert got[q].tolist() == np.concatenate(want).tolist()
             assert got[q].any()
 
-    def test_no_visitor_builds_no_counts(self, monkeypatch):
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_no_visitor_builds_no_counts(self, monkeypatch, dim):
+        # d = 1 reads its counts off the partner ranges; d = 2 counts its
+        # pairs, once per band and realization, and only for a visitor
         rng = np.random.default_rng(22)
-        patterns = [random_pattern(rng, 40, extent=5.0, buffer=1.5) for _ in range(6)]
+        patterns = [random_pattern(rng, 40, dim=dim, extent=5.0, buffer=1.5) for _ in range(6)]
         calls = []
         bincount = np.bincount
 
@@ -725,8 +729,10 @@ class TestVisitor:
             return bincount(*args, **kwargs)
 
         monkeypatch.setattr(np, "bincount", spy)
-        bands = [Band(0.5, 1.5), Band(-1.5, -0.5)]
-        _pair_tables(patterns, Window(5.0), bands, FIRST)
+        win = Window(np.full(dim, 5.0))
+        bands = ([Band(0.5, 1.5), Band(-1.5, -0.5)] if dim == 1
+                 else [Band.absolute(0.2, 0.7), Band.absolute(0.5, 1.5)])
+        _pair_tables(patterns, win, bands, FIRST)
         assert calls == []
-        _pair_tables(patterns, Window(5.0), bands, FIRST, visit=lambda block, neighbors: None)
-        assert len(calls) == 2
+        _pair_tables(patterns, win, bands, FIRST, visit=lambda block, neighbors: None)
+        assert len(calls) == (0 if dim == 1 else 2 * 6)

@@ -117,6 +117,23 @@ class TestArity:
         with pytest.raises(InputError, match="uses y2"):
             make_mark_function(lambda y1, y2: y1 + y2, "fake", arity="first-only")
 
+    @pytest.mark.parametrize("fn", [lambda y1, y2: y1 - y1.mean(),
+                                    lambda y1, y2: np.roll(y1, 1),
+                                    lambda y1, y2: np.full(2, 1.0) if np.ndim(y1) else 1.0],
+                             ids=["centered", "roll", "wrong_shape"])
+    def test_probe_catches_first_only_that_is_not_elementwise(self, fn):
+        # a first-only function is evaluated once per point on a whole
+        # block's marks, so a value that reads the other entries would
+        # depend on how the realizations are laid out in blocks
+        with pytest.raises(InputError, match="^mark function 'fake' declared first-only "
+                                             "but is not elementwise$"):
+            make_mark_function(fn, "fake", arity="first-only")
+
+    @pytest.mark.parametrize("fn", [lambda y1, y2: 2.0, lambda y1, y2: np.abs(y1) + 1.0],
+                             ids=["constant", "elementwise"])
+    def test_probe_accepts_elementwise_first_only(self, fn):
+        assert make_mark_function(fn, "ok", arity="first-only").arity == "first-only"
+
 
 class TestRegistry:
     def test_resolve_builtin(self):
