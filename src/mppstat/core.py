@@ -410,11 +410,7 @@ def band_pair_indices_naive(
     closed band.  Used as the ground truth for the accelerated paths.
     """
     band.require_dim(pattern.dim)
-    return _pairs_naive(pattern.locations, win.contains(pattern.locations), band)
-
-
-def _pairs_naive(loc: np.ndarray, t1_ok: np.ndarray, band: Band) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`band_pair_indices_naive` on the rows of `loc`, `t1_ok` flagging those in [0, T]."""
+    loc, t1_ok = pattern.locations, win.contains(pattern.locations)
     n = loc.shape[0]
     out_i: list[np.ndarray] = []
     out_j: list[np.ndarray] = []
@@ -469,23 +465,24 @@ def _ascending(ss: np.ndarray) -> bool:
 
 
 class _Ranges(NamedTuple):
-    """The partners in one band of a 1-D block's points in [0, T]: a run of its sorted order each.
+    """The partners in one band of a block's points in [0, T]: a run of `order` each.
 
     Point ``first[m]`` of the block has ``count[m]`` partners.  They are
-    the points at the sorted positions from ``left[m]`` on, in that
-    order, with the point's own position ``pos[m]`` skipped when `own`
-    (the band holds 0); `order` maps sorted positions to points.
+    the points ``order[left[m]:]``, in that order, with the point's own
+    position ``pos[m]`` skipped when `own` (the band holds 0; `pos` is
+    read only then).  In d = 1 `order` is the block's sorted order; in
+    d > 1 it lists each point's partners in turn.
     """
 
     first: np.ndarray
-    pos: np.ndarray
+    pos: np.ndarray | None
     left: np.ndarray
     count: np.ndarray
     own: bool
     order: np.ndarray
 
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(ii, jj): the ranges expanded, i ascending and, for each i, j in sorted order."""
+        """(ii, jj): the ranges expanded, i ascending and, for each i, j in the order of `order`."""
         count = self.count
         ii = np.repeat(self.first, count)
         at = np.repeat(self.left - np.cumsum(count) + count, count)
@@ -557,39 +554,47 @@ def _ranges_sorted_1d(x: np.ndarray, starts: np.ndarray, first: np.ndarray, kept
         yield ranges(band)
 
 
-def _pairs_tree(loc: np.ndarray, t1_ok: np.ndarray, bands: Sequence[Band]):
-    """Qualifying ordered pairs of one realization in d > 1 in each band, from one kd-tree.
+def _pairs_tree(loc: np.ndarray, t1_ok: np.ndarray, first: np.ndarray, bands: Sequence[Band]):
+    """Partners of one realization in d > 1 in each band, from one kd-tree, in (i, j) order.
 
-    Yields (ii, jj) for each band in turn.  The tree is built once and
-    queried once per band with a finite upper end; a band without one
-    takes the naive enumeration.
+    `first` indexes the points in [0, T] that `t1_ok` flags.  Yields a
+    :class:`_Ranges` for each band in turn, whose partners of each point
+    ascend, so no sum depends on the tree's traversal.  The tree is
+    built once and queried once per band, padded by a few ulps, at the
+    band's upper end or, for an infinite one, at the diameter of the
+    points' bounding box; its candidates are filtered by the closed-band
+    test of :meth:`Band.contains`.  Past a radius of 1e154 every pair is
+    a candidate.
     """
     from scipy.spatial import cKDTree
 
-    empty = np.empty(0, dtype=np.int64)
-    if loc.shape[0] < 2 or not t1_ok.any():
+    n = loc.shape[0]
+    if n < 2 or first.size == 0:
+        none = np.zeros(first.size, dtype=np.int64)
         for _ in bands:
-            yield empty, empty
+            yield _Ranges(first, None, none, none, False, none[:0])
         return
-    if any(np.isfinite(band.hi) for band in bands):
-        tree, extent = cKDTree(loc), float(np.max(np.abs(loc)))
+    tree, extent = cKDTree(loc), float(np.max(np.abs(loc)))
 
-    def pairs(band: Band) -> tuple[np.ndarray, np.ndarray]:
-        if not np.isfinite(band.hi):
-            return _pairs_naive(loc, t1_ok, band)
-        radius = band.hi + 16.0 * np.spacing(band.hi + extent + 1.0)
-        raw = tree.query_pairs(radius, output_type="ndarray")
-        if raw.size == 0:
-            return empty, empty
-        cand_i = np.concatenate((raw[:, 0], raw[:, 1]))
-        cand_j = np.concatenate((raw[:, 1], raw[:, 0]))
-        keep = t1_ok[cand_i]
-        cand_i, cand_j = cand_i[keep], cand_j[keep]
-        keep = band.contains(_row_displacements(loc[cand_i], loc[cand_j]))
-        return cand_i[keep].astype(np.int64), cand_j[keep].astype(np.int64)
+    def ranges(band: Band) -> _Ranges:
+        hi = band.hi if math.isfinite(band.hi) else math.dist(loc.min(0), loc.max(0))
+        radius = hi + 16.0 * np.spacing(hi + extent + 1.0)
+        # scipy rejects a radius whose square overflows: every pair is then a candidate
+        a, b = (tree.query_pairs(radius, output_type="ndarray").T if radius < 1e154
+                else np.triu_indices(n, 1))
+        # fl(||t_j - t_i||) == fl(||t_i - t_j||), so one test serves both orders
+        keep = band.contains(_row_displacements(loc[a], loc[b]))
+        a, b = a[keep], b[keep]
+        ii, jj = np.concatenate((a, b)), np.concatenate((b, a))
+        keep = t1_ok[ii]
+        ii, jj = ii[keep], jj[keep]
+        count = np.bincount(ii, minlength=n)[first]
+        # a sort of the keys themselves is faster than an argsort of them
+        order = np.sort(ii * n + jj) % n
+        return _Ranges(first, None, np.cumsum(count) - count, count, False, order)
 
     for band in bands:
-        yield pairs(band)
+        yield ranges(band)
 
 
 # Points per block of the 1-D sweep: blocks amortize the per-call cost of
@@ -620,15 +625,15 @@ def _sweep(batch: PatternBatch, win: Window, bands: Sequence[Band]):
     realizations k0..k1-1, whose points are rows
     ``batch.starts[k0]:batch.starts[k1]``.  `first` indexes the block's
     points in [0, T], ascending, and `hoods` yields each band's partners
-    in turn, indexed in the block.  A 1-D block of up to
-    ``_BLOCK_POINTS`` points comes with its sorted order, and its hood
-    is the :class:`_Ranges` of :func:`_ranges_sorted_1d`, whose pairs
-    are those of a sweep over each realization alone.  A block without
-    one is a realization in d > 1, whose hood is its pairs (ii, jj) from
-    one kd-tree.  The blocks are those the batch laid out when it was
-    checked, so one sort or one tree per block serves every band.  The
-    window and the bands are checked against the batch's dimension
-    before the first block.
+    in turn, indexed in the block, as a :class:`_Ranges`.  A 1-D block
+    of up to ``_BLOCK_POINTS`` points comes with its sorted order, and
+    its ranges are those of :func:`_ranges_sorted_1d`, whose pairs are
+    those of a sweep over each realization alone.  A block without one
+    is a realization in d > 1, whose ranges are those of
+    :func:`_pairs_tree`, in (i, j) order.  The blocks are those the
+    batch laid out when it was checked, so one sort or one tree per
+    block serves every band.  The window and the bands are checked
+    against the batch's dimension before the first block.
     """
     t1_ok = win.contains(batch.locations)
     for band in bands:
@@ -638,7 +643,7 @@ def _sweep(batch: PatternBatch, win: Window, bands: Sequence[Band]):
         a, b = starts[k0], starts[k1]
         first = np.flatnonzero(t1_ok[a:b])
         if kept is None:
-            yield k0, k1, first, _pairs_tree(loc[a:b], t1_ok[a:b], bands)
+            yield k0, k1, first, _pairs_tree(loc[a:b], t1_ok[a:b], first, bands)
         else:
             local = starts[k0:k1 + 1] - a
             yield k0, k1, first, _ranges_sorted_1d(loc[a:b, 0], local, first, kept, bands)
@@ -650,13 +655,13 @@ def band_pair_indices(
     """Indices (i, j) of ordered pairs with point i in [0, T] and displacement in band.
 
     Point j may lie anywhere in the simulation window.  The pattern is
-    the single block of :func:`_sweep`: exact partner ranges of a sorted
-    sweep, expanded, for d=1, and a kd-tree for d>1, whose candidates
-    are filtered.  Both use the closed-band predicate of the naive
-    double loop, so the returned pair set is identical to it.
+    the single block of :func:`_sweep`, and the pairs are its partner
+    ranges expanded: those of a sorted sweep for d=1, and of a kd-tree,
+    whose candidates are filtered, in (i, j) order for d>1.  Both use
+    the closed-band predicate of the naive double loop, so the returned
+    pair set is identical to it.
     """
-    hood = next(next(_sweep(pattern, win, [band]))[-1])
-    return hood.pairs() if isinstance(hood, _Ranges) else hood
+    return next(next(_sweep(pattern, win, [band]))[-1]).pairs()
 
 
 def _pair_values(f, loc, y, z, ii, jj) -> np.ndarray:

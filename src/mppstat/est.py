@@ -160,19 +160,19 @@ def _pair_tables(
     sequence of patterns is a stream of one block; a stream without a
     realization is an InputError.  Each block is reduced by
     :func:`_sweep`'s partners to its per-realization columns and
-    dropped, and each band's table joins its columns end to end.  In
-    d = 1 a first-only `f` is evaluated once per point in [0, T] and
-    summed over each point's exact partner range without building a
-    pair: the realization's values repeated, point after point, are the
-    values of its pairs in sweep order.  Other mark functions, and every
-    f in d > 1, are summed over the pairs.
+    dropped, and each band's table joins its columns end to end.  A
+    first-only `f` is evaluated once per point in [0, T] and summed over
+    each point's partner range without building a pair: the
+    realization's values repeated, point after point, are the values of
+    its pairs in sweep order, which in d > 1 is (i, j) order.  Other
+    mark functions are summed over the pairs.
     `weight` gives a block's weight-mark column, one entry per point:
     the block's own `z` when None, or another weight such as the
     exceedance indicator of :func:`~mppstat.infer.threshold_sums` (a
     bool column sums as 0 and 1).  `visit(block, neighbors)` is called
     with each block before it is dropped: ``neighbors[q]`` holds each of
     its points' number of neighbours in ``bands[q]`` when the point lies
-    in [0, T], else 0.  These counts are only built for a visitor.
+    in [0, T], else 0.
     """
     if not isinstance(realizations, Iterator):
         realizations = iter((realizations if isinstance(realizations, PatternBatch)
@@ -190,19 +190,12 @@ def _pair_tables(
             n_window.append(in_win[1:] - in_win[:-1])
             terms = None
             for q, hood in enumerate(hoods):
-                if isinstance(hood, _Ranges):
-                    # each realization's pairs, from the points in [0, T] before it
-                    ends = np.concatenate(([0], np.cumsum(hood.count)))[in_win]
-                    if visit:
-                        neighbors[q][a:b][first] = hood.count
-                else:  # d > 1: the pairs (ii, jj) of one realization
-                    ends = np.array([0, hood[0].size])
-                    if visit:
-                        neighbors[q][a:b] = np.bincount(hood[0], minlength=b - a)
+                # each realization's pairs, from the points in [0, T] before it
+                ends = np.concatenate(([0], np.cumsum(hood.count)))[in_win]
+                if visit:
+                    neighbors[q][a:b][first] = hood.count
                 if ends[-1] == 0:
                     sums = (np.zeros(k1 - k0),) * 2
-                elif not isinstance(hood, _Ranges):
-                    sums = _sums_over_pairs(f, points, hood, ends)
                 elif f.arity == FIRST_ONLY:
                     terms = terms or _first_values(f, points, first)
                     sums = _range_sums(f, points, hood, in_win, ends, terms)
@@ -215,7 +208,7 @@ def _pair_tables(
                 num.append(sums[0])
                 den.append(sums[1])
                 count.append(ends[1:] - ends[:-1])
-                del hood  # a kd-tree's pairs in one band are freed before the next query
+                del hood  # a kd-tree's partners in one band are freed before the next query
         if visit:
             visit(block, neighbors)
         del block, z, neighbors  # no block outlives its reduction

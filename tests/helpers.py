@@ -122,22 +122,31 @@ def assert_same_batch(batch: PatternBatch, expected: PatternBatch) -> None:
         assert got.tobytes() == want.tobytes(), column
 
 
+def sweep_order_pairs(pattern: PointPattern, win, band: Band) -> tuple[np.ndarray, np.ndarray]:
+    """The naive pairs of one pattern in the order of a sweep over it alone.
+
+    i ascends and, for each i, j follows the order of x in d = 1 (a
+    stable sort) and ascends in d > 1: (i, j) order.
+    """
+    rank = np.arange(pattern.n_points)
+    if pattern.dim == 1:
+        rank[np.argsort(pattern.locations[:, 0], kind="stable")] = np.arange(pattern.n_points)
+    ii, jj = band_pair_indices_naive(pattern, win, band)
+    in_order = np.lexsort((rank[jj], ii))
+    return ii[in_order], jj[in_order]
+
+
 def reference_threshold_sums(batch: PatternBatch, win, band: Band, family):
     """Per-realization (sum of excess(y1), sum of indicator(y1)), one pair at a time.
 
     Each realization's pairs come from the naive enumeration, put in the
-    order of a sweep over it alone (i ascending, then j by a stable sort
-    of x); each pair's terms are computed on its own, and the terms are
-    summed by numpy in that order.
+    order of :func:`sweep_order_pairs`; each pair's terms are computed
+    on its own, and the terms are summed by numpy in that order.
     """
     s, d = [], []
     for k in range(batch.n_realizations):
         p = batch.pattern(k)
-        x = p.locations[:, 0]
-        rank = np.empty(x.size, dtype=np.int64)
-        rank[np.argsort(x, kind="stable")] = np.arange(x.size)
-        ii, jj = band_pair_indices_naive(p, win, band)
-        ii = ii[np.lexsort((rank[jj], ii))]
+        ii, _ = sweep_order_pairs(p, win, band)
         excess = [float(family.excess(p.y[i])) for i in ii.tolist()]
         indicator = [float(family.indicator(p.y[i])) for i in ii.tolist()]
         s.append(np.add.reduce(np.array(excess, dtype=np.float64)))

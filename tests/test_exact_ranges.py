@@ -1,7 +1,8 @@
-"""Exact partner ranges of the 1-D sweep at float boundaries, bit for bit against per-pair sums.
+"""Exact partner ranges of the sweep at float boundaries, bit for bit against per-pair sums.
 
 The sweep finds each point's partners as one run of its block's sorted
-order and, for a first-only mark function, sums each point's value once
+order in d = 1, and as one run of its kd-tree partners in (i, j) order in
+d > 1; for a first-only mark function it sums each point's value once
 per partner without building a pair.  Every case here is compared with
 the naive enumeration, put in the order of a sweep over each realization
 alone, and summed one pair at a time.
@@ -17,14 +18,16 @@ import pytest
 
 from mppstat import (
     Band,
+    NumericError,
     PatternBatch,
+    PointPattern,
     SimWindow,
     Window,
     band_pair_indices,
-    band_pair_indices_naive,
     buffered_window,
     builtin,
     core,
+    make_mark_function,
     mixture_from_json,
     pair_table,
     sample_batch,
@@ -33,7 +36,7 @@ from mppstat import (
 from mppstat.est import _pair_tables
 from mppstat.infer import threshold_sums
 
-from helpers import reference_threshold_sums
+from helpers import random_pattern, reference_threshold_sums, snap_dyadic, sweep_order_pairs
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 FUNCTIONS = [builtin("first"), builtin("first_squared"), builtin("product")]
@@ -74,16 +77,6 @@ def adversarial_batch(seed: int, weights: str) -> tuple[PatternBatch, Window]:
                              np.cumsum([0] + [a.size for a in xs]),
                              SimWindow.cube(float(x.min()) - 1.0, float(x.max()) + 1.0, 1))
     return batch, Window(max(0.75 * float(x.max()), 1.0))
-
-
-def sweep_order_pairs(pattern, win: Window, band: Band) -> tuple[np.ndarray, np.ndarray]:
-    """The naive pairs of one pattern, i ascending, then j in the order of x."""
-    x = pattern.locations[:, 0]
-    rank = np.empty(x.size, dtype=np.int64)
-    rank[np.argsort(x, kind="stable")] = np.arange(x.size)
-    ii, jj = band_pair_indices_naive(pattern, win, band)
-    in_order = np.lexsort((rank[jj], ii))
-    return ii[in_order], jj[in_order]
 
 
 def _bits(a) -> bytes:
@@ -141,6 +134,110 @@ class TestAdversarialRanges:
                 s, d = threshold_sums(batch, win, band, family)
                 ref_s, ref_d = reference_threshold_sums(batch, win, band, family)
                 assert _bits(s) == _bits(ref_s) and _bits(d) == _bits(ref_d), band
+
+
+# d > 1: ends on the dyadic grid's partner distances 0.5, 1 and 1.25,
+# a band that holds 0, a single-distance band and bands infinite above
+ND_BANDS = [Band.absolute(0.5, 1.25), Band.absolute(0.0, 1.0), Band.absolute(0.5, 0.5),
+            Band.absolute(1.25, INF), Band.absolute(0.0, INF)]
+
+
+def _realization_nd(rng: np.random.Generator, dim: int, kind: str) -> np.ndarray:
+    if kind == "grid":
+        # a dyadic grid of step 0.25: partners exactly 0.5, 1 and 1.25
+        # apart, along an axis and along a 3-4-5 diagonal
+        cells = rng.choice(10**dim, size=int(rng.integers(2, 60)), replace=False)
+        return np.stack(np.unravel_index(cells, (10,) * dim), axis=1) * 0.25
+    # partners 0.5, 1 and 1.25 away, along an axis and a diagonal, with
+    # the coordinate that moves most stepped up to 4 ulps either way
+    scale = rng.choice([1.0, 1e3])
+    base = snap_dyadic(scale * rng.uniform(0.0, 2.0, (int(rng.integers(1, 3)), dim)))
+    diagonal = np.zeros(dim)
+    diagonal[:2] = 0.6, 0.8
+    near = [base]
+    for b in base:
+        for r in (0.5, 1.0, 1.25):
+            axis = int(rng.integers(dim))
+            for direction, moves in ((np.eye(dim)[axis], axis), (diagonal, 1)):
+                c = np.tile(b + r * direction, (9, 1))
+                c[:, moves] += np.arange(-4, 5) * np.spacing(c[:, moves])
+                near.append(c)
+    return rng.permutation(np.unique(np.concatenate(near), axis=0))
+
+
+def adversarial_batch_nd(seed: int, dim: int, weights: str) -> tuple[PatternBatch, Window]:
+    rng = np.random.default_rng(seed)
+    locs = [_realization_nd(rng, dim, kind) for kind in ("grid", "ulps", "ulps")]
+    loc = np.concatenate(locs)
+    z = {"ones": np.ones(len(loc)), "float": rng.uniform(0.0, 2.0, len(loc))}[weights]
+    batch = PatternBatch(loc, rng.normal(0.0, 3.0, len(loc)), z,
+                         np.cumsum([0] + [len(a) for a in locs]),
+                         SimWindow.cube(float(loc.min()) - 1.0, float(loc.max()) + 1.0, dim))
+    return batch, Window(np.full(dim, 0.75 * float(loc.max())))
+
+
+class TestTreeRanges:
+    """In d > 1 the kd-tree's partner ranges give the naive pairs in (i, j) order, bit for bit."""
+
+    @pytest.mark.parametrize("weights", ["ones", "float"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tables_and_neighbours_equal_per_pair_sums(self, seed, dim, weights):
+        batch, win = adversarial_batch_nd(seed, dim, weights)
+        for f in FUNCTIONS:
+            neighbors = [[] for _ in ND_BANDS]
+
+            def visit(block, counts):
+                for q, c in enumerate(counts):
+                    neighbors[q].append(c)
+
+            tables = _pair_tables(batch, win, ND_BANDS, f, visit=visit)
+            assert_tables_are_per_pair_sums(batch, win, ND_BANDS, tables, f, neighbors)
+        assert all(table.count.sum() > 0 for table in tables)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_band_pair_indices_come_in_i_j_order(self, seed, dim):
+        batch, win = adversarial_batch_nd(seed, dim, "ones")
+        for k in range(batch.n_realizations):
+            p = batch.pattern(k)
+            for band in ND_BANDS:
+                got, want = band_pair_indices(p, win, band), sweep_order_pairs(p, win, band)
+                assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
+
+    @pytest.mark.parametrize("big", [1e200, 1e307])
+    def test_radius_past_1e154_takes_every_pair_as_a_candidate(self, big):
+        # scipy squares the query radius; here the square overflows
+        loc = np.array([[0.0, 0.0], [0.5, 0.5], [0.75, -big], [-big, big], [big, big]])
+        p = PointPattern(loc, np.arange(5.0), np.ones(5), SimWindow.cube(-big, big, 2))
+        win = Window([1.0, 1.0])
+        for band in (Band.absolute(0.0, INF), Band.absolute(1.0, INF), Band.absolute(0.5, 1e300)):
+            got, want = band_pair_indices(p, win, band), sweep_order_pairs(p, win, band)
+            assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
+            assert pair_table(p, win, band, builtin("product")).count.tolist() == [want[0].size]
+            assert want[0].size > 0
+
+    @pytest.mark.parametrize("arity", ["first-only", "both"])
+    def test_non_finite_value_names_the_first_pair_in_i_j_order(self, arity):
+        rng = np.random.default_rng(4)
+        p = random_pattern(rng, 80, dim=2, extent=4.0, buffer=1.5)
+        win, band = Window([4.0, 4.0]), Band.absolute(0.5, 1.5)
+        ii, jj = sweep_order_pairs(p, win, band)
+        # two points with partners; scipy's traversal reaches the later one first
+        bad = np.unique(ii)[[3, 11]]
+        y = np.where(np.isin(np.arange(p.n_points), bad), 4.0, 1.0)
+        p = PointPattern(p.locations, y, p.z, p.sim_window)
+
+        def inverse(y1, y2):
+            with np.errstate(divide="ignore"):
+                return 1.0 / (y1 - 4.0) + 0.0 * y2
+
+        f = make_mark_function(inverse, "inverse", arity)
+        with pytest.raises(NumericError) as err:
+            pair_table(p, win, band, f)
+        i, j = bad[0], jj[ii == bad[0]][0]
+        assert (f"(t1={tuple(p.locations[i].tolist())}, y1=4.0, z1={p.z[i]}) x "
+                f"(t2={tuple(p.locations[j].tolist())}, y2={y[j]})") in str(err.value)
 
 
 class TestFloatWeights:

@@ -31,6 +31,7 @@ from mppstat import (
     threshold_excess_mean,
     threshold_family,
 )
+from mppstat.est import _pair_tables
 from mppstat.infer import _reduce_sums, threshold_sums
 
 from helpers import pattern_1d, reference_threshold_sums
@@ -98,6 +99,24 @@ class TestThresholdSumsAreAPairTable:
         s, d = threshold_sums(batch, win, BAND, fam)
         ref_s, ref_d = reference_threshold_sums(batch, win, BAND, fam)
         assert d.sum() > 0 and s.dtype == d.dtype == np.float64
+        assert _bits(s) == _bits(ref_s) and _bits(d) == _bits(ref_d)
+
+    @pytest.mark.parametrize("base", ["first", "first_squared"])
+    @pytest.mark.parametrize("u_at", ["zero", "between"])
+    def test_2d_equals_the_per_pair_reference_in_i_j_order(self, base, u_at):
+        spec = MixtureSpec((MixtureClass(1.0, PoissonGround(3.0), IidMarks("normal", (0.3, 1.0)),
+                                         z_rule=IidMarks("uniform", (0.0, 2.0))),), dim=2)
+        win, band = Window([6.0, 6.0]), Band.absolute(0.5, 1.5)
+        batch = sample_batch(spec, buffered_window(win, band), 12, seed=32)
+        f = builtin(base)
+        u = {"zero": 0.0, "between": float(np.median(f.first(batch.y)))}[u_at]
+        fam = threshold_family(f, u)
+        # inference is defined in d = 1 only: this is the table threshold_sums reads
+        table, = _pair_tables(batch, win, [band], fam.excess_fn(),
+                              lambda block: fam.indicator(block.y))
+        s, d = table.num, table.den
+        ref_s, ref_d = reference_threshold_sums(batch, win, band, fam)
+        assert d.min() > 0 and s.dtype == d.dtype == np.float64
         assert _bits(s) == _bits(ref_s) and _bits(d) == _bits(ref_d)
 
 
